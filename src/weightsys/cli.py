@@ -92,6 +92,14 @@ def _load_document(path):
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from None
 
 
+def _write_output(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DocumentError("cannot write %s: %s" % (path, exc.strerror)) from None
+
+
 def _cmd_check(args) -> int:
     from .documents import parse_system
 
@@ -115,8 +123,7 @@ def _cmd_enumerate(args) -> int:
         outcome = (naive_oracle if args.oracle else enumerate_systems)(config)
     except SearchSpaceError as exc:
         raise DocumentError(str(exc)) from None
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(render_json(emit_search_document(config, outcome)))
+    _write_output(args.out, render_json(emit_search_document(config, outcome)))
     print(
         "%d survivor(s), %d candidate(s) examined, results in %s"
         % (len(outcome.survivors), outcome.stats.nodes, args.out)
@@ -172,8 +179,7 @@ def _cmd_graph(args) -> int:
         return 1
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    with open(args.dot, "w", encoding="utf-8") as handle:
-        handle.write(emit_dot(document))
+    _write_output(args.dot, emit_dot(document))
     sys.stdout.write(render_json(document.as_dict()))
     return 0
 

@@ -19,14 +19,16 @@ profile and per candidate largest weight d:
        for 3 points via the largest-weight structure, for 2 points via
        the Z_d classification, whose two-point shapes degenerate to the
        sphere pair {d},{-d} because a'+b' >= 2d would exceed d);
-    3. the point w holding +d is completed weight-by-weight from v's
-       residues mod d: a weight congruent to rho in (0, d) and bounded
-       by d-1 is rho or rho-d, nothing else;
+    3. the point w holding +d is completed from v's residues mod d: a
+       weight congruent to rho in (0, d) and bounded by d-1 is rho or
+       rho-d, and only rho-d is negative, so lambda(w) downs are spread
+       over the residue classes, each distinct lift made once;
     4. the remaining point is completed from the pairing imbalance: the
        excess of -l over +l across the other points forces l's
        multiplicity, and what is left splits into {l, -l} padding pairs;
     5. when n >= 4 and there are three points, partial weight sums are
-       cut against c_1 = 0.
+       cut against c_1 = 0; once c_1(v) = 0 every lift has c_1(w) =
+       d * (1 + lambda(v) - lambda(w)), an O(1) test per (v, w) slot pair.
 
 The one case none of the structure above covers is a two-point system
 whose largest weight is 1 (all weights are +-1; the Z_k checks start at
@@ -296,6 +298,20 @@ def _pairing_completions(existing, n, lam, max_val, chern_on, stats):
         yield tuple(sorted(forced + list(pvals) + [-v for v in pvals]))
 
 
+def _lifts(classes, down_count, d):
+    """Every distinct way to lift residue classes ((r, m_r), ...), r
+    ascending, with exactly down_count members sent to r - d and the rest
+    kept at r.  Yields (downs, ups), each an ascending tuple."""
+    if not classes:
+        yield (), ()
+        return
+    (r, m), rest = classes[0], classes[1:]
+    room = sum(count for _, count in rest)
+    for j in range(max(0, down_count - room), min(m, down_count) + 1):
+        for downs, ups in _lifts(rest, down_count - j, d):
+            yield (r - d,) * j + downs, (r,) * (m - j) + ups
+
+
 def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, stats):
     """Candidates whose largest weight is exactly d, via the +-d structure."""
     if point_count == 2 and d == 1:
@@ -312,31 +328,18 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
         if lam_a < 1 or lam_b > n - 1:
             stats.pruned["largest_weight"] += 1
             continue
+        # c_1(v) = 0 forces c_1(w) = d * (1 + lam_a - lam_b) (docstring step 5)
+        if chern_on and lam_b != lam_a + 1:
+            stats.pruned["chern_linear"] += 1
+            continue
         for others in _signed_multisets(lam_a - 1, n - lam_a, d - 1):
             if chern_on and sum(others) != d:
                 stats.pruned["chern_linear"] += 1
                 continue
-            ws_a = tuple(sorted((-d,) + others))
-            seen_b = set()
-            for downs in product((False, True), repeat=len(others)):
-                ws_b = tuple(
-                    sorted(
-                        (d,)
-                        + tuple(
-                            (x % d) - (d if down else 0)
-                            for x, down in zip(others, downs)
-                        )
-                    )
-                )
-                if ws_b in seen_b:
-                    continue
-                seen_b.add(ws_b)
-                if sum(1 for v in ws_b if v < 0) != lam_b:
-                    stats.pruned["largest_weight"] += 1
-                    continue
-                if chern_on and sum(ws_b) != 0:
-                    stats.pruned["chern_linear"] += 1
-                    continue
+            ws_a = (-d,) + others
+            classes = tuple(sorted(Counter(x % d for x in others).items()))
+            for downs, ups in _lifts(classes, lam_b, d):
+                ws_b = downs + ups + (d,)
                 if point_count == 2:
                     slots = [None, None]
                     slots[ia], slots[ib] = ws_a, ws_b
@@ -401,25 +404,18 @@ def _run_branch(payload):
     chern_on = flags.chern_linear and config.point_count == 3 and config.n >= 4
     stats = SearchStats()
     if kind == "d":
-        gen = _dbranch_candidates(
-            config.n,
-            config.point_count,
-            d,
-            profile,
-            chern_on,
-            flags.pairing_completion,
-            stats,
-        )
+        generate, limit = _dbranch_candidates, d
     else:
-        gen = _staged_candidates(
-            config.n,
-            config.point_count,
-            config.weight_bound,
-            profile,
-            chern_on,
-            flags.pairing_completion,
-            stats,
-        )
+        generate, limit = _staged_candidates, config.weight_bound
+    gen = generate(
+        config.n,
+        config.point_count,
+        limit,
+        profile,
+        chern_on,
+        flags.pairing_completion,
+        stats,
+    )
     keys = set()
     for ws_tuple in gen:
         stats.nodes += 1
@@ -430,12 +426,9 @@ def _run_branch(payload):
         if failed is None:
             keys.add(canonicalize(system))
         else:
-            bucket = (
-                "odd"
-                if max(abs(w) for w in system.all_weights()) % 2 == 1
-                else "even"
-            )
-            stats.eliminated[bucket][failed] += 1
+            # every d-branch candidate has largest |weight| exactly d
+            top = d if kind == "d" else max(abs(w) for w in system.all_weights())
+            stats.eliminated["odd" if top % 2 == 1 else "even"][failed] += 1
     return keys, stats
 
 

@@ -8,6 +8,8 @@ dimension four.
 """
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from weightsys.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def _read(name):
@@ -157,6 +160,43 @@ def test_enumerate_rejects_bad_config(tmp_path, capsys):
     )
     assert code == 2
     assert "n must be" in capsys.readouterr().err
+
+
+def test_enumerate_exit_2_on_unwritable_out(capsys):
+    args = ["enumerate", "--n", "2", "--points", "3", "--bound", "3"]
+    assert run_cli(args + ["--out", "/nonexistent/x.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write /nonexistent/x.json")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_graph_exit_2_on_unwritable_dot(capsys):
+    args = ["graph", str(DATA / "cp2_12.json"), "--dot", "/nonexistent/x.dot"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write /nonexistent/x.dot")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    # every README code block that runs the command and shows its output
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```$", text, re.S | re.M)
+    examples = [
+        block.splitlines()
+        for block in blocks
+        if block.startswith("$ weightsys ") and len(block.splitlines()) > 1
+    ]
+    assert [shlex.split(lines[0])[2] for lines in examples] == [
+        "enumerate",
+        "replay",
+    ]
+    monkeypatch.chdir(tmp_path)  # the enumerate example writes results.json
+    for command, *shown in examples:
+        assert run_cli(shlex.split(command)[2:]) == 0
+        assert capsys.readouterr().out.splitlines() == shown
 
 
 def test_replay_happy_path(capsys):

@@ -5,7 +5,8 @@ pruning, full product walk) and checked against the structured
 enumerator before being written down.
 """
 
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
@@ -19,6 +20,7 @@ from weightsys.search import (
     REPLAY_POINT_COUNTS,
     SearchConfig,
     SearchSpaceError,
+    SearchStats,
     classify_dim4,
     cp2_family,
     dim6_pair_family,
@@ -27,7 +29,11 @@ from weightsys.search import (
     naive_oracle,
     replay_lemma,
     verify_nonexistence,
+    _dbranch_candidates,
+    _pairing_completions,
     _partial_pool,
+    _profiles,
+    _signed_multisets,
 )
 
 BOUND3_SURVIVORS = (
@@ -107,6 +113,80 @@ def test_all_ones_corner_is_reached():
         ((-1, 1, 1), (-1, -1, 1)),
         ((1, 1, 1), (-1, -1, -1)),
     )
+
+
+def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
+    """The d-branch generator written the plain way: walk all 2^(n-1)
+    up/down lifts of v's residues, drop repeats, then filter w by lambda
+    and c_1."""
+    if point_count == 2 and d == 1:
+        yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
+        return
+    for ia, ib in permutations(range(point_count), 2):
+        lam_a, lam_b = profile[ia], profile[ib]
+        if lam_a < 1 or lam_b > n - 1:
+            continue
+        for others in _signed_multisets(lam_a - 1, n - lam_a, d - 1):
+            if chern_on and sum(others) != d:
+                continue
+            ws_a = tuple(sorted((-d,) + others))
+            seen_b = set()
+            for downs in product((False, True), repeat=len(others)):
+                lifted = (x % d - (d if down else 0) for x, down in zip(others, downs))
+                ws_b = tuple(sorted((d, *lifted)))
+                if ws_b in seen_b:
+                    continue
+                seen_b.add(ws_b)
+                if sum(1 for v in ws_b if v < 0) != lam_b:
+                    continue
+                if chern_on and sum(ws_b) != 0:
+                    continue
+                slots = [None] * point_count
+                slots[ia], slots[ib] = ws_a, ws_b
+                if point_count == 2:
+                    yield tuple(slots)
+                    continue
+                ic = 3 - ia - ib
+                lam_c = profile[ic]
+                if pairing_complete:
+                    third = _pairing_completions(
+                        ws_a + ws_b, n, lam_c, d - 1, chern_on, SearchStats()
+                    )
+                else:
+                    third = (
+                        ws
+                        for ws in _signed_multisets(lam_c, n - lam_c, d - 1)
+                        if not (chern_on and sum(ws) != 0)
+                    )
+                for ws_c in third:
+                    slots[ic] = ws_c
+                    yield tuple(slots)
+
+
+def test_dbranch_lifts_match_the_full_lift_walk():
+    # the unrestricted profiles include every count-symmetric one
+    branches = 0
+    for point_count in (2, 3):
+        for n in range(1, 17):
+            for d in range(1, 16 // n + 1):
+                for profile in _profiles(n, point_count, False):
+                    for chern_on, pairing in product((False, True), repeat=2):
+                        args = (n, point_count, d, profile, chern_on, pairing)
+                        got = Counter(_dbranch_candidates(*args, SearchStats()))
+                        assert got == Counter(_reference_dbranch(*args)), args
+                        branches += 1
+    assert branches == 27724
+
+
+def test_frontier_counts_frozen():
+    config = SearchConfig(n=8, point_count=3, weight_bound=6)
+    outcome = enumerate_systems(config)
+    assert outcome.survivors == ()
+    assert outcome.stats.nodes == 14828
+    assert outcome.stats.eliminated == {
+        "odd": {"localization": 2276, "isotropy": 20},
+        "even": {"localization": 12488, "isotropy": 44},
+    }
 
 
 def test_worker_split_is_byte_identical():
