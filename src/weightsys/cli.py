@@ -92,12 +92,24 @@ def _load_document(path):
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from None
 
 
-def _write_output(path, text):
+def _open_output(path):
+    # append mode creates the file without truncating it: a bad path is
+    # reported before any work, and what is there stays until the write
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise DocumentError("cannot write %s: %s" % (path, exc.strerror)) from None
+
+
+def _write_output(handle, text):
+    try:
+        handle.truncate(0)
+        handle.write(text)
+        handle.flush()
+    except OSError as exc:
+        raise DocumentError(
+            "cannot write %s: %s" % (handle.name, exc.strerror)
+        ) from None
 
 
 def _cmd_check(args) -> int:
@@ -119,11 +131,12 @@ def _cmd_enumerate(args) -> int:
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    try:
-        outcome = (naive_oracle if args.oracle else enumerate_systems)(config)
-    except SearchSpaceError as exc:
-        raise DocumentError(str(exc)) from None
-    _write_output(args.out, render_json(emit_search_document(config, outcome)))
+    with _open_output(args.out) as out:
+        try:
+            outcome = (naive_oracle if args.oracle else enumerate_systems)(config)
+        except SearchSpaceError as exc:
+            raise DocumentError(str(exc)) from None
+        _write_output(out, render_json(emit_search_document(config, outcome)))
     print(
         "%d survivor(s), %d candidate(s) examined, results in %s"
         % (len(outcome.survivors), outcome.stats.nodes, args.out)
@@ -179,7 +192,8 @@ def _cmd_graph(args) -> int:
         return 1
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    _write_output(args.dot, emit_dot(document))
+    with _open_output(args.dot) as out:
+        _write_output(out, emit_dot(document))
     sys.stdout.write(render_json(document.as_dict()))
     return 0
 

@@ -20,8 +20,9 @@ here is approximate and nothing uses floats.  The individual checks:
   weights; c_1 is the plain weight sum.  For three fixed points and
   n >= 4 the c_1 values must all vanish.
 
-check_system() aggregates these plus the modular checks from the
-isotropy module into one ConstraintReport.
+check_system() reads the filter table isotropy.FILTER_CHECKS (these
+checks plus the modular ones, in the order the search applies them),
+then adds the largest-weight relations, into one ConstraintReport.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     FixedPointSystem,
@@ -95,7 +97,16 @@ class CheckResult:
 
 
 def _result(check_id: str, verdict: str, witness: dict | None = None) -> CheckResult:
+    if witness is None:
+        return _plain_result(check_id, verdict)
     return CheckResult(check_id, verdict, ANCHORS[check_id], witness)
+
+
+@lru_cache(maxsize=None)
+def _plain_result(check_id: str, verdict: str) -> CheckResult:
+    # results are frozen, so the witness-free ones are shared: the filter
+    # builds one per check per candidate
+    return CheckResult(check_id, verdict, ANCHORS[check_id])
 
 
 @dataclass(frozen=True)
@@ -214,37 +225,23 @@ def _effectivity_check(system: FixedPointSystem) -> CheckResult:
 
 
 def check_system(
-    system: FixedPointSystem,
-    require_effective: bool = False,
-    isotropy_bound: int | None = None,
+    system: FixedPointSystem, require_effective: bool = False
 ) -> ConstraintReport:
     """Run every check against one system.
 
-    isotropy_bound caps the k range of the modular checks; by default k
-    runs over [2, max |weight|], which is exhaustive (larger k divides
-    nothing).  The report carries one entry per check id, not-applicable
-    where a check's hypotheses do not hold for this system.
+    The filter table in its order, then the three largest-weight
+    relations, then effectivity when required.  The report carries one
+    entry per check id, not-applicable where a check's hypotheses do not
+    hold for this system.
     """
     from . import isotropy  # function-level import: isotropy imports us
 
     checks = [
-        pairing_check(system),
-        lambda_symmetry_check(system),
-        parity_check(system),
-        localization_check(system),
-        chern1_vanishing_check(system),
+        check(system)
+        for check_id, check in isotropy.FILTER_CHECKS
+        if check_id != "effectivity"
     ]
-    pairing_ok = checks[0].verdict == PASS
-
-    checks.append(isotropy.largest_weight_structure(system, pairing_ok=pairing_ok))
-    structure_ok = checks[-1].verdict == PASS
-
-    max_abs = max(abs(w) for w in system.all_weights())
-    k_top = isotropy_bound if isotropy_bound is not None else max_abs
-    checks.append(isotropy.isotropy_consistency_check(system, k_top))
-
-    checks.extend(isotropy.structure_relation_checks(system, structure_ok))
-
+    checks.extend(isotropy.structure_relation_checks(system))
     if require_effective:
         checks.append(_effectivity_check(system))
     return ConstraintReport(tuple(checks))

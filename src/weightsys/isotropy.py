@@ -35,6 +35,10 @@ right-hand side):
   where Z collects the d-divisible weights;
 * the even-count relation for odd d:
   E_v+ - E_v- - E_w+ + E_w- = 2, counting even weights by sign.
+
+FILTER_CHECKS, at the bottom, is the filter written once: the checks of
+this module and of the constraints module as one ordered table, read by
+the search and by check_system alike.
 """
 
 from __future__ import annotations
@@ -46,8 +50,14 @@ from .constraints import (
     NOT_APPLICABLE,
     PASS,
     CheckResult,
+    _effectivity_check,
     _result,
     chern1_at,
+    chern1_vanishing_check,
+    lambda_symmetry_check,
+    localization_check,
+    pairing_check,
+    parity_check,
 )
 from .core import (
     FixedPoint,
@@ -75,6 +85,7 @@ __all__ = [
     "even_count_relation_check",
     "isotropy_consistency_check",
     "structure_relation_checks",
+    "FILTER_CHECKS",
 ]
 
 ISOLATED = "ISOLATED"
@@ -306,14 +317,15 @@ def classify_isotropy(system: FixedPointSystem, k: int):
 def largest_weight_structure(system: FixedPointSystem, pairing_ok: bool | None = None) -> CheckResult:
     """d and -d once each at two distinct residue-matched points, third clean.
 
-    Binding only for 3-point systems whose union multiset already passed
-    the pairing check; otherwise not-applicable.
+    Binding only for 3-point systems whose union multiset passes the
+    pairing check (worked out here unless pairing_ok asserts it);
+    otherwise not-applicable.
     """
+    if len(system.points) != 3:
+        return _result("largest_weight_structure", NOT_APPLICABLE)
     if pairing_ok is None:
-        from .constraints import pairing_check
-
         pairing_ok = pairing_check(system).verdict == PASS
-    if len(system.points) != 3 or not pairing_ok:
+    if not pairing_ok:
         return _result("largest_weight_structure", NOT_APPLICABLE)
 
     d = largest_weight(system)
@@ -477,11 +489,15 @@ def even_count_relation_check(v: FixedPoint, w: FixedPoint, d: int, system: Fixe
     return _result("even_count_relation", PASS)
 
 
-def isotropy_consistency_check(system: FixedPointSystem, k_top: int) -> CheckResult:
-    """Aggregate verdict: classify_isotropy succeeds for every k in [2, k_top]."""
+def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
+    """Aggregate verdict: classify_isotropy succeeds for every k in [2, max |w|].
+
+    The range is exhaustive: a larger k divides no weight, so every point
+    is ISOLATED and the classification succeeds.
+    """
     if len(system.points) > 3:
         return _result("isotropy", NOT_APPLICABLE)
-    for k in range(2, k_top + 1):
+    for k in range(2, max(abs(w) for w in system.all_weights()) + 1):
         got = classify_isotropy(system, k)
         if not got:
             return _result(
@@ -498,26 +514,48 @@ def isotropy_consistency_check(system: FixedPointSystem, k_top: int) -> CheckRes
     return _result("isotropy", PASS)
 
 
-def structure_relation_checks(system: FixedPointSystem, structure_ok: bool) -> list[CheckResult]:
-    """The three largest-weight relations, wired to the +-d holders.
-
-    Only meaningful once largest_weight_structure passed; the relations
-    are then evaluated for v = the point holding -d, w = the one holding
-    +d.  Otherwise all three come back not-applicable.
-    """
-    if not structure_ok or len(system.points) != 3:
-        return [
-            _result("lambda_step", NOT_APPLICABLE),
-            _result("component_lambda_relation", NOT_APPLICABLE),
-            _result("even_count_relation", NOT_APPLICABLE),
-        ]
+def _largest_weight_holders(system: FixedPointSystem):
+    """(d, v, w, z_v, z_w): the largest weight d, the points v holding -d
+    and w holding +d, and their d-divisible sub-multisets."""
     d = largest_weight(system)
     v = next(p for p in system.points if -d in p.weights)
     w = next(p for p in system.points if d in p.weights)
     z_v = WeightMultiset(tuple(x for x in v.weights if x % d == 0))
     z_w = WeightMultiset(tuple(x for x in w.weights if x % d == 0))
+    return d, v, w, z_v, z_w
+
+
+def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
+    """The three largest-weight relations, wired to the +-d holders.
+
+    Only meaningful where largest_weight_structure passes; the relations
+    are then evaluated for v = the point holding -d, w = the one holding
+    +d.  Otherwise all three come back not-applicable.
+    """
+    if largest_weight_structure(system).verdict != PASS:
+        return [
+            _result("lambda_step", NOT_APPLICABLE),
+            _result("component_lambda_relation", NOT_APPLICABLE),
+            _result("even_count_relation", NOT_APPLICABLE),
+        ]
+    d, v, w, z_v, z_w = _largest_weight_holders(system)
     return [
         lambda_step_check(v, w, d, system),
         component_lambda_relation(v, w, d, z_v, z_w),
         even_count_relation_check(v, w, d, system),
     ]
+
+
+# The filter: every necessary condition the search, the oracle, the replay
+# pools and check_system apply, as (check_id, check) in the order they are
+# tried.  A failing system is attributed to the first check it fails.
+FILTER_CHECKS = (
+    ("pairing", pairing_check),
+    ("lambda_symmetry", lambda_symmetry_check),
+    ("parity", parity_check),
+    ("localization", localization_check),
+    ("chern1_vanishing", chern1_vanishing_check),
+    ("largest_weight_structure", largest_weight_structure),
+    ("isotropy", isotropy_consistency_check),
+    ("effectivity", _effectivity_check),
+)

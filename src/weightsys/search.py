@@ -4,7 +4,8 @@ The enumerator finds every canonical system with 2 or 3 fixed points and
 all |weights| <= W that passes the whole constraint suite: pairing,
 lambda symmetry, parity, vanishing localization sum, c_1 vanishing
 (3 points, n >= 4), the largest-weight sphere structure (3 points),
-Z_k classification for every k in [2, W], and optionally effectivity.
+Z_k classification for every k in [2, max |w|], and optionally
+effectivity: the checks of the filter table isotropy.FILTER_CHECKS.
 
 Generation never relies on anything the final filter would not enforce,
 so pruning is sound and the survivor set is independent of which prunes
@@ -59,23 +60,19 @@ from .constraints import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    chern1_vanishing_check,
     lambda_symmetry_check,
-    localization_sum,
     pairing_check,
-    parity_check,
 )
 from .core import (
     CanonicalKey,
     FixedPointSystem,
-    WeightMultiset,
     canonicalize,
-    effectivity_gcd,
     lambda_count,
     largest_weight,
 )
 from .isotropy import (
-    classify_isotropy,
+    FILTER_CHECKS,
+    _largest_weight_holders,
     even_count_relation_check,
     component_lambda_relation,
     lambda_step_check,
@@ -180,67 +177,22 @@ class SearchOutcome:
     elapsed: float
 
 
-# order matters only for attributing kills in the statistics
-_FILTER_ORDER = (
-    "pairing",
-    "lambda_symmetry",
-    "parity",
-    "localization",
-    "chern1_vanishing",
-    "largest_weight_structure",
-    "isotropy",
-    "effectivity",
-)
-
-
 def first_failure(
-    system: FixedPointSystem,
-    weight_bound: int,
-    require_effective: bool,
-    check_ids=None,
+    system: FixedPointSystem, require_effective: bool, check_ids=None
 ) -> str | None:
     """Id of the first filter check the system fails, or None if it survives.
 
     check_ids restricts the filter to a subset (used by the replay pools);
-    omitted means the full enumeration filter.
+    omitted means the full enumeration filter.  Effectivity is skipped
+    unless required.
     """
-    wanted = (
-        _FILTER_ORDER
-        if check_ids is None
-        else tuple(c for c in _FILTER_ORDER if c in check_ids)
-    )
-    pairing_ok = None
-    for cid in wanted:
-        if cid == "pairing":
-            pairing_ok = pairing_check(system).verdict == PASS
-            if not pairing_ok:
-                return cid
-        elif cid == "lambda_symmetry":
-            if lambda_symmetry_check(system).verdict != PASS:
-                return cid
-        elif cid == "parity":
-            if parity_check(system).verdict != PASS:
-                return cid
-        elif cid == "localization":
-            if localization_sum(system) != 0:
-                return cid
-        elif cid == "chern1_vanishing":
-            if chern1_vanishing_check(system).verdict == FAIL:
-                return cid
-        elif cid == "largest_weight_structure":
-            if len(system.points) == 3:
-                if pairing_ok is None:
-                    pairing_ok = pairing_check(system).verdict == PASS
-                got = largest_weight_structure(system, pairing_ok=pairing_ok)
-                if got.verdict == FAIL:
-                    return cid
-        elif cid == "isotropy":
-            for k in range(2, weight_bound + 1):
-                if not classify_isotropy(system, k):
-                    return cid
-        elif cid == "effectivity":
-            if require_effective and effectivity_gcd(system) != 1:
-                return cid
+    for check_id, check in FILTER_CHECKS:
+        if check_ids is not None and check_id not in check_ids:
+            continue
+        if check_id == "effectivity" and not require_effective:
+            continue
+        if check(system).verdict == FAIL:
+            return check_id
     return None
 
 
@@ -420,9 +372,7 @@ def _run_branch(payload):
     for ws_tuple in gen:
         stats.nodes += 1
         system = FixedPointSystem.from_weights(config.n, ws_tuple)
-        failed = first_failure(
-            system, config.weight_bound, config.require_effective
-        )
+        failed = first_failure(system, config.require_effective)
         if failed is None:
             keys.add(canonicalize(system))
         else:
@@ -512,7 +462,7 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     for ws_tuple in product(*per_point):
         stats.nodes += 1
         system = FixedPointSystem.from_weights(n, ws_tuple)
-        failed = first_failure(system, bound, config.require_effective)
+        failed = first_failure(system, config.require_effective)
         if failed is None:
             keys.add(canonicalize(system))
         else:
@@ -652,7 +602,7 @@ def _partial_pool(n, point_count, bound, checks):
             n, point_count, bound, profile, chern_on, True, stats
         ):
             system = FixedPointSystem.from_weights(n, ws_tuple)
-            if first_failure(system, bound, False, check_ids=checks) is None:
+            if first_failure(system, False, check_ids=checks) is None:
                 keys.add(canonicalize(system))
     return tuple(key.system() for key in sorted(keys))
 
@@ -769,13 +719,9 @@ def _replay_r35(scope):
     candidates = 0
     for a in range(1, bound):
         for b in range(1, bound - a + 1):
-            d = a + b
             for system in (cp2_family(a, b), dim6_pair_family(a, b)):
                 candidates += 1
-                v = next(p for p in system.points if -d in p.weights)
-                w = next(p for p in system.points if d in p.weights)
-                z_v = WeightMultiset(tuple(x for x in v.weights if x % d == 0))
-                z_w = WeightMultiset(tuple(x for x in w.weights if x % d == 0))
+                d, v, w, z_v, z_w = _largest_weight_holders(system)
                 got = component_lambda_relation(v, w, d, z_v, z_w)
                 assertions += 1
                 if got.verdict != PASS:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from weightsys import cli
 from weightsys.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -162,7 +163,12 @@ def test_enumerate_rejects_bad_config(tmp_path, capsys):
     assert "n must be" in capsys.readouterr().err
 
 
-def test_enumerate_exit_2_on_unwritable_out(capsys):
+def test_enumerate_exit_2_on_unwritable_out(monkeypatch, capsys):
+    # the path is checked before the search, which would otherwise run first
+    def no_search(config):
+        raise AssertionError("searched before checking --out")
+
+    monkeypatch.setattr(cli, "enumerate_systems", no_search)
     args = ["enumerate", "--n", "2", "--points", "3", "--bound", "3"]
     assert run_cli(args + ["--out", "/nonexistent/x.json"]) == 2
     captured = capsys.readouterr()

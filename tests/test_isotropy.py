@@ -257,7 +257,7 @@ def test_even_count_relation_even_d_not_applicable():
 
 
 def test_isotropy_consistency_witness():
-    got = isotropy_consistency_check(_system(2, (1, 2), (-1, 2), (-2, -3)), 3)
+    got = isotropy_consistency_check(_system(2, (1, 2), (-1, 2), (-2, -3)))
     assert got.verdict == FAIL
     assert got.witness["k"] == 2
     assert all(
@@ -265,12 +265,12 @@ def test_isotropy_consistency_witness():
         for entry in got.witness["failures"]
     )
     four = FixedPointSystem.from_weights(1, [(1,), (-1,), (2,), (-2,)])
-    assert isotropy_consistency_check(four, 2).verdict == NOT_APPLICABLE
+    assert isotropy_consistency_check(four).verdict == NOT_APPLICABLE
 
 
 def test_structure_relations_inert_without_the_structure():
     system = _system(2, (1, 2), (-1, 2), (-2, -3))
-    results = structure_relation_checks(system, False)
+    results = structure_relation_checks(system)
     assert [r.check_id for r in results] == [
         "lambda_step",
         "component_lambda_relation",
@@ -281,7 +281,7 @@ def test_structure_relations_inert_without_the_structure():
 
 def test_structure_relations_wire_to_the_d_holders():
     family = _system(2, (1, 3), (-1, 2), (-3, -2))
-    step, relation, evens = structure_relation_checks(family, True)
+    step, relation, evens = structure_relation_checks(family)
     assert step.verdict == NOT_APPLICABLE  # c1 values differ
     assert relation.verdict == PASS
     assert evens.verdict == NOT_APPLICABLE

@@ -6,11 +6,12 @@ enumerator before being written down.
 """
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from weightsys.core import canonicalize, reverse_action
+from weightsys.constraints import check_system
+from weightsys.core import FixedPointSystem, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
 from weightsys.search import (
     FamilyPatternError,
@@ -34,6 +35,7 @@ from weightsys.search import (
     _partial_pool,
     _profiles,
     _signed_multisets,
+    _staged_candidates,
 )
 
 BOUND3_SURVIVORS = (
@@ -205,7 +207,41 @@ def test_survivors_closed_under_symmetry():
     for key in outcome.survivors:
         system = key.system()
         assert canonicalize(reverse_action(system)) == key
-        assert first_failure(reverse_action(system), 5, False) is None
+        assert first_failure(reverse_action(system), False) is None
+
+
+def _guard_candidates():
+    # pairing-complete staged generation over every profile, plus one raw
+    # oracle product (which keeps the pairing failures)
+    for n, point_count, bound in ((1, 2, 8), (2, 3, 8), (3, 2, 6)):
+        for profile in _profiles(n, point_count, False):
+            for ws in _staged_candidates(
+                n, point_count, bound, profile, False, True, SearchStats()
+            ):
+                yield FixedPointSystem.from_weights(n, ws)
+    values = (-3, -2, -1, 1, 2, 3)
+    for ws in product(combinations_with_replacement(values, 3), repeat=2):
+        yield FixedPointSystem.from_weights(3, ws)
+
+
+def test_first_failure_agrees_with_check_system():
+    killed = Counter()
+    survivors = 0
+    for system in _guard_candidates():
+        for effective in (False, True):
+            failed = first_failure(system, effective)
+            report = check_system(system, require_effective=effective)
+            assert (failed is None) == report.overall, (system, effective)
+            killed[failed] += 1
+            survivors += failed is None
+    assert survivors > 0
+    assert {
+        "pairing",
+        "localization",
+        "largest_weight_structure",
+        "isotropy",
+        "effectivity",
+    } <= set(killed)
 
 
 def test_classify_dim4_frozen_values():
