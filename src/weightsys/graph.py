@@ -1,12 +1,13 @@
 """Multigraph view of the isotropy structure on the fixed points.
 
 Vertices are the fixed points, tagged with their negative-weight count.
-For every k from 2 up to the largest |weight|, each Z_k component that
-joins two or three points contributes edges between the points it
-joins, labelled k.  The same pair can be linked for several k; the
-emitted graph keeps one edge per pair, labelled with the largest such k
-(a Z_6 sphere is also a Z_2 and a Z_3 sphere; the tightest group is the
-informative one).
+For every k >= 2 that divides some weight (isotropy_orders; for any
+other k every point is isolated), each Z_k component that joins two or
+three points contributes edges between the points it joins, labelled
+k.  The same pair can be linked for several k; the emitted graph keeps
+one edge per pair, labelled with the largest such k (a Z_6 sphere is
+also a Z_2 and a Z_3 sphere; the tightest group is the informative
+one).
 
 The DOT output is plain `graph { ... }` text with a `lambda` attribute
 per vertex and a `k` attribute per edge, sorted so equal systems give
@@ -20,7 +21,7 @@ from itertools import combinations
 
 from .constraints import PASS, pairing_check
 from .core import FixedPointSystem, lambda_count
-from .isotropy import classify_isotropy
+from .isotropy import classify_isotropy, isotropy_orders
 
 __all__ = ["GraphDocument", "PairingRequired", "build_graph", "emit_dot"]
 
@@ -59,8 +60,7 @@ def build_graph(system: FixedPointSystem) -> GraphDocument:
     )
 
     best = {}
-    top = max((abs(w) for w in system.all_weights()), default=1)
-    for k in range(2, top + 1):
+    for k in isotropy_orders(system.all_weights()):
         decomposition = classify_isotropy(system, k)
         if not decomposition:
             continue

@@ -44,6 +44,7 @@ the search and by check_system alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .constraints import (
     FAIL,
@@ -75,6 +76,7 @@ __all__ = [
     "IsotropyComponent",
     "IsotropyDecomposition",
     "IsotropyRejection",
+    "isotropy_orders",
     "sub_multiset_mod_k",
     "residues_match",
     "admissible_component_shapes",
@@ -131,6 +133,23 @@ class IsotropyRejection:
 
     def __bool__(self) -> bool:
         return False
+
+
+def isotropy_orders(weights) -> list[int]:
+    """The k >= 2 dividing at least one weight, ascending.
+
+    Only these Z_k can join fixed points: for any other k no weight is
+    divisible by k, every point is ISOLATED and the classification
+    succeeds.  The divisors come from trial division up to isqrt(|w|),
+    so the cost grows with the square root of the largest weight.
+    """
+    orders = set()
+    for m in {abs(w) for w in weights}:
+        for i in range(1, isqrt(m) + 1):
+            if m % i == 0:
+                orders.update((i, m // i))
+    orders.discard(1)
+    return sorted(orders)
 
 
 def sub_multiset_mod_k(ms: WeightMultiset, k: int) -> WeightMultiset:
@@ -490,14 +509,15 @@ def even_count_relation_check(v: FixedPoint, w: FixedPoint, d: int, system: Fixe
 
 
 def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
-    """Aggregate verdict: classify_isotropy succeeds for every k in [2, max |w|].
+    """Aggregate verdict: classify_isotropy succeeds for every k >= 2.
 
-    The range is exhaustive: a larger k divides no weight, so every point
-    is ISOLATED and the classification succeeds.
+    Only the k in isotropy_orders are tried: any other k divides no
+    weight, so every point is ISOLATED and the classification succeeds.
+    A failure names the smallest failing k.
     """
     if len(system.points) > 3:
         return _result("isotropy", NOT_APPLICABLE)
-    for k in range(2, max(abs(w) for w in system.all_weights()) + 1):
+    for k in isotropy_orders(system.all_weights()):
         got = classify_isotropy(system, k)
         if not got:
             return _result(

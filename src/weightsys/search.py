@@ -4,7 +4,7 @@ The enumerator finds every canonical system with 2 or 3 fixed points and
 all |weights| <= W that passes the whole constraint suite: pairing,
 lambda symmetry, parity, vanishing localization sum, c_1 vanishing
 (3 points, n >= 4), the largest-weight sphere structure (3 points),
-Z_k classification for every k in [2, max |w|], and optionally
+Z_k classification for every k >= 2 dividing some weight, and optionally
 effectivity: the checks of the filter table isotropy.FILTER_CHECKS.
 
 Generation never relies on anything the final filter would not enforce,

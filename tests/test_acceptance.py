@@ -26,6 +26,7 @@ from weightsys.search import (
     verify_nonexistence,
 )
 from weightsys.documents import emit_search_document, render_json
+from weightsys.graph import build_graph
 
 RESULTS = {}
 
@@ -224,6 +225,13 @@ def test_criterion_7_bounded_substitution():
     # so the bounded window is a property of the search, not the theory
     far = cp2_family(7, 11)
     assert check_system(far, require_effective=True).overall
+    huge = 10**9
+    for system, edges in (
+        (cp2_family(7, huge), (("p", "q", 7), ("p", "r", huge + 7), ("q", "r", huge))),
+        (dim6_pair_family(7, huge), (("p", "q", huge + 7),)),
+    ):
+        assert check_system(system, require_effective=True).overall
+        assert build_graph(system).edges == edges
 
     # and the nonexistence runner refuses scopes the theory does not cover
     try:

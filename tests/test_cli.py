@@ -8,8 +8,11 @@ dimension four.
 """
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from weightsys.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def _read(name):
@@ -31,21 +35,39 @@ def test_check_golden_report(capsys):
     assert capsys.readouterr().out == _read("cp2_12_report.json")
 
 
+FAILING = {
+    "dim": 4,
+    "points": [
+        {"label": "p", "weights": [1, 2]},
+        {"label": "q", "weights": [-1, 2]},
+        {"label": "r", "weights": [-2, -3]},
+    ],
+}
+
+
 def test_check_exit_1_on_constraint_failure(tmp_path, capsys):
-    doc = {
-        "dim": 4,
-        "points": [
-            {"label": "p", "weights": [1, 2]},
-            {"label": "q", "weights": [-1, 2]},
-            {"label": "r", "weights": [-2, -3]},
-        ],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(FAILING), encoding="utf-8")
     code = run_cli(["check", str(path)])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] == "fail"
+
+
+@pytest.mark.parametrize("module", ["weightsys", "weightsys.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(FAILING), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "check", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["overall"] == "fail"
 
 
 def test_check_exit_2_on_malformed_document(tmp_path, capsys):

@@ -4,12 +4,25 @@ residues_match is checked against a direct bijection search so the
 sorted-residue shortcut never drifts from the definition.
 """
 
-from itertools import combinations_with_replacement, permutations
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 
 import pytest
 
-from weightsys.constraints import FAIL, NOT_APPLICABLE, PASS
+from weightsys.constraints import (
+    ANCHORS,
+    FAIL,
+    NOT_APPLICABLE,
+    PASS,
+    CheckResult,
+    pairing_check,
+)
 from weightsys.core import FixedPoint, FixedPointSystem, WeightMultiset
+from weightsys.graph import build_graph
 from weightsys.isotropy import (
     CP2_TRIPLE,
     DIM6_PAIR,
@@ -20,12 +33,14 @@ from weightsys.isotropy import (
     component_lambda_relation,
     even_count_relation_check,
     isotropy_consistency_check,
+    isotropy_orders,
     lambda_step_check,
     largest_weight_structure,
     residues_match,
     structure_relation_checks,
     sub_multiset_mod_k,
 )
+from weightsys.search import cp2_family, dim6_pair_family
 
 
 def _system(n, *weight_lists):
@@ -285,3 +300,63 @@ def test_structure_relations_wire_to_the_d_holders():
     assert step.verdict == NOT_APPLICABLE  # c1 values differ
     assert relation.verdict == PASS
     assert evens.verdict == NOT_APPLICABLE
+
+
+def test_isotropy_orders_are_the_divisors_above_one():
+    assert isotropy_orders((12, -8, 7)) == [2, 3, 4, 6, 7, 8, 12]
+    assert isotropy_orders((1, -1, 1, -1)) == []
+    assert isotropy_orders(()) == []
+    assert isotropy_orders((-49, 49)) == [7, 49]
+    assert isotropy_orders((10**9 + 7,)) == [10**9 + 7]  # a prime
+    assert isotropy_orders((2**20,)) == [2**e for e in range(1, 21)]
+
+
+def _full_range(system):
+    """The isotropy result and, when pairing passes, the graph edges over
+    every k in [2, max |w|]: the Z_k range before isotropy_orders."""
+    with_edges = pairing_check(system).verdict == PASS
+    result = CheckResult("isotropy", PASS, ANCHORS["isotropy"])
+    best = {}
+    for k in range(2, max(abs(w) for w in system.all_weights()) + 1):
+        got = classify_isotropy(system, k)
+        if got:
+            for component in got.components:
+                for a, b in combinations(sorted(component.labels), 2):
+                    best[(a, b)] = max(k, best.get((a, b), 0))
+        elif result.verdict == PASS:
+            witness = {
+                "k": k,
+                "failures": [
+                    {"partition": part, "violation": why}
+                    for part, why in got.failures
+                ],
+            }
+            result = CheckResult("isotropy", FAIL, ANCHORS["isotropy"], witness)
+            if not with_edges:
+                break
+    if not with_edges:
+        return result, None
+    return result, tuple((a, b, best[(a, b)]) for a, b in sorted(best))
+
+
+def test_divisor_orders_match_the_full_k_range():
+    values = [v for v in range(-10, 11) if v != 0]
+    systems = [_system(1, *((w,) for w in ws)) for ws in product(values, repeat=3)]
+    small = [v for v in range(-6, 7) if v != 0]
+    pairs = list(combinations_with_replacement(small, 2))
+    systems += [_system(2, a, b) for a, b in product(pairs, repeat=2)]
+    for a in range(1, 31):
+        for b in range(1, 31):
+            systems += [cp2_family(a, b), dim6_pair_family(a, b)]
+
+    witness_ks, edge_ks = set(), set()
+    for system in systems:
+        expected, edges = _full_range(system)
+        assert isotropy_consistency_check(system) == expected, system
+        if expected.verdict == FAIL:
+            witness_ks.add(expected.witness["k"])
+        if edges is not None:
+            assert build_graph(system).edges == edges, system
+            edge_ks.update(k for _, _, k in edges)
+    # failures past the first k and edges labelled by a large k occur
+    assert max(witness_ks) >= 3 and max(edge_ks) >= 4
