@@ -18,12 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .constraints import check_system
 from .documents import (
     DocumentError,
     emit_report,
     emit_search_document,
+    parse_system,
     render_json,
 )
 from .graph import PairingRequired, build_graph, emit_dot
@@ -41,6 +43,7 @@ from .search import (
 __all__ = ["run_cli", "main"]
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weightsys",
@@ -113,8 +116,6 @@ def _write_output(handle, text):
 
 
 def _cmd_check(args) -> int:
-    from .documents import parse_system
-
     system = parse_system(_load_document(args.file))
     report = check_system(system)
     sys.stdout.write(render_json(emit_report(report)))
@@ -182,8 +183,6 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .documents import parse_system
-
     system = parse_system(_load_document(args.file))
     try:
         document = build_graph(system)

@@ -44,6 +44,7 @@ the search and by check_system alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import isqrt
 
 from .constraints import (
@@ -222,8 +223,6 @@ def _match_dim6(sub_a: WeightMultiset, sub_b: WeightMultiset):
 
 def _match_cp2(subs: dict[str, WeightMultiset]):
     # roles: {a'+b', a'} / {-a', b'} / {-b', -a'-b'} over the three points
-    from itertools import permutations
-
     best = None
     for lab1, lab2, lab3 in permutations(sorted(subs)):
         top = subs[lab1].weights
@@ -391,6 +390,22 @@ def _residues_match_loose(a, b, k: int) -> bool:
     return residues_match(a, b, k)
 
 
+def _equal_c1_d_pair(v, w, d, system) -> bool:
+    """The setup of the index step and the even-count relation: d the
+    largest weight, -d at v, +d at w, residues matching mod d, equal c_1."""
+    try:
+        d_top = largest_weight(system)
+    except ValueError:
+        return False
+    return (
+        d == d_top
+        and -d in v.weights
+        and d in w.weights
+        and _residues_match_loose(v.weights, w.weights, d)
+        and chern1_at(v.weights) == chern1_at(w.weights)
+    )
+
+
 def lambda_step_check(v: FixedPoint, w: FixedPoint, d: int, system: FixedPointSystem) -> CheckResult:
     """lambda(v) + 1 = lambda(w) under the equal-c1 largest-weight setup.
 
@@ -398,18 +413,7 @@ def lambda_step_check(v: FixedPoint, w: FixedPoint, d: int, system: FixedPointSy
     largest weight, equal c_1 values) unmet => not-applicable; unequal
     c_1 values are the generalized relation's case, not this one.
     """
-    try:
-        d_top = largest_weight(system)
-    except ValueError:
-        return _result("lambda_step", NOT_APPLICABLE)
-    if (
-        d != d_top
-        or -d not in v.weights
-        or d not in w.weights
-        or not _residues_match_loose(v.weights, w.weights, d)
-    ):
-        return _result("lambda_step", NOT_APPLICABLE)
-    if chern1_at(v.weights) != chern1_at(w.weights):
+    if not _equal_c1_d_pair(v, w, d, system):
         return _result("lambda_step", NOT_APPLICABLE)
     lv, lw = lambda_count(v.weights), lambda_count(w.weights)
     if lv + 1 != lw:
@@ -469,19 +473,7 @@ def component_lambda_relation(v, w, d: int, z_v, z_w) -> CheckResult:
 
 def even_count_relation_check(v: FixedPoint, w: FixedPoint, d: int, system: FixedPointSystem) -> CheckResult:
     """For odd d: E_v+ - E_v- - E_w+ + E_w- = 2 (signed even-weight counts)."""
-    if d % 2 == 0:
-        return _result("even_count_relation", NOT_APPLICABLE)
-    try:
-        d_top = largest_weight(system)
-    except ValueError:
-        return _result("even_count_relation", NOT_APPLICABLE)
-    if (
-        d != d_top
-        or -d not in v.weights
-        or d not in w.weights
-        or not _residues_match_loose(v.weights, w.weights, d)
-        or chern1_at(v.weights) != chern1_at(w.weights)
-    ):
+    if d % 2 == 0 or not _equal_c1_d_pair(v, w, d, system):
         return _result("even_count_relation", NOT_APPLICABLE)
 
     def signed_even_counts(ms):

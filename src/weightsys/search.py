@@ -45,6 +45,12 @@ on the number of candidates so walked.
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
 treats any counterexample as an alarm worth crashing on.
+
+The enumerator, the oracle and the replay premise pools share one sieve
+(_sieve: build the system, find its first failing check, keep the
+canonical key of a survivor) and differ only in their generators: the
+d-branches or staged generation, the raw product, and staged generation
+under a subset of the checks.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 
 from .constraints import (
     FAIL,
@@ -264,6 +270,24 @@ def _lifts(classes, down_count, d):
             yield (r - d,) * j + downs, (r,) * (m - j) + ups
 
 
+def _free_points(n, lam, max_val, chern_on, stats):
+    """Every multiset with lam negative weights and |weights| <= max_val,
+    cut by c_1 = 0 when chern_on."""
+    for ws in _signed_multisets(lam, n - lam, max_val):
+        if chern_on and sum(ws) != 0:
+            stats.pruned["chern_linear"] += 1
+            continue
+        yield ws
+
+
+def _last_points(others, n, lam, max_val, chern_on, pairing_complete, stats):
+    """The last point's multisets given the other points' multisets:
+    closed from their pairing imbalance, or every free multiset."""
+    if pairing_complete:
+        return _pairing_completions(sum(others, ()), n, lam, max_val, chern_on, stats)
+    return _free_points(n, lam, max_val, chern_on, stats)
+
+
 def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, stats):
     """Candidates whose largest weight is exactly d, via the +-d structure."""
     if point_count == 2 and d == 1:
@@ -292,93 +316,82 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
             classes = tuple(sorted(Counter(x % d for x in others).items()))
             for downs, ups in _lifts(classes, lam_b, d):
                 ws_b = downs + ups + (d,)
+                slots = [None] * point_count
+                slots[ia], slots[ib] = ws_a, ws_b
                 if point_count == 2:
-                    slots = [None, None]
-                    slots[ia], slots[ib] = ws_a, ws_b
                     yield tuple(slots)
                     continue
                 ic = 3 - ia - ib
-                lam_c = profile[ic]
-                if pairing_complete:
-                    third = _pairing_completions(
-                        ws_a + ws_b, n, lam_c, d - 1, chern_on, stats
-                    )
-                else:
-                    third = (
-                        ws
-                        for ws in _signed_multisets(lam_c, n - lam_c, d - 1)
-                        if not (chern_on and sum(ws) != 0)
-                    )
-                for ws_c in third:
-                    slots = [None, None, None]
-                    slots[ia], slots[ib], slots[ic] = ws_a, ws_b, ws_c
+                for ws_c in _last_points(
+                    (ws_a, ws_b), n, profile[ic], d - 1, chern_on, pairing_complete, stats
+                ):
+                    slots[ic] = ws_c
                     yield tuple(slots)
 
 
 def _staged_candidates(n, point_count, bound, profile, chern_on, pairing_complete, stats):
-    """Plain per-point generation (the no-largest-weight-pruning path)."""
-    for ws1 in _signed_multisets(profile[0], n - profile[0], bound):
-        if chern_on and sum(ws1) != 0:
-            stats.pruned["chern_linear"] += 1
-            continue
-        if point_count == 2:
-            if pairing_complete:
-                for ws2 in _pairing_completions(ws1, n, profile[1], bound, chern_on, stats):
-                    yield (ws1, ws2)
-            else:
-                for ws2 in _signed_multisets(profile[1], n - profile[1], bound):
-                    if chern_on and sum(ws2) != 0:
-                        stats.pruned["chern_linear"] += 1
-                        continue
-                    yield (ws1, ws2)
-            continue
-        for ws2 in _signed_multisets(profile[1], n - profile[1], bound):
-            if chern_on and sum(ws2) != 0:
-                stats.pruned["chern_linear"] += 1
-                continue
-            if pairing_complete:
-                for ws3 in _pairing_completions(
-                    ws1 + ws2, n, profile[2], bound, chern_on, stats
-                ):
-                    yield (ws1, ws2, ws3)
-            else:
-                for ws3 in _signed_multisets(profile[2], n - profile[2], bound):
-                    if chern_on and sum(ws3) != 0:
-                        stats.pruned["chern_linear"] += 1
-                        continue
-                    yield (ws1, ws2, ws3)
+    """Plain per-point generation (the no-largest-weight-pruning path):
+    free multisets for every point but the last, then the last point."""
+    firsts = _free_points(n, profile[0], bound, chern_on, stats)
+    if point_count == 2:
+        heads = ((ws1,) for ws1 in firsts)
+    else:
+        heads = (
+            (ws1, ws2)
+            for ws1 in firsts
+            for ws2 in _free_points(n, profile[1], bound, chern_on, stats)
+        )
+    for head in heads:
+        for ws_last in _last_points(
+            head, n, profile[-1], bound, chern_on, pairing_complete, stats
+        ):
+            yield head + (ws_last,)
+
+
+def _sieve(candidates, n, require_effective, check_ids=None, stats=None, top=None):
+    """Canonical keys of the candidates that pass the filter.
+
+    The one loop the enumerator, the oracle and the replay pools share:
+    build the system, find its first failing check, keep the canonical
+    key of a survivor.  With stats, every candidate counts as a node and
+    every failure is bucketed by the parity of its largest |weight|
+    (top, when the caller knows it is the same for every candidate).
+    """
+    keys = set()
+    nodes = 0
+    for ws_tuple in candidates:
+        nodes += 1
+        system = FixedPointSystem.from_weights(n, ws_tuple)
+        failed = first_failure(system, require_effective, check_ids)
+        if failed is None:
+            keys.add(canonicalize(system))
+        elif stats is not None:
+            largest = top or max(abs(w) for w in system.all_weights())
+            stats.eliminated["odd" if largest % 2 == 1 else "even"][failed] += 1
+    if stats is not None:
+        stats.nodes += nodes
+    return keys
 
 
 def _run_branch(payload):
-    """One top-level branch: generate, filter, canonicalize.  Picklable."""
-    config, kind, profile, d = payload
+    """One top-level branch: a d-branch, or the staged path when d is None.
+    Picklable."""
+    config, profile, d = payload
     flags = config.prune_flags
     chern_on = flags.chern_linear and config.point_count == 3 and config.n >= 4
     stats = SearchStats()
-    if kind == "d":
-        generate, limit = _dbranch_candidates, d
-    else:
-        generate, limit = _staged_candidates, config.weight_bound
-    gen = generate(
+    generate = _staged_candidates if d is None else _dbranch_candidates
+    candidates = generate(
         config.n,
         config.point_count,
-        limit,
+        d or config.weight_bound,
         profile,
         chern_on,
         flags.pairing_completion,
         stats,
     )
-    keys = set()
-    for ws_tuple in gen:
-        stats.nodes += 1
-        system = FixedPointSystem.from_weights(config.n, ws_tuple)
-        failed = first_failure(system, config.require_effective)
-        if failed is None:
-            keys.add(canonicalize(system))
-        else:
-            # every d-branch candidate has largest |weight| exactly d
-            top = d if kind == "d" else max(abs(w) for w in system.all_weights())
-            stats.eliminated["odd" if top % 2 == 1 else "even"][failed] += 1
+    # every d-branch candidate has largest |weight| exactly d
+    keys = _sieve(candidates, config.n, config.require_effective, stats=stats, top=d)
     return keys, stats
 
 
@@ -394,12 +407,12 @@ def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
     profiles = _profiles(config.n, config.point_count, flags.lambda_profile)
     if flags.largest_weight:
         payloads = [
-            (config, "d", profile, d)
+            (config, profile, d)
             for profile in profiles
             for d in range(1, config.weight_bound + 1)
         ]
     else:
-        payloads = [(config, "staged", profile, None) for profile in profiles]
+        payloads = [(config, profile, None) for profile in profiles]
 
     if workers <= 1 or len(payloads) <= 1:
         results = [_run_branch(p) for p in payloads]
@@ -458,20 +471,7 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
         )
 
     stats = SearchStats()
-    keys: set[CanonicalKey] = set()
-    for ws_tuple in product(*per_point):
-        stats.nodes += 1
-        system = FixedPointSystem.from_weights(n, ws_tuple)
-        failed = first_failure(system, config.require_effective)
-        if failed is None:
-            keys.add(canonicalize(system))
-        else:
-            bucket = (
-                "odd"
-                if max(abs(w) for w in system.all_weights()) % 2 == 1
-                else "even"
-            )
-            stats.eliminated[bucket][failed] += 1
+    keys = _sieve(product(*per_point), n, config.require_effective, stats=stats)
     return SearchOutcome(
         tuple(sorted(keys)), stats, time.perf_counter() - start
     )
@@ -554,21 +554,6 @@ def verify_nonexistence(
 # lemma replay
 
 
-REPLAY_LEMMAS = ("l22", "l24", "l32", "l33", "l34", "l36", "r35", "l46")
-
-# point counts each replay runs over (three-point-only statements are fixed)
-REPLAY_POINT_COUNTS = {
-    "l22": (2, 3),
-    "l24": (2, 3),
-    "l32": (3,),
-    "l33": (3,),
-    "l34": (2, 3),
-    "l36": (2, 3),
-    "r35": (2, 3),
-    "l46": (3,),
-}
-
-
 @dataclass
 class ReplayReport:
     lemma_id: str
@@ -594,16 +579,13 @@ def _partial_pool(n, point_count, bound, checks):
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")
-    stats = SearchStats()
     chern_on = "chern1_vanishing" in checks and point_count == 3 and n >= 4
-    keys = set()
-    for profile in _profiles(n, point_count, "lambda_symmetry" in checks):
-        for ws_tuple in _staged_candidates(
-            n, point_count, bound, profile, chern_on, True, stats
-        ):
-            system = FixedPointSystem.from_weights(n, ws_tuple)
-            if first_failure(system, False, check_ids=checks) is None:
-                keys.add(canonicalize(system))
+    # the generators count their cuts; a pool throws the counts away
+    candidates = chain.from_iterable(
+        _staged_candidates(n, point_count, bound, profile, chern_on, True, SearchStats())
+        for profile in _profiles(n, point_count, "lambda_symmetry" in checks)
+    )
+    keys = _sieve(candidates, n, False, check_ids=checks)
     return tuple(key.system() for key in sorted(keys))
 
 
@@ -827,6 +809,27 @@ def _replay_l46(scope):
     return len(pool), assertions, failures
 
 
+# lemma id -> (point counts the replay runs over, runner returning
+# (candidates, assertions, failures)); three-point-only statements are
+# fixed.  The lambdas look their check up by name when a replay runs, so
+# a check wrapped in this module's namespace (by a profiler, say) is the
+# one that runs.
+_REPLAYS = {
+    "l22": ((2, 3), lambda scope: _replay_enforced(lambda_symmetry_check, scope)),
+    "l24": ((2, 3), lambda scope: _replay_enforced(pairing_check, scope)),
+    "l32": ((3,), _replay_l32),
+    "l33": ((3,), _replay_l33),
+    "l34": ((2, 3), lambda scope: _replay_pairwise(scope, lambda_step_check)),
+    "l36": ((2, 3), lambda scope: _replay_pairwise(scope, even_count_relation_check)),
+    "r35": ((2, 3), _replay_r35),
+    "l46": ((3,), _replay_l46),
+}
+
+REPLAY_LEMMAS = tuple(_REPLAYS)
+
+REPLAY_POINT_COUNTS = {lemma: counts for lemma, (counts, _) in _REPLAYS.items()}
+
+
 def replay_lemma(lemma_id: str, scope: SearchConfig) -> ReplayReport:
     """Re-derive one supported statement over all in-scope candidates.
 
@@ -846,26 +849,7 @@ def replay_lemma(lemma_id: str, scope: SearchConfig) -> ReplayReport:
             % (lemma_id, REPLAY_POINT_COUNTS[lemma_id])
         )
 
-    if lemma_id == "l22":
-        candidates, assertions, failures = _replay_enforced(
-            lambda_symmetry_check, scope
-        )
-    elif lemma_id == "l24":
-        candidates, assertions, failures = _replay_enforced(pairing_check, scope)
-    elif lemma_id == "l32":
-        candidates, assertions, failures = _replay_l32(scope)
-    elif lemma_id == "l33":
-        candidates, assertions, failures = _replay_l33(scope)
-    elif lemma_id == "l34":
-        candidates, assertions, failures = _replay_pairwise(scope, lambda_step_check)
-    elif lemma_id == "l36":
-        candidates, assertions, failures = _replay_pairwise(
-            scope, even_count_relation_check
-        )
-    elif lemma_id == "r35":
-        candidates, assertions, failures = _replay_r35(scope)
-    else:
-        candidates, assertions, failures = _replay_l46(scope)
+    candidates, assertions, failures = _REPLAYS[lemma_id][1](scope)
 
     report = ReplayReport(
         lemma_id=lemma_id,

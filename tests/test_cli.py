@@ -70,6 +70,40 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert json.loads(proc.stdout)["overall"] == "fail"
 
 
+def test_commands_in_one_process_run_as_they_run_alone(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process, so no run may leave state
+    # behind for the next; usage text wraps at COLUMNS in both settings
+    monkeypatch.setenv("COLUMNS", "80")
+    failing = tmp_path / "bad.json"
+    failing.write_text(json.dumps(FAILING), encoding="utf-8")
+    dot = tmp_path / "graph.dot"
+    commands = [
+        ["enumerate", "--n", "2"],
+        ["check", str(DATA / "cp2_12.json")],
+        ["check", str(failing)],
+        ["graph", str(DATA / "cp2_12.json"), "--dot", str(dot)],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    alone = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightsys", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in alone] == [2, 0, 1, 0]
+    dot_alone = dot.read_text(encoding="utf-8")
+    for _ in range(2):
+        for argv, want in zip(commands, alone):
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == want, argv
+    assert dot.read_text(encoding="utf-8") == dot_alone
+
+
 def test_check_exit_2_on_malformed_document(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(

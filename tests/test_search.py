@@ -6,6 +6,7 @@ enumerator before being written down.
 """
 
 from collections import Counter
+from dataclasses import fields
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from weightsys.constraints import check_system
 from weightsys.core import FixedPointSystem, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
+from weightsys.isotropy import FILTER_CHECKS
 from weightsys.search import (
     FamilyPatternError,
     LemmaCounterexample,
@@ -104,6 +106,91 @@ def test_prune_toggles_two_point_scope():
             reference = outcome.survivors
         assert outcome.survivors == reference, flags
     assert len(reference) == 8
+
+
+# require_effective=False.  Keys: (n, points, W), then the PruneFlags bits
+# (lambda_profile, largest_weight, chern_linear, pairing_completion).  Rows:
+# survivor count, nodes, pruned per flag in that order, and eliminated odd
+# and even per check in filter order (effectivity left out).  In (4, 3, 3)
+# "0110" and "1110", chern_linear includes the c_1 cuts of d-branch third
+# points that pairing completion does not close.
+PRUNE_LATTICE_STATISTICS = {
+    (4, 3, 2): {
+        "0000": (0, 12346, (0, 0, 0, 0), (30, 2, 0, 3, 0, 0, 0), (11924, 106, 0, 275, 6, 0, 0)),
+        "0001": (0, 392, (0, 0, 0, 1534), (0, 2, 0, 3, 0, 0, 0), (0, 106, 0, 275, 6, 0, 0)),
+        "0010": (0, 27, (0, 0, 508, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 26, 0, 0, 0)),
+        "0011": (0, 27, (0, 0, 337, 18), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 26, 0, 0, 0)),
+        "0100": (0, 133, (0, 154, 0, 0), (0, 0, 0, 0, 0, 0, 0), (110, 8, 0, 13, 2, 0, 0)),
+        "0101": (0, 23, (0, 154, 0, 110), (0, 0, 0, 0, 0, 0, 0), (0, 8, 0, 13, 2, 0, 0)),
+        "0110": (0, 0, (0, 154, 252, 0), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+        "0111": (0, 0, (0, 154, 252, 0), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+        "1000": (0, 1530, (32, 0, 0, 0), (0, 0, 0, 3, 0, 0, 0), (1246, 0, 0, 275, 6, 0, 0)),
+        "1001": (0, 284, (32, 0, 0, 28), (0, 0, 0, 3, 0, 0, 0), (0, 0, 0, 275, 6, 0, 0)),
+        "1010": (0, 27, (32, 0, 91, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 26, 0, 0, 0)),
+        "1011": (0, 27, (32, 0, 37, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 26, 0, 0, 0)),
+        "1100": (0, 15, (32, 6, 0, 0), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 13, 2, 0, 0)),
+        "1101": (0, 15, (32, 6, 0, 0), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 13, 2, 0, 0)),
+        "1110": (0, 0, (32, 6, 28, 0), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+        "1111": (0, 0, (32, 6, 28, 0), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+    },
+    (3, 2, 3): {
+        "0000": (8, 1992, (0, 0, 0, 0), (1716, 0, 0, 14, 0, 0, 15), (230, 0, 0, 4, 0, 0, 5)),
+        "0001": (8, 46, (0, 0, 0, 112), (0, 0, 0, 14, 0, 0, 15), (0, 0, 0, 4, 0, 0, 5)),
+        "0010": (8, 1992, (0, 0, 0, 0), (1716, 0, 0, 14, 0, 0, 15), (230, 0, 0, 4, 0, 0, 5)),
+        "0011": (8, 46, (0, 0, 0, 112), (0, 0, 0, 14, 0, 0, 15), (0, 0, 0, 4, 0, 0, 5)),
+        "0100": (8, 63, (0, 18, 0, 0), (44, 0, 0, 2, 0, 0, 1), (8, 0, 0, 0, 0, 0, 0)),
+        "0101": (8, 63, (0, 18, 0, 0), (44, 0, 0, 2, 0, 0, 1), (8, 0, 0, 0, 0, 0, 0)),
+        "0110": (8, 63, (0, 18, 0, 0), (44, 0, 0, 2, 0, 0, 1), (8, 0, 0, 0, 0, 0, 0)),
+        "0111": (8, 63, (0, 18, 0, 0), (44, 0, 0, 2, 0, 0, 1), (8, 0, 0, 0, 0, 0, 0)),
+        "1000": (8, 424, (8, 0, 0, 0), (340, 0, 0, 14, 0, 0, 15), (38, 0, 0, 4, 0, 0, 5)),
+        "1001": (8, 46, (8, 0, 0, 0), (0, 0, 0, 14, 0, 0, 15), (0, 0, 0, 4, 0, 0, 5)),
+        "1010": (8, 424, (8, 0, 0, 0), (340, 0, 0, 14, 0, 0, 15), (38, 0, 0, 4, 0, 0, 5)),
+        "1011": (8, 46, (8, 0, 0, 0), (0, 0, 0, 14, 0, 0, 15), (0, 0, 0, 4, 0, 0, 5)),
+        "1100": (8, 17, (8, 2, 0, 0), (6, 0, 0, 2, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0)),
+        "1101": (8, 17, (8, 2, 0, 0), (6, 0, 0, 2, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0)),
+        "1110": (8, 17, (8, 2, 0, 0), (6, 0, 0, 2, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0)),
+        "1111": (8, 17, (8, 2, 0, 0), (6, 0, 0, 2, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0)),
+    },
+    (4, 3, 3): {
+        "0100": (0, 6523, (0, 231, 0, 0), (6166, 48, 0, 168, 8, 0, 0), (110, 8, 0, 13, 2, 0, 0)),
+        "0101": (0, 247, (0, 231, 0, 868), (0, 48, 0, 168, 8, 0, 0), (0, 8, 0, 13, 2, 0, 0)),
+        "0110": (0, 12, (0, 231, 519, 0), (12, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+        "0111": (0, 0, (0, 231, 427, 14), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+        "1100": (0, 1033, (32, 9, 0, 0), (842, 0, 0, 168, 8, 0, 0), (0, 0, 0, 13, 2, 0, 0)),
+        "1101": (0, 191, (32, 9, 0, 30), (0, 0, 0, 168, 8, 0, 0), (0, 0, 0, 13, 2, 0, 0)),
+        "1110": (0, 0, (32, 9, 65, 0), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+        "1111": (0, 0, (32, 9, 49, 2), (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0)),
+    },
+}
+
+_PRUNES = tuple(f.name for f in fields(PruneFlags))
+_KILLS = tuple(check_id for check_id, _ in FILTER_CHECKS if check_id != "effectivity")
+
+
+def _lattice_row(outcome):
+    stats = outcome.stats
+    assert set(stats.pruned) <= set(_PRUNES)
+    row = [len(outcome.survivors), stats.nodes, tuple(stats.pruned[p] for p in _PRUNES)]
+    for bucket in ("odd", "even"):
+        killed = stats.eliminated[bucket]
+        assert set(killed) <= set(_KILLS)
+        row.append(tuple(killed[c] for c in _KILLS))
+    return tuple(row)
+
+
+def test_prune_lattice_statistics_frozen():
+    for (n, points, bound), rows in PRUNE_LATTICE_STATISTICS.items():
+        for bits, want in rows.items():
+            flags = PruneFlags(*(bit == "1" for bit in bits))
+            config = SearchConfig(
+                n=n,
+                point_count=points,
+                weight_bound=bound,
+                require_effective=False,
+                prune_flags=flags,
+            )
+            got = _lattice_row(enumerate_systems(config))
+            assert got == want, ((n, points, bound), bits)
 
 
 def test_all_ones_corner_is_reached():
