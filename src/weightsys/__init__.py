@@ -6,7 +6,6 @@ from .core import (
     CanonicalKey,
     FixedPoint,
     FixedPointSystem,
-    WeightMultiset,
     canonicalize,
     effectivity_gcd,
     lambda_count,
@@ -29,7 +28,6 @@ __all__ = [
     "FixedPoint",
     "FixedPointSystem",
     "SearchConfig",
-    "WeightMultiset",
     "canonicalize",
     "check_system",
     "classify_dim4",

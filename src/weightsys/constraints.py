@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (
-    FixedPointSystem,
-    WeightMultiset,
-    effectivity_gcd,
-    lambda_count,
-)
+from .core import FixedPointSystem, effectivity_gcd, lambda_count
 
 __all__ = [
     "PASS",
@@ -184,12 +179,12 @@ def localization_check(system: FixedPointSystem) -> CheckResult:
     return _result("localization", PASS)
 
 
-def chern1_at(ms: WeightMultiset) -> int:
+def chern1_at(ms: tuple[int, ...]) -> int:
     """Weight sum: the c_1 value at a point."""
     return sum(ms)
 
 
-def chern_i_at(ms: WeightMultiset, i: int) -> int:
+def chern_i_at(ms: tuple[int, ...], i: int) -> int:
     """i-th elementary symmetric polynomial of the weights.
 
     i = 0 gives 1, i = |ms| gives the full product (the equivariant

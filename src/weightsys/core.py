@@ -5,7 +5,8 @@ a finite set of points.  The action linearizes at each fixed point p into
 n nonzero integer *weights*; the multiset of weights at every fixed point
 is the combinatorial shadow of the action and is all this package works
 with.  No geometry is stored: a system is literally "n, plus one weight
-multiset per labeled point".
+multiset per labeled point", and FixedPoint.weights holds that multiset
+as the ascending tuple of its nonzero ints.
 
 Conventions fixed once, here:
 
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "WeightMultiset",
     "FixedPoint",
     "FixedPointSystem",
     "CanonicalKey",
@@ -40,10 +40,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class WeightMultiset:
-    """Multiset of nonzero integers, stored as an ascending tuple."""
+@dataclass(frozen=True)
+class FixedPoint:
+    """One labeled fixed point; weights is its multiset, an ascending tuple
+    of nonzero ints."""
 
+    label: str
     weights: tuple[int, ...]
 
     def __post_init__(self):
@@ -51,30 +53,6 @@ class WeightMultiset:
         if 0 in ws:
             raise ValueError("weight 0 is not allowed")
         object.__setattr__(self, "weights", ws)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __contains__(self, value) -> bool:
-        return value in self.weights
-
-    def count(self, value: int) -> int:
-        """Multiplicity of one value."""
-        return self.weights.count(value)
-
-    def negate(self) -> WeightMultiset:
-        return WeightMultiset(tuple(-w for w in self.weights))
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """One labeled fixed point and its weight multiset."""
-
-    label: str
-    weights: WeightMultiset
 
 
 @dataclass(frozen=True)
@@ -108,14 +86,10 @@ class FixedPointSystem:
     @classmethod
     def from_weights(cls, n, weight_lists, labels=None) -> FixedPointSystem:
         """Build a system from bare weight iterables, labeling p, q, r, ..."""
-        weight_lists = [tuple(ws) for ws in weight_lists]
+        weight_lists = list(weight_lists)
         if labels is None:
             labels = default_labels(len(weight_lists))
-        pts = tuple(
-            FixedPoint(lab, WeightMultiset(ws))
-            for lab, ws in zip(labels, weight_lists)
-        )
-        return cls(n, pts)
+        return cls(n, tuple(map(FixedPoint, labels, weight_lists)))
 
     def all_weights(self):
         """Every weight of every point, one flat iteration."""
@@ -153,14 +127,14 @@ class CanonicalKey:
         return FixedPointSystem.from_weights(self.n, self.points)
 
 
-def lambda_count(ms: WeightMultiset) -> int:
+def lambda_count(ws: tuple[int, ...]) -> int:
     """Number of negative weights, with multiplicity (un-doubled index)."""
-    return sum(1 for w in ms if w < 0)
+    return sum(1 for w in ws if w < 0)
 
 
 def largest_weight(system: FixedPointSystem) -> int:
     """Maximum weight value over all points; requires one positive weight."""
-    top = max(system.all_weights())
+    top = max(p.weights[-1] for p in system.points)
     if top <= 0:
         raise ValueError("system has no positive weight")
     return top
@@ -170,22 +144,22 @@ def reverse_action(system: FixedPointSystem) -> FixedPointSystem:
     """Negate every weight (run the circle the other way); labels stay."""
     return FixedPointSystem(
         system.n,
-        tuple(FixedPoint(p.label, p.weights.negate()) for p in system.points),
+        tuple(FixedPoint(p.label, [-w for w in p.weights]) for p in system.points),
     )
 
 
-def _sorted_point_tuples(system: FixedPointSystem) -> tuple[tuple[int, ...], ...]:
-    rows = [p.weights.weights for p in system.points]
-    rows.sort(key=lambda ws: (sum(1 for w in ws if w < 0), ws))
-    return tuple(rows)
+def _sorted_rows(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(rows, key=lambda ws: (lambda_count(ws), ws)))
 
 
 def canonicalize(system) -> CanonicalKey:
     """Canonical key of a system (idempotent; accepts a key unchanged)."""
     if isinstance(system, CanonicalKey):
         return system
-    forward = _sorted_point_tuples(system)
-    backward = _sorted_point_tuples(reverse_action(system))
+    rows = [p.weights for p in system.points]
+    forward = _sorted_rows(rows)
+    # negating an ascending tuple and reading it backwards keeps it ascending
+    backward = _sorted_rows(tuple(-w for w in reversed(ws)) for ws in rows)
     return CanonicalKey(system.n, min(forward, backward))
 
 

@@ -15,7 +15,7 @@ integers are required; JSON has a separate boolean type and a weight of
 `true` is a bug in the producer, not a 1.
 
 Emission is deterministic: key order is fixed by construction, weights
-are emitted in the sorted order the multiset stores, and the search
+are emitted in the ascending order FixedPoint stores, and the search
 document leaves out wall-clock time so identical runs are identical
 bytes.
 """
@@ -107,7 +107,7 @@ def emit_system(system: FixedPointSystem) -> dict:
     return {
         "dim": 2 * system.n,
         "points": [
-            {"label": p.label, "weights": list(p.weights.weights)}
+            {"label": p.label, "weights": list(p.weights)}
             for p in system.points
         ],
     }

@@ -64,7 +64,6 @@ from .constraints import (
 from .core import (
     FixedPoint,
     FixedPointSystem,
-    WeightMultiset,
     lambda_count,
     largest_weight,
 )
@@ -153,14 +152,15 @@ def isotropy_orders(weights) -> list[int]:
     return sorted(orders)
 
 
-def sub_multiset_mod_k(ms: WeightMultiset, k: int) -> WeightMultiset:
-    """The weights divisible by k: tangent weights along the Z_k component."""
+def sub_multiset_mod_k(ws: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The weights divisible by k: tangent weights along the Z_k component.
+    An ascending tuple when ws is."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return WeightMultiset(tuple(w for w in ms if w % k == 0))
+    return tuple(w for w in ws if w % k == 0)
 
 
-def residues_match(a: WeightMultiset, b: WeightMultiset, k: int) -> bool:
+def residues_match(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
     """Equality of the residue multisets mod k (representatives 0..k-1).
 
     Equivalent to a bijection between the multisets matching each weight
@@ -186,22 +186,21 @@ def admissible_component_shapes(point_count: int, k: int) -> tuple[str, ...]:
     raise ValueError("component blocks have 1..3 points, got %d" % point_count)
 
 
-def _match_sphere(sub_a: WeightMultiset, sub_b: WeightMultiset):
+def _match_sphere(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
     if len(sub_a) != 1 or len(sub_b) != 1:
         return None
-    x, y = sub_a.weights[0], sub_b.weights[0]
+    x, y = sub_a[0], sub_b[0]
     if x != -y:
         return None
     return (abs(x),)
 
 
-def _split_dim6(sub: WeightMultiset):
+def _split_dim6(sub: tuple[int, ...]):
     # {a', b', -a'-b'}: two positives whose sum is the negated third
-    ws = sub.weights
-    if len(ws) != 3:
+    if len(sub) != 3:
         return None
-    neg = [w for w in ws if w < 0]
-    pos = [w for w in ws if w > 0]
+    neg = [w for w in sub if w < 0]
+    pos = [w for w in sub if w > 0]
     if len(neg) != 1 or len(pos) != 2:
         return None
     if neg[0] != -(pos[0] + pos[1]):
@@ -209,32 +208,32 @@ def _split_dim6(sub: WeightMultiset):
     return (pos[0], pos[1])
 
 
-def _match_dim6(sub_a: WeightMultiset, sub_b: WeightMultiset):
+def _match_dim6(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
     for first, second in ((sub_a, sub_b), (sub_b, sub_a)):
         params = _split_dim6(first)
         if params is None:
             continue
         a, b = params
         partner = tuple(sorted((a + b, -a, -b)))
-        if second.weights == partner:
+        if second == partner:
             return params
     return None
 
 
-def _match_cp2(subs: dict[str, WeightMultiset]):
+def _match_cp2(subs: dict[str, tuple[int, ...]]):
     # roles: {a'+b', a'} / {-a', b'} / {-b', -a'-b'} over the three points
     best = None
     for lab1, lab2, lab3 in permutations(sorted(subs)):
-        top = subs[lab1].weights
+        top = subs[lab1]
         if len(top) != 2 or top[0] <= 0:
             continue
         a = top[0]
         b = top[1] - top[0]
         if b <= 0:
             continue
-        if subs[lab2].weights != tuple(sorted((-a, b))):
+        if subs[lab2] != tuple(sorted((-a, b))):
             continue
-        if subs[lab3].weights != tuple(sorted((-b, -a - b))):
+        if subs[lab3] != tuple(sorted((-b, -a - b))):
             continue
         if best is None or (a, b) < best:
             best = (a, b)
@@ -425,26 +424,15 @@ def lambda_step_check(v: FixedPoint, w: FixedPoint, d: int, system: FixedPointSy
     return _result("lambda_step", PASS)
 
 
-def _weights_of(x) -> WeightMultiset:
-    return x.weights if isinstance(x, FixedPoint) else x
-
-
-def component_lambda_relation(v, w, d: int, z_v, z_w) -> CheckResult:
+def component_lambda_relation(sv, sw, d: int) -> CheckResult:
     """lam_v(M) - lam_w(M) + lam_v(Z) - lam_w(Z) = -(c1_v - c1_w)/d.
 
-    v and w may be FixedPoints or bare multisets; z_v and z_w must be
-    their d-divisible sub-multisets (the weights along the component Z).
-    A c_1 difference not divisible by d makes the relation unsatisfiable
-    and fails outright.
+    sv and sw are the weight tuples at v and w; their d-divisible parts
+    are the weights along the component Z.  A c_1 difference not
+    divisible by d makes the relation unsatisfiable and fails outright.
     """
-    sv, sw = _weights_of(v), _weights_of(w)
-    zv, zw = _weights_of(z_v), _weights_of(z_w)
     if d < 1:
         raise ValueError("d must be positive")
-    expected_zv = tuple(x for x in sv if x % d == 0)
-    expected_zw = tuple(x for x in sw if x % d == 0)
-    if zv.weights != expected_zv or zw.weights != expected_zw:
-        return _result("component_lambda_relation", NOT_APPLICABLE)
     if not _residues_match_loose(sv, sw, d):
         return _result("component_lambda_relation", NOT_APPLICABLE)
 
@@ -458,8 +446,8 @@ def component_lambda_relation(v, w, d: int, z_v, z_w) -> CheckResult:
     lhs = (
         lambda_count(sv)
         - lambda_count(sw)
-        + lambda_count(zv)
-        - lambda_count(zw)
+        + lambda_count(x for x in sv if x % d == 0)
+        - lambda_count(x for x in sw if x % d == 0)
     )
     rhs = -(c_diff // d)
     if lhs != rhs:
@@ -527,14 +515,12 @@ def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
 
 
 def _largest_weight_holders(system: FixedPointSystem):
-    """(d, v, w, z_v, z_w): the largest weight d, the points v holding -d
-    and w holding +d, and their d-divisible sub-multisets."""
+    """(d, v, w): the largest weight d and the points v holding -d and w
+    holding +d."""
     d = largest_weight(system)
     v = next(p for p in system.points if -d in p.weights)
     w = next(p for p in system.points if d in p.weights)
-    z_v = WeightMultiset(tuple(x for x in v.weights if x % d == 0))
-    z_w = WeightMultiset(tuple(x for x in w.weights if x % d == 0))
-    return d, v, w, z_v, z_w
+    return d, v, w
 
 
 def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
@@ -550,10 +536,10 @@ def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
             _result("component_lambda_relation", NOT_APPLICABLE),
             _result("even_count_relation", NOT_APPLICABLE),
         ]
-    d, v, w, z_v, z_w = _largest_weight_holders(system)
+    d, v, w = _largest_weight_holders(system)
     return [
         lambda_step_check(v, w, d, system),
-        component_lambda_relation(v, w, d, z_v, z_w),
+        component_lambda_relation(v.weights, w.weights, d),
         even_count_relation_check(v, w, d, system),
     ]
 

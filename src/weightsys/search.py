@@ -348,14 +348,14 @@ def _staged_candidates(n, point_count, bound, profile, chern_on, pairing_complet
             yield head + (ws_last,)
 
 
-def _sieve(candidates, n, require_effective, check_ids=None, stats=None, top=None):
+def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
     """Canonical keys of the candidates that pass the filter.
 
     The one loop the enumerator, the oracle and the replay pools share:
     build the system, find its first failing check, keep the canonical
     key of a survivor.  With stats, every candidate counts as a node and
-    every failure is bucketed by the parity of its largest |weight|
-    (top, when the caller knows it is the same for every candidate).
+    every failure is bucketed by the parity of its largest |weight|, read
+    off the ends of the ascending point tuples.
     """
     keys = set()
     nodes = 0
@@ -366,7 +366,7 @@ def _sieve(candidates, n, require_effective, check_ids=None, stats=None, top=Non
         if failed is None:
             keys.add(canonicalize(system))
         elif stats is not None:
-            largest = top or max(abs(w) for w in system.all_weights())
+            largest = max(max(-p.weights[0], p.weights[-1]) for p in system.points)
             stats.eliminated["odd" if largest % 2 == 1 else "even"][failed] += 1
     if stats is not None:
         stats.nodes += nodes
@@ -390,8 +390,7 @@ def _run_branch(payload):
         flags.pairing_completion,
         stats,
     )
-    # every d-branch candidate has largest |weight| exactly d
-    keys = _sieve(candidates, config.n, config.require_effective, stats=stats, top=d)
+    keys = _sieve(candidates, config.n, config.require_effective, stats=stats)
     return keys, stats
 
 
@@ -526,14 +525,12 @@ def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
     return sorted(families)
 
 
-def verify_nonexistence(
-    n: int, weight_bound: int, report_mode: bool = False, workers: int = 1
-) -> SearchOutcome:
+def verify_nonexistence(n: int, weight_bound: int, workers: int = 1) -> SearchOutcome:
     """Assert the bounded 3-point search is empty for n >= 4.
 
-    report_mode keeps the per-constraint elimination counters, bucketed
-    by the parity of each candidate's largest weight; otherwise the
-    outcome carries only totals.  Nonempty survivors raise.
+    The outcome keeps the per-constraint elimination counters, bucketed
+    by the parity of each candidate's largest weight.  Nonempty
+    survivors raise.
     """
     if n < 4:
         raise ValueError("nonexistence checks start at n = 4")
@@ -545,8 +542,6 @@ def verify_nonexistence(
             % (n, weight_bound, len(outcome.survivors)),
             outcome,
         )
-    if not report_mode:
-        outcome.stats.eliminated = {}
     return outcome
 
 
@@ -591,57 +586,39 @@ def _partial_pool(n, point_count, bound, checks):
 
 def _fail_entry(system, detail):
     return {
-        "points": tuple(p.weights.weights for p in system.points),
+        "points": tuple(p.weights for p in system.points),
         "detail": detail,
     }
 
 
-def _replay_enforced(check, scope):
-    pool = enumerate_systems(replace(scope, require_effective=False)).survivors
-    failures = []
-    for key in pool:
-        system = key.system()
-        if check(system).verdict != PASS:
-            failures.append(_fail_entry(system, "enforced check failed"))
-    return len(pool), len(pool), failures
+def _survivor_pool(scope):
+    """The enumerator's survivors, effective or not, as systems."""
+    survivors = enumerate_systems(replace(scope, require_effective=False)).survivors
+    return tuple(key.system() for key in survivors)
 
 
-def _replay_l32(scope):
-    pool = _partial_pool(
-        scope.n,
-        scope.point_count,
-        scope.weight_bound,
-        (
-            "pairing",
-            "lambda_symmetry",
-            "parity",
-            "localization",
-            "chern1_vanishing",
-            "isotropy",
-        ),
-    )
+def _premise_pool(scope, checks):
+    """The systems in scope passing just `checks` (see _partial_pool)."""
+    return _partial_pool(scope.n, scope.point_count, scope.weight_bound, checks)
+
+
+_PAIRWISE_PREMISES = ("pairing", "lambda_symmetry", "parity", "localization")
+_L32_PREMISES = _PAIRWISE_PREMISES + ("chern1_vanishing", "isotropy")
+_L33_PREMISES = _PAIRWISE_PREMISES + ("chern1_vanishing", "largest_weight_structure")
+
+
+def _replay_passes(pool, check):
+    """One assertion per system of the pool: the check passes on it."""
     failures = []
     for system in pool:
-        got = largest_weight_structure(system)
+        got = check(system)
         if got.verdict != PASS:
             failures.append(_fail_entry(system, got.witness or got.verdict))
     return len(pool), len(pool), failures
 
 
 def _replay_l33(scope):
-    pool = _partial_pool(
-        scope.n,
-        scope.point_count,
-        scope.weight_bound,
-        (
-            "pairing",
-            "lambda_symmetry",
-            "parity",
-            "localization",
-            "chern1_vanishing",
-            "largest_weight_structure",
-        ),
-    )
+    pool = _premise_pool(scope, _L33_PREMISES)
     n = scope.n
     want = (n // 2 - 1, n // 2, n // 2 + 1)
     failures = []
@@ -670,12 +647,7 @@ def _replay_l33(scope):
 
 
 def _replay_pairwise(scope, check):
-    pool = _partial_pool(
-        scope.n,
-        scope.point_count,
-        scope.weight_bound,
-        ("pairing", "lambda_symmetry", "parity", "localization"),
-    )
+    pool = _premise_pool(scope, _PAIRWISE_PREMISES)
     failures = []
     assertions = 0
     for system in pool:
@@ -703,8 +675,8 @@ def _replay_r35(scope):
         for b in range(1, bound - a + 1):
             for system in (cp2_family(a, b), dim6_pair_family(a, b)):
                 candidates += 1
-                d, v, w, z_v, z_w = _largest_weight_holders(system)
-                got = component_lambda_relation(v, w, d, z_v, z_w)
+                d, v, w = _largest_weight_holders(system)
+                got = component_lambda_relation(v.weights, w.weights, d)
                 assertions += 1
                 if got.verdict != PASS:
                     failures.append(
@@ -815,9 +787,13 @@ def _replay_l46(scope):
 # a check wrapped in this module's namespace (by a profiler, say) is the
 # one that runs.
 _REPLAYS = {
-    "l22": ((2, 3), lambda scope: _replay_enforced(lambda_symmetry_check, scope)),
-    "l24": ((2, 3), lambda scope: _replay_enforced(pairing_check, scope)),
-    "l32": ((3,), _replay_l32),
+    "l22": ((2, 3), lambda scope: _replay_passes(
+        _survivor_pool(scope), lambda_symmetry_check
+    )),
+    "l24": ((2, 3), lambda scope: _replay_passes(_survivor_pool(scope), pairing_check)),
+    "l32": ((3,), lambda scope: _replay_passes(
+        _premise_pool(scope, _L32_PREMISES), largest_weight_structure
+    )),
     "l33": ((3,), _replay_l33),
     "l34": ((2, 3), lambda scope: _replay_pairwise(scope, lambda_step_check)),
     "l36": ((2, 3), lambda scope: _replay_pairwise(scope, even_count_relation_check)),

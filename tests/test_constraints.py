@@ -28,7 +28,7 @@ from weightsys.constraints import (
     pairing_check,
     parity_check,
 )
-from weightsys.core import FixedPointSystem, WeightMultiset
+from weightsys.core import FixedPointSystem
 
 
 def _system(n, *weight_lists):
@@ -85,18 +85,18 @@ def test_localization_check_witness_carries_the_sum():
 
 
 def test_chern1_at():
-    assert chern1_at(WeightMultiset((1, 2, 3))) == 6
-    assert chern1_at(WeightMultiset((-4, 1, 1, 2))) == 0
+    assert chern1_at((1, 2, 3)) == 6
+    assert chern1_at((-4, 1, 1, 2)) == 0
 
 
 def test_chern_i_against_subset_sums():
-    ms = WeightMultiset((-3, 1, 2, 5, -1))
+    ms = (-3, -1, 1, 2, 5)
     for i in range(len(ms) + 1):
         expected = sum(
-            prod(sub) for sub in combinations(ms.weights, i)
+            prod(sub) for sub in combinations(ms, i)
         )
         assert chern_i_at(ms, i) == expected
-    assert chern_i_at(WeightMultiset((1, 2, 3)), 2) == 11
+    assert chern_i_at((1, 2, 3), 2) == 11
     with pytest.raises(ValueError):
         chern_i_at(ms, 6)
 
@@ -169,7 +169,7 @@ def test_verdicts_invariant_under_relabel_and_reversal():
         ]
         relabeled = FixedPointSystem.from_weights(
             system.n,
-            [p.weights.weights for p in reversed(system.points)],
+            [p.weights for p in reversed(system.points)],
             labels=[chr(ord("a") + i) for i in range(len(system.points))],
         )
         assert [

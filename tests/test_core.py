@@ -1,4 +1,4 @@
-"""Core model: multisets, systems, canonical form."""
+"""Core model: weight multisets on points, systems, canonical form."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from weightsys.core import (
     CanonicalKey,
     FixedPoint,
     FixedPointSystem,
-    WeightMultiset,
     canonicalize,
     default_labels,
     effectivity_gcd,
@@ -21,29 +20,27 @@ def _system(n, *weight_lists):
 
 
 def test_multiset_sorts_and_keeps_duplicates():
-    ms = WeightMultiset((3, -1, 3, -2))
-    assert ms.weights == (-2, -1, 3, 3)
-    assert len(ms) == 4
-    assert ms.count(3) == 2
-    assert ms.count(7) == 0
-    assert -1 in ms and 1 not in ms
-    assert list(ms) == [-2, -1, 3, 3]
+    ws = FixedPoint("p", [3, -1, 3, -2]).weights
+    assert ws == (-2, -1, 3, 3)
+    assert ws.count(3) == 2
+    assert ws.count(7) == 0
+    assert -1 in ws and 1 not in ws
 
 
 def test_multiset_rejects_zero():
     with pytest.raises(ValueError):
-        WeightMultiset((1, 0, -1))
+        FixedPoint("p", (1, 0, -1))
 
 
 def test_multiset_negate():
-    ms = WeightMultiset((-2, 1, 1))
-    assert ms.negate().weights == (-1, -1, 2)
-    assert ms.negate().negate() == ms
+    system = FixedPointSystem(3, (FixedPoint("p", (-2, 1, 1)),))
+    assert reverse_action(system).points[0].weights == (-1, -1, 2)
+    assert reverse_action(reverse_action(system)) == system
 
 
 def test_system_validation():
     with pytest.raises(ValueError):
-        FixedPointSystem(0, (FixedPoint("p", WeightMultiset((1,))),))
+        FixedPointSystem(0, (FixedPoint("p", (1,)),))
     with pytest.raises(ValueError):
         FixedPointSystem(1, ())
     with pytest.raises(ValueError):
@@ -55,7 +52,7 @@ def test_system_validation():
 def test_from_weights_default_labels():
     system = _system(2, (1, 2), (-1, 1), (-2, -1))
     assert [p.label for p in system.points] == ["p", "q", "r"]
-    assert system.point_by_label("q").weights.weights == (-1, 1)
+    assert system.point_by_label("q").weights == (-1, 1)
     assert default_labels(4) == ("p1", "p2", "p3", "p4")
 
 
@@ -65,8 +62,8 @@ def test_all_weights_is_the_union_multiset():
 
 
 def test_lambda_count():
-    assert lambda_count(WeightMultiset((1, 2, 3))) == 0
-    assert lambda_count(WeightMultiset((-1, -2, 3))) == 2
+    assert lambda_count((1, 2, 3)) == 0
+    assert lambda_count((-2, -1, 3)) == 2
 
 
 def test_largest_weight():
@@ -78,7 +75,7 @@ def test_largest_weight():
 def test_reverse_action_negates_every_point():
     system = _system(2, (1, 3), (-1, 2), (-3, -2))
     flipped = reverse_action(system)
-    assert [p.weights.weights for p in flipped.points] == [
+    assert [p.weights for p in flipped.points] == [
         (-3, -1),
         (-2, 1),
         (2, 3),

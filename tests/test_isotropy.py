@@ -21,7 +21,7 @@ from weightsys.constraints import (
     CheckResult,
     pairing_check,
 )
-from weightsys.core import FixedPoint, FixedPointSystem, WeightMultiset
+from weightsys.core import FixedPointSystem
 from weightsys.graph import build_graph
 from weightsys.isotropy import (
     CP2_TRIPLE,
@@ -48,10 +48,10 @@ def _system(n, *weight_lists):
 
 
 def test_sub_multiset_mod_k():
-    ms = WeightMultiset((-4, -3, 2, 6))
-    assert sub_multiset_mod_k(ms, 2).weights == (-4, 2, 6)
-    assert sub_multiset_mod_k(ms, 3).weights == (-3, 6)
-    assert sub_multiset_mod_k(ms, 5).weights == ()
+    ms = (-4, -3, 2, 6)
+    assert sub_multiset_mod_k(ms, 2) == (-4, 2, 6)
+    assert sub_multiset_mod_k(ms, 3) == (-3, 6)
+    assert sub_multiset_mod_k(ms, 5) == ()
     with pytest.raises(ValueError):
         sub_multiset_mod_k(ms, 1)
 
@@ -69,17 +69,15 @@ def test_residues_match_against_bijection_search():
         for a in combinations_with_replacement(values, size):
             for b in combinations_with_replacement(values, size):
                 for k in (2, 3, 4):
-                    got = residues_match(
-                        WeightMultiset(a), WeightMultiset(b), k
-                    )
+                    got = residues_match(a, b, k)
                     assert got == by_bijection(a, b, k), (a, b, k)
 
 
 def test_residues_match_errors():
     with pytest.raises(ValueError):
-        residues_match(WeightMultiset((1,)), WeightMultiset((1,)), 1)
+        residues_match((1,), (1,), 1)
     with pytest.raises(ValueError):
-        residues_match(WeightMultiset((1,)), WeightMultiset((1, 2)), 2)
+        residues_match((1,), (1, 2), 2)
 
 
 def test_admissible_component_shapes():
@@ -225,29 +223,14 @@ def test_lambda_step_not_applicable():
 
 def test_component_lambda_relation_worked_example():
     # v = {-3, -2}, w = {1, 3}, d = 3: both sides equal 3
-    v = WeightMultiset((-3, -2))
-    w = WeightMultiset((1, 3))
-    got = component_lambda_relation(
-        v, w, 3, WeightMultiset((-3,)), WeightMultiset((3,))
-    )
+    got = component_lambda_relation((-3, -2), (1, 3), 3)
     assert got.verdict == PASS
 
 
-def test_component_lambda_relation_rejects_wrong_sub():
-    v = WeightMultiset((-3, -2))
-    w = WeightMultiset((1, 3))
-    got = component_lambda_relation(
-        v, w, 3, WeightMultiset((-3, -2)), WeightMultiset((3,))
-    )
-    assert got.verdict == NOT_APPLICABLE
-
-
-def test_component_lambda_relation_accepts_fixed_points():
+def test_component_lambda_relation_on_point_weights():
     system = _t26(2, 3)
     v, w = system.points
-    z_v = WeightMultiset((-5,))
-    z_w = WeightMultiset((5,))
-    assert component_lambda_relation(v, w, 5, z_v, z_w).verdict == PASS
+    assert component_lambda_relation(v.weights, w.weights, 5).verdict == PASS
 
 
 def test_even_count_relation_worked_example():
