@@ -133,8 +133,8 @@ def _counter_dict(counter):
 
 
 def emit_search_document(config, outcome) -> dict:
-    """Search results as a stable document; elapsed time is left out so
-    reruns and worker splits produce identical bytes."""
+    """Search results as a stable document: no clock reading, so reruns
+    and worker splits produce identical bytes."""
     return {
         "config": {
             "n": config.n,

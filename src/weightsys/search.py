@@ -42,24 +42,25 @@ agree with the enumerator exactly.  Slot orderings of the same multiset
 are the same system, so the oracle iterates multisets; the 1e8 guard is
 on the number of candidates so walked.
 
-replay_lemma re-derives the statements the search machinery leans on
-from weaker premise sets, over every candidate in a bounded scope, and
-treats any counterexample as an alarm worth crashing on.
-
 The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: build the system, find its first failing check, keep the
 canonical key of a survivor) and differ only in their generators: the
 d-branches or staged generation, the raw product, and staged generation
 under a subset of the checks.
+
+replay_lemma re-derives the statements the search machinery leans on
+from weaker premise sets, over every candidate in a bounded scope, and
+treats any counterexample as an alarm worth crashing on.  A replay is a
+pool of systems and a statement yielding one (holds, detail) per
+assertion; replay_lemma alone counts them and records the failures.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations_with_replacement, permutations, product
 
 from .constraints import (
@@ -180,7 +181,6 @@ class SearchStats:
 class SearchOutcome:
     survivors: tuple[CanonicalKey, ...]
     stats: SearchStats
-    elapsed: float
 
 
 def first_failure(
@@ -401,7 +401,6 @@ def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
     output is identical for any worker count (survivors are a sorted,
     deduplicated set and the counters are plain sums).
     """
-    start = time.perf_counter()
     flags = config.prune_flags
     profiles = _profiles(config.n, config.point_count, flags.lambda_profile)
     if flags.largest_weight:
@@ -428,9 +427,7 @@ def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
         stats.pruned["lambda_profile"] += len(
             _profiles(config.n, config.point_count, False)
         ) - len(profiles)
-    return SearchOutcome(
-        tuple(sorted(keys)), stats, time.perf_counter() - start
-    )
+    return SearchOutcome(tuple(sorted(keys)), stats)
 
 
 _ORACLE_GUARD = 10**8
@@ -447,7 +444,6 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     point's multisets, which is how scopes otherwise past the guard get
     spot-checked.  Single-threaded on purpose.
     """
-    start = time.perf_counter()
     n, bound = config.n, config.weight_bound
     if lambda_profile is not None:
         if len(lambda_profile) != config.point_count:
@@ -471,9 +467,7 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
 
     stats = SearchStats()
     keys = _sieve(product(*per_point), n, config.require_effective, stats=stats)
-    return SearchOutcome(
-        tuple(sorted(keys)), stats, time.perf_counter() - start
-    )
+    return SearchOutcome(tuple(sorted(keys)), stats)
 
 
 def cp2_family(a: int, b: int) -> FixedPointSystem:
@@ -584,22 +578,31 @@ def _partial_pool(n, point_count, bound, checks):
     return tuple(key.system() for key in sorted(keys))
 
 
-def _fail_entry(system, detail):
-    return {
-        "points": tuple(p.weights for p in system.points),
-        "detail": detail,
-    }
-
-
 def _survivor_pool(scope):
     """The enumerator's survivors, effective or not, as systems."""
     survivors = enumerate_systems(replace(scope, require_effective=False)).survivors
     return tuple(key.system() for key in survivors)
 
 
-def _premise_pool(scope, checks):
+def _premise_pool(checks, scope):
     """The systems in scope passing just `checks` (see _partial_pool)."""
     return _partial_pool(scope.n, scope.point_count, scope.weight_bound, checks)
+
+
+def _family_pool(scope):
+    """Both families for every a + b <= W: two systems per (a, b)."""
+    bound = scope.weight_bound
+    return tuple(
+        system
+        for a in range(1, bound)
+        for b in range(1, bound - a + 1)
+        for system in (cp2_family(a, b), dim6_pair_family(a, b))
+    )
+
+
+def _scope_pool(scope):
+    """The scope's own survivors, as systems."""
+    return tuple(key.system() for key in enumerate_systems(scope).survivors)
 
 
 _PAIRWISE_PREMISES = ("pairing", "lambda_symmetry", "parity", "localization")
@@ -607,203 +610,141 @@ _L32_PREMISES = _PAIRWISE_PREMISES + ("chern1_vanishing", "isotropy")
 _L33_PREMISES = _PAIRWISE_PREMISES + ("chern1_vanishing", "largest_weight_structure")
 
 
-def _replay_passes(pool, check):
-    """One assertion per system of the pool: the check passes on it."""
-    failures = []
-    for system in pool:
-        got = check(system)
-        if got.verdict != PASS:
-            failures.append(_fail_entry(system, got.witness or got.verdict))
-    return len(pool), len(pool), failures
+def _passes(result):
+    """The assertion that a check passed, with its witness as the detail."""
+    return result.verdict == PASS, result.witness or result.verdict
 
 
-def _replay_l33(scope):
-    pool = _premise_pool(scope, _L33_PREMISES)
+def _l22(system, scope):
+    yield _passes(lambda_symmetry_check(system))
+
+
+def _l24(system, scope):
+    yield _passes(pairing_check(system))
+
+
+def _l32(system, scope):
+    yield _passes(largest_weight_structure(system))
+
+
+def _l33(system, scope):
     n = scope.n
     want = (n // 2 - 1, n // 2, n // 2 + 1)
-    failures = []
-    assertions = 0
-    for system in pool:
-        ordered = sorted(system.points, key=lambda p: lambda_count(p.weights))
-        profile = tuple(lambda_count(p.weights) for p in ordered)
-        assertions += 1
-        if profile != want:
-            failures.append(
-                _fail_entry(system, {"profile": profile, "expected": want})
-            )
-            continue
-        if n == 2:
-            continue
-        # strict placement of -d and d, up to reversing the action
+    ordered = sorted(system.points, key=lambda p: lambda_count(p.weights))
+    profile = tuple(lambda_count(p.weights) for p in ordered)
+    yield profile == want, {"profile": profile, "expected": want}
+    if profile != want or n == 2:
+        return
+    # strict placement of -d and d, up to reversing the action
+    d = largest_weight(system)
+    low, mid, high = ordered
+    placed = (-d in low.weights and d in mid.weights) or (
+        d in high.weights and -d in mid.weights
+    )
+    yield placed, {"d": d, "placement": "off"}
+
+
+def _pairwise(check, system):
+    """One assertion per ordered pair of points the check applies to."""
+    try:
         d = largest_weight(system)
-        assertions += 1
-        low, mid, high = ordered
-        if not (
-            (-d in low.weights and d in mid.weights)
-            or (d in high.weights and -d in mid.weights)
-        ):
-            failures.append(_fail_entry(system, {"d": d, "placement": "off"}))
-    return len(pool), assertions, failures
+    except ValueError:
+        return
+    for v, w in permutations(system.points, 2):
+        got = check(v, w, d, system)
+        if got.verdict != NOT_APPLICABLE:
+            detail = {"v": v.label, "w": w.label, **(got.witness or {})}
+            yield got.verdict != FAIL, detail
 
 
-def _replay_pairwise(scope, check):
-    pool = _premise_pool(scope, _PAIRWISE_PREMISES)
-    failures = []
-    assertions = 0
-    for system in pool:
-        try:
-            d = largest_weight(system)
-        except ValueError:
-            continue
-        for v, w in permutations(system.points, 2):
-            got = check(v, w, d, system)
-            if got.verdict == FAIL:
-                failures.append(
-                    _fail_entry(system, {"v": v.label, "w": w.label, **got.witness})
-                )
-            if got.verdict != NOT_APPLICABLE:
-                assertions += 1
-    return len(pool), assertions, failures
+def _l34(system, scope):
+    yield from _pairwise(lambda_step_check, system)
 
 
-def _replay_r35(scope):
+def _l36(system, scope):
+    yield from _pairwise(even_count_relation_check, system)
+
+
+def _r35(system, scope):
+    d, v, w = _largest_weight_holders(system)
+    got = component_lambda_relation(v.weights, w.weights, d)
+    yield got.verdict == PASS, {"d": d, "verdict": got.verdict}
+    # the equal-c1 case must agree with the one-step statement
+    step = lambda_step_check(v, w, d, system)
+    if step.verdict != NOT_APPLICABLE:
+        yield step.verdict == PASS, {"d": d, "step": step.verdict}
+
+
+def _l46(system, scope):
+    d = largest_weight(system)
     bound = scope.weight_bound
-    failures = []
-    assertions = 0
-    candidates = 0
-    for a in range(1, bound):
-        for b in range(1, bound - a + 1):
-            for system in (cp2_family(a, b), dim6_pair_family(a, b)):
-                candidates += 1
-                d, v, w = _largest_weight_holders(system)
-                got = component_lambda_relation(v.weights, w.weights, d)
-                assertions += 1
-                if got.verdict != PASS:
-                    failures.append(
-                        _fail_entry(system, {"d": d, "verdict": got.verdict})
-                    )
-                # the equal-c1 case must agree with the one-step statement
-                step = lambda_step_check(v, w, d, system)
-                if step.verdict != NOT_APPLICABLE:
-                    assertions += 1
-                    if step.verdict != PASS:
-                        failures.append(
-                            _fail_entry(system, {"d": d, "step": step.verdict})
-                        )
-    return candidates, assertions, failures
+    for e in chain(range(2, bound + 1), range(-2, -bound - 1, -1)):
+        mults = {
+            p.label: tuple(x for x in p.weights if x % e == 0) for p in system.points
+        }
+        total = Counter(chain.from_iterable(mults.values()))
+        # the three sub-multisets are exactly {2e, e}, {-e, e}, {-2e, -e}
+        # in some point order
+        triple = sorted(mults.values()) == sorted(
+            tuple(sorted(pair)) for pair in ((2 * e, e), (-e, e), (-2 * e, -e))
+        )
+
+        # part 1: lone +-e across the top half of the weight range
+        if 2 * abs(e) > d:
+            for alpha, beta in permutations(system.points, 2):
+                if e in alpha.weights and -e in beta.weights:
+                    yield (
+                        alpha.weights.count(e) == 1
+                        and beta.weights.count(-e) == 1
+                        and set(total) <= {e, -e}
+                        and total[e] == 1
+                        and total[-e] == 1
+                        and sorted(x % abs(e) for x in alpha.weights)
+                        == sorted(x % abs(e) for x in beta.weights)
+                    ), {"e": e, "part": 1}
+
+        # part 2: +e at two distinct points
+        if sum(e in p.weights for p in system.points) >= 2:
+            yield triple, {"e": e, "part": 2}
+
+        # part 3: +e twice at one point
+        want_a = tuple(sorted((-2 * e, e, e)))
+        want_b = tuple(sorted((2 * e, -e, -e)))
+        for alpha in system.points:
+            if alpha.weights.count(e) > 1:
+                rest = (mults[b.label] for b in system.points if b.label != alpha.label)
+                yield (
+                    mults[alpha.label] == want_a
+                    and want_b in rest
+                    and +total == Counter(want_a) + Counter(want_b)
+                ), {"e": e, "part": 3}
+
+        # part 4: +e and -e together at one point
+        for beta in system.points:
+            if e in beta.weights and -e in beta.weights:
+                both = mults[beta.label] == tuple(sorted((-e, e)))
+                yield triple and both, {"e": e, "part": 4}
 
 
-def _multiples(ms, e):
-    return tuple(x for x in ms if x % e == 0)
-
-
-def _replay_l46(scope):
-    pool = enumerate_systems(scope).survivors
-    bound = scope.weight_bound
-    failures = []
-    assertions = 0
-    for key in pool:
-        system = key.system()
-        d = largest_weight(system)
-        for e in [x for x in range(2, bound + 1)] + [
-            -x for x in range(2, bound + 1)
-        ]:
-            mults = {p.label: _multiples(p.weights, e) for p in system.points}
-            total = Counter()
-            for sub in mults.values():
-                total.update(sub)
-
-            def bad(detail):
-                failures.append(_fail_entry(system, {"e": e, "part": detail}))
-
-            # part 1: lone +-e across the top half of the weight range
-            if 2 * abs(e) > d:
-                for alpha, beta in permutations(system.points, 2):
-                    if e in alpha.weights and -e in beta.weights:
-                        assertions += 1
-                        ok = (
-                            alpha.weights.count(e) == 1
-                            and beta.weights.count(-e) == 1
-                            and set(total) <= {e, -e}
-                            and total[e] == 1
-                            and total[-e] == 1
-                            and sorted(x % abs(e) for x in alpha.weights)
-                            == sorted(x % abs(e) for x in beta.weights)
-                        )
-                        if not ok:
-                            bad(1)
-
-            def is_triple_pattern():
-                # the three sub-multisets must be exactly
-                # {2e, e}, {-e, e}, {-2e, -e} in some point order
-                targets = [
-                    tuple(sorted((2 * e, e))),
-                    tuple(sorted((-e, e))),
-                    tuple(sorted((-2 * e, -e))),
-                ]
-                got = sorted(mults.values())
-                return got == sorted(targets)
-
-            # part 2: +e at two distinct points
-            holders_pos = [p for p in system.points if e in p.weights]
-            if len(holders_pos) >= 2:
-                assertions += 1
-                if not is_triple_pattern():
-                    bad(2)
-
-            # part 3: +e twice at one point
-            for alpha in system.points:
-                if alpha.weights.count(e) > 1:
-                    assertions += 1
-                    want_a = tuple(sorted((-2 * e, e, e)))
-                    want_b = tuple(sorted((2 * e, -e, -e)))
-                    others = [
-                        p for p in system.points if p.label != alpha.label
-                    ]
-                    ok = mults[alpha.label] == want_a and any(
-                        mults[b.label] == want_b for b in others
-                    )
-                    named = Counter(want_a) + Counter(want_b)
-                    if ok and +total != +named:
-                        ok = False
-                    if not ok:
-                        bad(3)
-
-            # part 4: +e and -e together at one point
-            for beta in system.points:
-                if e in beta.weights and -e in beta.weights:
-                    assertions += 1
-                    if not (
-                        is_triple_pattern()
-                        and mults[beta.label] == tuple(sorted((-e, e)))
-                    ):
-                        bad(4)
-    return len(pool), assertions, failures
-
-
-# lemma id -> (point counts the replay runs over, runner returning
-# (candidates, assertions, failures)); three-point-only statements are
-# fixed.  The lambdas look their check up by name when a replay runs, so
-# a check wrapped in this module's namespace (by a profiler, say) is the
-# one that runs.
+# lemma id -> (point counts the replay runs over, pool(scope), statement);
+# three-point-only statements are fixed.  A statement(system, scope) yields
+# one (holds, detail) per assertion it makes and replay_lemma counts them.
+# Each statement names its check in its body, so a check wrapped in this
+# module's namespace (by a profiler, say) is the one that runs.
 _REPLAYS = {
-    "l22": ((2, 3), lambda scope: _replay_passes(
-        _survivor_pool(scope), lambda_symmetry_check
-    )),
-    "l24": ((2, 3), lambda scope: _replay_passes(_survivor_pool(scope), pairing_check)),
-    "l32": ((3,), lambda scope: _replay_passes(
-        _premise_pool(scope, _L32_PREMISES), largest_weight_structure
-    )),
-    "l33": ((3,), _replay_l33),
-    "l34": ((2, 3), lambda scope: _replay_pairwise(scope, lambda_step_check)),
-    "l36": ((2, 3), lambda scope: _replay_pairwise(scope, even_count_relation_check)),
-    "r35": ((2, 3), _replay_r35),
-    "l46": ((3,), _replay_l46),
+    "l22": ((2, 3), _survivor_pool, _l22),
+    "l24": ((2, 3), _survivor_pool, _l24),
+    "l32": ((3,), partial(_premise_pool, _L32_PREMISES), _l32),
+    "l33": ((3,), partial(_premise_pool, _L33_PREMISES), _l33),
+    "l34": ((2, 3), partial(_premise_pool, _PAIRWISE_PREMISES), _l34),
+    "l36": ((2, 3), partial(_premise_pool, _PAIRWISE_PREMISES), _l36),
+    "r35": ((2, 3), _family_pool, _r35),
+    "l46": ((3,), _scope_pool, _l46),
 }
 
 REPLAY_LEMMAS = tuple(_REPLAYS)
 
-REPLAY_POINT_COUNTS = {lemma: counts for lemma, (counts, _) in _REPLAYS.items()}
+REPLAY_POINT_COUNTS = {lemma: counts for lemma, (counts, _, _) in _REPLAYS.items()}
 
 
 def replay_lemma(lemma_id: str, scope: SearchConfig) -> ReplayReport:
@@ -819,20 +760,28 @@ def replay_lemma(lemma_id: str, scope: SearchConfig) -> ReplayReport:
             "unsupported lemma %r (supported: %s)"
             % (lemma_id, ", ".join(REPLAY_LEMMAS))
         )
-    if scope.point_count not in REPLAY_POINT_COUNTS[lemma_id]:
+    point_counts, pool_of, statement = _REPLAYS[lemma_id]
+    if scope.point_count not in point_counts:
         raise ValueError(
-            "lemma %s replays over point counts %r"
-            % (lemma_id, REPLAY_POINT_COUNTS[lemma_id])
+            "lemma %s replays over point counts %r" % (lemma_id, point_counts)
         )
 
-    candidates, assertions, failures = _REPLAYS[lemma_id][1](scope)
+    pool = pool_of(scope)
+    assertions = 0
+    failures = []
+    for system in pool:
+        for holds, detail in statement(system, scope):
+            assertions += 1
+            if not holds:
+                points = tuple(p.weights for p in system.points)
+                failures.append({"points": points, "detail": detail})
 
     report = ReplayReport(
         lemma_id=lemma_id,
         n=scope.n,
         point_count=scope.point_count,
         weight_bound=scope.weight_bound,
-        candidates=candidates,
+        candidates=len(pool),
         assertions=assertions,
         failures=tuple(failures),
     )

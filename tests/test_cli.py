@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from weightsys import cli
+from weightsys import cli, search
 from weightsys.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +266,24 @@ def test_replay_happy_path(capsys):
     out = capsys.readouterr().out
     assert "l24: ok over 2 points" in out
     assert "l24: ok over 3 points" in out
+
+
+def test_replay_counterexample_exits_1(monkeypatch, capsys):
+    def refuted(system, scope):
+        yield False, {"planted": True}
+
+    point_counts, pool, _ = search._REPLAYS["r35"]
+    monkeypatch.setitem(search._REPLAYS, "r35", (point_counts, pool, refuted))
+    assert run_cli(["replay", "--lemma", "r35", "--n", "2", "--bound", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the first point count fails, so the second is not replayed
+    assert lines[0] == "r35: FAILED over 2 points (n=2, bound=3)"
+    assert lines[1] == (
+        '  counterexample: {"points": [[1, 2], [-1, 1], [-2, -1]], '
+        '"detail": {"planted": true}}'
+    )
+    assert len(lines) == 7
+    assert all(line.startswith("  counterexample: {") for line in lines[1:])
 
 
 def test_replay_unknown_lemma(capsys):

@@ -32,6 +32,7 @@ from weightsys.search import (
     naive_oracle,
     replay_lemma,
     verify_nonexistence,
+    _REPLAYS,
     _dbranch_candidates,
     _pairing_completions,
     _partial_pool,
@@ -400,8 +401,26 @@ def test_replay_rejects_unknown_lemma_and_scope():
         replay_lemma("l33", SearchConfig(n=2, point_count=2, weight_bound=3))
 
 
+# (lemma, points, n) -> (candidates, assertions) at bound 4
+REPLAY_COUNTS_W4 = {
+    ("l22", 2, 2): (0, 0), ("l22", 2, 3): (11, 11),
+    ("l22", 3, 2): (4, 4), ("l22", 3, 3): (0, 0),
+    ("l24", 2, 2): (0, 0), ("l24", 2, 3): (11, 11),
+    ("l24", 3, 2): (4, 4), ("l24", 3, 3): (0, 0),
+    ("l32", 3, 2): (4, 4), ("l32", 3, 3): (0, 0),
+    ("l33", 3, 2): (4, 4), ("l33", 3, 3): (0, 0),
+    ("l34", 2, 2): (0, 0), ("l34", 2, 3): (60, 4),
+    ("l34", 3, 2): (4, 0), ("l34", 3, 3): (0, 0),
+    ("l36", 2, 2): (0, 0), ("l36", 2, 3): (60, 1),
+    ("l36", 3, 2): (4, 0), ("l36", 3, 3): (0, 0),
+    ("r35", 2, 2): (12, 18), ("r35", 2, 3): (12, 18),
+    ("r35", 3, 2): (12, 18), ("r35", 3, 3): (12, 18),
+    ("l46", 3, 2): (3, 10), ("l46", 3, 3): (0, 0),
+}
+
+
 def test_replays_clean_and_non_vacuous_at_small_scope():
-    live = {}
+    counts = {}
     for lemma in REPLAY_LEMMAS:
         for point_count in REPLAY_POINT_COUNTS[lemma]:
             for n in (2, 3):
@@ -410,10 +429,32 @@ def test_replays_clean_and_non_vacuous_at_small_scope():
                 )
                 report = replay_lemma(lemma, scope)
                 assert report.passed
-                live[lemma] = live.get(lemma, 0) + report.assertions
+                counts[lemma, point_count, n] = (report.candidates, report.assertions)
+    assert counts == REPLAY_COUNTS_W4
     # every statement must actually fire somewhere in this sweep
-    for lemma, count in live.items():
-        assert count > 0, lemma
+    for lemma in REPLAY_LEMMAS:
+        fired = sum(a for (name, _, _), (_, a) in counts.items() if name == lemma)
+        assert fired > 0, lemma
+
+
+def _refuted(system, scope):
+    yield False, {"planted": True}
+
+
+def test_replay_counterexample_carries_each_failure(monkeypatch):
+    point_counts, pool, _ = _REPLAYS["r35"]
+    monkeypatch.setitem(_REPLAYS, "r35", (point_counts, pool, _refuted))
+    with pytest.raises(LemmaCounterexample) as caught:
+        replay_lemma("r35", SearchConfig(n=2, point_count=3, weight_bound=3))
+    assert str(caught.value) == "lemma r35 failed on 6 candidate(s)"
+    report = caught.value.report
+    assert (report.candidates, report.assertions, report.passed) == (6, 6, False)
+    # the pool is both families for (1, 1), (1, 2), (2, 1), in that order
+    assert report.failures[:2] == (
+        {"points": ((1, 2), (-1, 1), (-2, -1)), "detail": {"planted": True}},
+        {"points": ((-2, 1, 1), (-1, -1, 2)), "detail": {"planted": True}},
+    )
+    assert all(set(entry) == {"points", "detail"} for entry in report.failures)
 
 
 def test_replay_counterexample_type_exists():
