@@ -4,7 +4,6 @@ for the fixed-point weight data of circle actions."""
 from .constraints import ConstraintReport, check_system
 from .core import (
     CanonicalKey,
-    FixedPoint,
     FixedPointSystem,
     canonicalize,
     effectivity_gcd,
@@ -25,7 +24,6 @@ from .search import (
 __all__ = [
     "CanonicalKey",
     "ConstraintReport",
-    "FixedPoint",
     "FixedPointSystem",
     "SearchConfig",
     "canonicalize",

@@ -143,7 +143,7 @@ def pairing_check(system: FixedPointSystem) -> CheckResult:
 def lambda_symmetry_check(system: FixedPointSystem) -> CheckResult:
     """#{points with lambda = i} = #{points with lambda = n - i} for all i."""
     n = system.n
-    counts = Counter(lambda_count(p.weights) for p in system.points)
+    counts = Counter(map(lambda_count, system.points))
     for i in range(n + 1):
         if counts[i] != counts[n - i]:
             return _result(
@@ -167,7 +167,7 @@ def parity_check(system: FixedPointSystem) -> CheckResult:
 def localization_sum(system: FixedPointSystem) -> Fraction:
     """Exact value of sum over points of 1/(product of weights)."""
     return sum(
-        (Fraction(1, math.prod(p.weights)) for p in system.points),
+        (Fraction(1, math.prod(ws)) for ws in system.points),
         start=Fraction(0),
     )
 
@@ -205,10 +205,10 @@ def chern1_vanishing_check(system: FixedPointSystem) -> CheckResult:
     """c_1 = 0 at every point; only binding for 3 points and n >= 4."""
     if len(system.points) != 3 or system.n < 4:
         return _result("chern1_vanishing", NOT_APPLICABLE)
-    for p in system.points:
-        c1 = chern1_at(p.weights)
+    for label, ws in zip(system.labels, system.points):
+        c1 = chern1_at(ws)
         if c1 != 0:
-            return _result("chern1_vanishing", FAIL, {"label": p.label, "c1": c1})
+            return _result("chern1_vanishing", FAIL, {"label": label, "c1": c1})
     return _result("chern1_vanishing", PASS)
 
 

@@ -5,8 +5,9 @@ a finite set of points.  The action linearizes at each fixed point p into
 n nonzero integer *weights*; the multiset of weights at every fixed point
 is the combinatorial shadow of the action and is all this package works
 with.  No geometry is stored: a system is literally "n, plus one weight
-multiset per labeled point", and FixedPoint.weights holds that multiset
-as the ascending tuple of its nonzero ints.
+multiset per labeled point": FixedPointSystem holds n, each point's
+multiset as the ascending tuple of its nonzero ints, and each point's
+label.
 
 Conventions fixed once, here:
 
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "FixedPoint",
     "FixedPointSystem",
     "CanonicalKey",
     "lambda_count",
@@ -41,66 +41,56 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FixedPoint:
-    """One labeled fixed point; weights is its multiset, an ascending tuple
-    of nonzero ints."""
-
-    label: str
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        ws = tuple(sorted(int(w) for w in self.weights))
-        if 0 in ws:
-            raise ValueError("weight 0 is not allowed")
-        object.__setattr__(self, "weights", ws)
-
-
-@dataclass(frozen=True)
 class FixedPointSystem:
-    """Half-dimension n plus the ordered list of fixed points.
+    """Half-dimension n, one weight multiset and one label per point.
 
-    Every point must carry exactly n weights and labels must be distinct.
-    Point order is whatever the caller chose; canonicalize() is the one
-    place that imposes an order.
+    points holds each multiset as the ascending tuple of its nonzero ints
+    (the shape of CanonicalKey.points) and labels the distinct label of
+    each point, in the same order.  Every point must carry exactly n
+    weights.  Point order is whatever the caller chose; canonicalize() is
+    the one place that imposes an order.
     """
 
     n: int
-    points: tuple[FixedPoint, ...]
+    points: tuple[tuple[int, ...], ...]
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        points = tuple([tuple(sorted(map(int, ws))) for ws in self.points])
+        labels = tuple(self.labels)
         if self.n < 1:
             raise ValueError("half-dimension n must be >= 1")
-        if not self.points:
+        if not points:
             raise ValueError("a system needs at least one fixed point")
-        labels = [p.label for p in self.points]
+        if len(labels) != len(points):
+            raise ValueError(
+                "%d labels for %d points" % (len(labels), len(points))
+            )
         if len(set(labels)) != len(labels):
-            raise ValueError("duplicate point labels: %r" % (labels,))
-        for p in self.points:
-            if len(p.weights) != self.n:
+            raise ValueError("duplicate point labels: %r" % (list(labels),))
+        for label, ws in zip(labels, points):
+            if 0 in ws:
+                raise ValueError("weight 0 is not allowed")
+            if len(ws) != self.n:
                 raise ValueError(
                     "point %r has %d weights, expected n=%d"
-                    % (p.label, len(p.weights), self.n)
+                    % (label, len(ws), self.n)
                 )
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_weights(cls, n, weight_lists, labels=None) -> FixedPointSystem:
         """Build a system from bare weight iterables, labeling p, q, r, ..."""
-        weight_lists = list(weight_lists)
+        weight_lists = tuple(weight_lists)
         if labels is None:
             labels = default_labels(len(weight_lists))
-        return cls(n, tuple(map(FixedPoint, labels, weight_lists)))
+        return cls(n, weight_lists, labels)
 
     def all_weights(self):
         """Every weight of every point, one flat iteration."""
-        for p in self.points:
-            yield from p.weights
-
-    def point_by_label(self, label: str) -> FixedPoint:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise KeyError(label)
+        for ws in self.points:
+            yield from ws
 
 
 def default_labels(count: int) -> tuple[str, ...]:
@@ -134,7 +124,7 @@ def lambda_count(ws: tuple[int, ...]) -> int:
 
 def largest_weight(system: FixedPointSystem) -> int:
     """Maximum weight value over all points; requires one positive weight."""
-    top = max(p.weights[-1] for p in system.points)
+    top = max(ws[-1] for ws in system.points)
     if top <= 0:
         raise ValueError("system has no positive weight")
     return top
@@ -143,8 +133,7 @@ def largest_weight(system: FixedPointSystem) -> int:
 def reverse_action(system: FixedPointSystem) -> FixedPointSystem:
     """Negate every weight (run the circle the other way); labels stay."""
     return FixedPointSystem(
-        system.n,
-        tuple(FixedPoint(p.label, [-w for w in p.weights]) for p in system.points),
+        system.n, tuple([-w for w in ws] for ws in system.points), system.labels
     )
 
 
@@ -156,10 +145,9 @@ def canonicalize(system) -> CanonicalKey:
     """Canonical key of a system (idempotent; accepts a key unchanged)."""
     if isinstance(system, CanonicalKey):
         return system
-    rows = [p.weights for p in system.points]
-    forward = _sorted_rows(rows)
+    forward = _sorted_rows(system.points)
     # negating an ascending tuple and reading it backwards keeps it ascending
-    backward = _sorted_rows(tuple(-w for w in reversed(ws)) for ws in rows)
+    backward = _sorted_rows(tuple(-w for w in reversed(ws)) for ws in system.points)
     return CanonicalKey(system.n, min(forward, backward))
 
 

@@ -15,7 +15,7 @@ integers are required; JSON has a separate boolean type and a weight of
 `true` is a bug in the producer, not a 1.
 
 Emission is deterministic: key order is fixed by construction, weights
-are emitted in the ascending order FixedPoint stores, and the search
+are emitted in the ascending order FixedPointSystem stores, and the search
 document leaves out wall-clock time so identical runs are identical
 bytes.
 """
@@ -69,8 +69,9 @@ def parse_system(document) -> FixedPointSystem:
     if not isinstance(raw_points, list) or not raw_points:
         raise DocumentError("points must be a non-empty array")
 
+    labels = []
+    rows = []
     seen = set()
-    points = []
     for idx, entry in enumerate(raw_points):
         where = "points[%d]" % idx
         if not isinstance(entry, dict):
@@ -96,19 +97,18 @@ def parse_system(document) -> FixedPointSystem:
             raise DocumentError(
                 "point %s has %d weights, expected %d" % (label, len(weights), n)
             )
-        points.append((label, tuple(weights)))
+        labels.append(label)
+        rows.append(weights)
 
-    return FixedPointSystem.from_weights(
-        n, [ws for _, ws in points], labels=[lb for lb, _ in points]
-    )
+    return FixedPointSystem.from_weights(n, rows, labels=labels)
 
 
 def emit_system(system: FixedPointSystem) -> dict:
     return {
         "dim": 2 * system.n,
         "points": [
-            {"label": p.label, "weights": list(p.weights)}
-            for p in system.points
+            {"label": label, "weights": list(ws)}
+            for label, ws in zip(system.labels, system.points)
         ],
     }
 

@@ -54,7 +54,7 @@ def build_graph(system: FixedPointSystem) -> GraphDocument:
 
     vertices = tuple(
         sorted(
-            ((p.label, lambda_count(p.weights)) for p in system.points),
+            zip(system.labels, map(lambda_count, system.points)),
             key=lambda v: (v[1], v[0]),
         )
     )

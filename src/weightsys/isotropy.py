@@ -61,12 +61,7 @@ from .constraints import (
     pairing_check,
     parity_check,
 )
-from .core import (
-    FixedPoint,
-    FixedPointSystem,
-    lambda_count,
-    largest_weight,
-)
+from .core import FixedPointSystem, lambda_count, largest_weight
 
 __all__ = [
     "ISOLATED",
@@ -79,7 +74,6 @@ __all__ = [
     "isotropy_orders",
     "sub_multiset_mod_k",
     "residues_match",
-    "admissible_component_shapes",
     "classify_isotropy",
     "largest_weight_structure",
     "lambda_step_check",
@@ -173,19 +167,6 @@ def residues_match(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
     return sorted(w % k for w in a) == sorted(w % k for w in b)
 
 
-def admissible_component_shapes(point_count: int, k: int) -> tuple[str, ...]:
-    """Component shapes allowed for a block with that many fixed points."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if point_count == 1:
-        return (ISOLATED,)
-    if point_count == 2:
-        return (SPHERE_PAIR, DIM6_PAIR)
-    if point_count == 3:
-        return (CP2_TRIPLE,)
-    raise ValueError("component blocks have 1..3 points, got %d" % point_count)
-
-
 def _match_sphere(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
     if len(sub_a) != 1 or len(sub_b) != 1:
         return None
@@ -277,7 +258,7 @@ def _try_block(block, points, subs, k):
             kind = DIM6_PAIR
         if params is None:
             return "divisible weights at %s,%s match no two-point shape" % (la, lb)
-        if not residues_match(points[la].weights, points[lb].weights, k):
+        if not residues_match(points[la], points[lb], k):
             return "residues mod %d differ between %s and %s" % (k, la, lb)
         return IsotropyComponent(kind, block, params)
 
@@ -286,7 +267,7 @@ def _try_block(block, points, subs, k):
         return "divisible weights match no three-point shape"
     for i in range(3):
         for j in range(i + 1, 3):
-            if not residues_match(points[block[i]].weights, points[block[j]].weights, k):
+            if not residues_match(points[block[i]], points[block[j]], k):
                 return "residues mod %d differ between %s and %s" % (
                     k,
                     block[i],
@@ -310,9 +291,9 @@ def classify_isotropy(system: FixedPointSystem, k: int):
     if len(system.points) > 3:
         raise ValueError("classification handles at most 3 fixed points")
 
-    points = {p.label: p for p in system.points}
+    points = dict(zip(system.labels, system.points))
     labels = tuple(sorted(points))
-    subs = {lab: sub_multiset_mod_k(points[lab].weights, k) for lab in labels}
+    subs = {lab: sub_multiset_mod_k(points[lab], k) for lab in labels}
 
     failures = []
     for blocks in _set_partitions(labels):
@@ -331,49 +312,34 @@ def classify_isotropy(system: FixedPointSystem, k: int):
     return IsotropyRejection(k, tuple(failures))
 
 
-def largest_weight_structure(system: FixedPointSystem, pairing_ok: bool | None = None) -> CheckResult:
+def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
     """d and -d once each at two distinct residue-matched points, third clean.
 
     Binding only for 3-point systems whose union multiset passes the
-    pairing check (worked out here unless pairing_ok asserts it);
-    otherwise not-applicable.
+    pairing check; otherwise not-applicable.
     """
-    if len(system.points) != 3:
-        return _result("largest_weight_structure", NOT_APPLICABLE)
-    if pairing_ok is None:
-        pairing_ok = pairing_check(system).verdict == PASS
-    if not pairing_ok:
+    if len(system.points) != 3 or pairing_check(system).verdict != PASS:
         return _result("largest_weight_structure", NOT_APPLICABLE)
 
-    d = largest_weight(system)
-    n_pos = sum(p.weights.count(d) for p in system.points)
-    n_neg = sum(p.weights.count(-d) for p in system.points)
+    d, sv, sw = _largest_weight_holders(system)
+    n_pos = sum(ws.count(d) for ws in system.points)
+    n_neg = sum(ws.count(-d) for ws in system.points)
     if n_pos != 1 or n_neg != 1:
         return _result(
             "largest_weight_structure",
             FAIL,
             {"d": d, "reason": "multiplicity", "count_pos": n_pos, "count_neg": n_neg},
         )
-    holder_pos = next(p for p in system.points if d in p.weights)
-    holder_neg = next(p for p in system.points if -d in p.weights)
-    if holder_pos.label == holder_neg.label:
+    if sv == sw:
+        label = system.labels[system.points.index(sw)]
         return _result(
             "largest_weight_structure",
             FAIL,
-            {"d": d, "reason": "same-point", "label": holder_pos.label},
+            {"d": d, "reason": "same-point", "label": label},
         )
-    (third,) = [
-        p
-        for p in system.points
-        if p.label not in (holder_pos.label, holder_neg.label)
-    ]
-    if any(w % d == 0 for w in third.weights):
-        return _result(
-            "largest_weight_structure",
-            FAIL,
-            {"d": d, "reason": "third-point", "label": third.label},
-        )
-    if not _residues_match_loose(holder_neg.weights, holder_pos.weights, d):
+    # the third point is clean: with pairing every |w| <= d, so a multiple
+    # of d there is +-d, which the multiplicity count already placed
+    if not _residues_match_loose(sv, sw, d):
         return _result(
             "largest_weight_structure",
             FAIL,
@@ -389,32 +355,34 @@ def _residues_match_loose(a, b, k: int) -> bool:
     return residues_match(a, b, k)
 
 
-def _equal_c1_d_pair(v, w, d, system) -> bool:
+def _equal_c1_d_pair(sv, sw, d, system) -> bool:
     """The setup of the index step and the even-count relation: d the
-    largest weight, -d at v, +d at w, residues matching mod d, equal c_1."""
+    largest weight, -d in the weights sv at v, +d in the weights sw at w,
+    residues matching mod d, equal c_1."""
     try:
         d_top = largest_weight(system)
     except ValueError:
         return False
     return (
         d == d_top
-        and -d in v.weights
-        and d in w.weights
-        and _residues_match_loose(v.weights, w.weights, d)
-        and chern1_at(v.weights) == chern1_at(w.weights)
+        and -d in sv
+        and d in sw
+        and _residues_match_loose(sv, sw, d)
+        and chern1_at(sv) == chern1_at(sw)
     )
 
 
-def lambda_step_check(v: FixedPoint, w: FixedPoint, d: int, system: FixedPointSystem) -> CheckResult:
+def lambda_step_check(sv, sw, d: int, system: FixedPointSystem) -> CheckResult:
     """lambda(v) + 1 = lambda(w) under the equal-c1 largest-weight setup.
 
-    Preconditions (-d at v, +d at w, matching residues mod d, d the
-    largest weight, equal c_1 values) unmet => not-applicable; unequal
-    c_1 values are the generalized relation's case, not this one.
+    sv and sw are the weight tuples at v and w.  Preconditions (-d at v,
+    +d at w, matching residues mod d, d the largest weight, equal c_1
+    values) unmet => not-applicable; unequal c_1 values are the
+    generalized relation's case, not this one.
     """
-    if not _equal_c1_d_pair(v, w, d, system):
+    if not _equal_c1_d_pair(sv, sw, d, system):
         return _result("lambda_step", NOT_APPLICABLE)
-    lv, lw = lambda_count(v.weights), lambda_count(w.weights)
+    lv, lw = lambda_count(sv), lambda_count(sw)
     if lv + 1 != lw:
         return _result(
             "lambda_step",
@@ -459,9 +427,10 @@ def component_lambda_relation(sv, sw, d: int) -> CheckResult:
     return _result("component_lambda_relation", PASS)
 
 
-def even_count_relation_check(v: FixedPoint, w: FixedPoint, d: int, system: FixedPointSystem) -> CheckResult:
-    """For odd d: E_v+ - E_v- - E_w+ + E_w- = 2 (signed even-weight counts)."""
-    if d % 2 == 0 or not _equal_c1_d_pair(v, w, d, system):
+def even_count_relation_check(sv, sw, d: int, system: FixedPointSystem) -> CheckResult:
+    """For odd d: E_v+ - E_v- - E_w+ + E_w- = 2 (signed even-weight counts),
+    sv and sw the weight tuples at v and w."""
+    if d % 2 == 0 or not _equal_c1_d_pair(sv, sw, d, system):
         return _result("even_count_relation", NOT_APPLICABLE)
 
     def signed_even_counts(ms):
@@ -469,8 +438,8 @@ def even_count_relation_check(v: FixedPoint, w: FixedPoint, d: int, system: Fixe
         minus = sum(1 for x in ms if x < 0 and x % 2 == 0)
         return plus, minus
 
-    evp, evm = signed_even_counts(v.weights)
-    ewp, ewm = signed_even_counts(w.weights)
+    evp, evm = signed_even_counts(sv)
+    ewp, ewm = signed_even_counts(sw)
     total = evp - evm - ewp + ewm
     if total != 2:
         return _result(
@@ -515,12 +484,12 @@ def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
 
 
 def _largest_weight_holders(system: FixedPointSystem):
-    """(d, v, w): the largest weight d and the points v holding -d and w
-    holding +d."""
+    """(d, sv, sw): the largest weight d and the weight tuples sv of the
+    first point holding -d and sw of the first point holding +d."""
     d = largest_weight(system)
-    v = next(p for p in system.points if -d in p.weights)
-    w = next(p for p in system.points if d in p.weights)
-    return d, v, w
+    sv = next(ws for ws in system.points if -d in ws)
+    sw = next(ws for ws in system.points if d in ws)
+    return d, sv, sw
 
 
 def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
@@ -536,11 +505,11 @@ def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
             _result("component_lambda_relation", NOT_APPLICABLE),
             _result("even_count_relation", NOT_APPLICABLE),
         ]
-    d, v, w = _largest_weight_holders(system)
+    d, sv, sw = _largest_weight_holders(system)
     return [
-        lambda_step_check(v, w, d, system),
-        component_lambda_relation(v.weights, w.weights, d),
-        even_count_relation_check(v, w, d, system),
+        lambda_step_check(sv, sw, d, system),
+        component_lambda_relation(sv, sw, d),
+        even_count_relation_check(sv, sw, d, system),
     ]
 
 

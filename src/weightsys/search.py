@@ -216,8 +216,6 @@ def _profiles(n: int, point_count: int, restricted: bool):
 def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
     """Ascending tuples: neg_count values from [-max_abs, -1] followed by
     pos_count from [1, max_abs]."""
-    if neg_count < 0 or pos_count < 0:
-        return
     for negs in combinations_with_replacement(range(-max_abs, 0), neg_count):
         for poss in combinations_with_replacement(range(1, max_abs + 1), pos_count):
             yield negs + poss
@@ -366,7 +364,7 @@ def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
         if failed is None:
             keys.add(canonicalize(system))
         elif stats is not None:
-            largest = max(max(-p.weights[0], p.weights[-1]) for p in system.points)
+            largest = max(max(-ws[0], ws[-1]) for ws in system.points)
             stats.eliminated["odd" if largest % 2 == 1 else "even"][failed] += 1
     if stats is not None:
         stats.nodes += nodes
@@ -448,6 +446,8 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     if lambda_profile is not None:
         if len(lambda_profile) != config.point_count:
             raise ValueError("lambda_profile length must equal point_count")
+        if not all(0 <= lam <= n for lam in lambda_profile):
+            raise ValueError("lambda_profile entries must lie in 0..n")
         per_point = [
             list(_signed_multisets(lam, n - lam, bound)) for lam in lambda_profile
         ]
@@ -630,17 +630,15 @@ def _l32(system, scope):
 def _l33(system, scope):
     n = scope.n
     want = (n // 2 - 1, n // 2, n // 2 + 1)
-    ordered = sorted(system.points, key=lambda p: lambda_count(p.weights))
-    profile = tuple(lambda_count(p.weights) for p in ordered)
+    ordered = sorted(system.points, key=lambda_count)
+    profile = tuple(map(lambda_count, ordered))
     yield profile == want, {"profile": profile, "expected": want}
     if profile != want or n == 2:
         return
     # strict placement of -d and d, up to reversing the action
     d = largest_weight(system)
     low, mid, high = ordered
-    placed = (-d in low.weights and d in mid.weights) or (
-        d in high.weights and -d in mid.weights
-    )
+    placed = (-d in low and d in mid) or (d in high and -d in mid)
     yield placed, {"d": d, "placement": "off"}
 
 
@@ -650,10 +648,10 @@ def _pairwise(check, system):
         d = largest_weight(system)
     except ValueError:
         return
-    for v, w in permutations(system.points, 2):
-        got = check(v, w, d, system)
+    for (v, sv), (w, sw) in permutations(zip(system.labels, system.points), 2):
+        got = check(sv, sw, d, system)
         if got.verdict != NOT_APPLICABLE:
-            detail = {"v": v.label, "w": w.label, **(got.witness or {})}
+            detail = {"v": v, "w": w, **(got.witness or {})}
             yield got.verdict != FAIL, detail
 
 
@@ -666,11 +664,11 @@ def _l36(system, scope):
 
 
 def _r35(system, scope):
-    d, v, w = _largest_weight_holders(system)
-    got = component_lambda_relation(v.weights, w.weights, d)
+    d, sv, sw = _largest_weight_holders(system)
+    got = component_lambda_relation(sv, sw, d)
     yield got.verdict == PASS, {"d": d, "verdict": got.verdict}
     # the equal-c1 case must agree with the one-step statement
-    step = lambda_step_check(v, w, d, system)
+    step = lambda_step_check(sv, sw, d, system)
     if step.verdict != NOT_APPLICABLE:
         yield step.verdict == PASS, {"d": d, "step": step.verdict}
 
@@ -678,51 +676,50 @@ def _r35(system, scope):
 def _l46(system, scope):
     d = largest_weight(system)
     bound = scope.weight_bound
+    points = system.points
     for e in chain(range(2, bound + 1), range(-2, -bound - 1, -1)):
-        mults = {
-            p.label: tuple(x for x in p.weights if x % e == 0) for p in system.points
-        }
-        total = Counter(chain.from_iterable(mults.values()))
+        mults = [tuple(x for x in ws if x % e == 0) for ws in points]
+        total = Counter(chain.from_iterable(mults))
         # the three sub-multisets are exactly {2e, e}, {-e, e}, {-2e, -e}
         # in some point order
-        triple = sorted(mults.values()) == sorted(
+        triple = sorted(mults) == sorted(
             tuple(sorted(pair)) for pair in ((2 * e, e), (-e, e), (-2 * e, -e))
         )
 
         # part 1: lone +-e across the top half of the weight range
         if 2 * abs(e) > d:
-            for alpha, beta in permutations(system.points, 2):
-                if e in alpha.weights and -e in beta.weights:
+            for alpha, beta in permutations(points, 2):
+                if e in alpha and -e in beta:
                     yield (
-                        alpha.weights.count(e) == 1
-                        and beta.weights.count(-e) == 1
+                        alpha.count(e) == 1
+                        and beta.count(-e) == 1
                         and set(total) <= {e, -e}
                         and total[e] == 1
                         and total[-e] == 1
-                        and sorted(x % abs(e) for x in alpha.weights)
-                        == sorted(x % abs(e) for x in beta.weights)
+                        and sorted(x % abs(e) for x in alpha)
+                        == sorted(x % abs(e) for x in beta)
                     ), {"e": e, "part": 1}
 
         # part 2: +e at two distinct points
-        if sum(e in p.weights for p in system.points) >= 2:
+        if sum(e in ws for ws in points) >= 2:
             yield triple, {"e": e, "part": 2}
 
         # part 3: +e twice at one point
         want_a = tuple(sorted((-2 * e, e, e)))
         want_b = tuple(sorted((2 * e, -e, -e)))
-        for alpha in system.points:
-            if alpha.weights.count(e) > 1:
-                rest = (mults[b.label] for b in system.points if b.label != alpha.label)
+        for i, alpha in enumerate(points):
+            if alpha.count(e) > 1:
+                rest = (sub for j, sub in enumerate(mults) if j != i)
                 yield (
-                    mults[alpha.label] == want_a
+                    mults[i] == want_a
                     and want_b in rest
                     and +total == Counter(want_a) + Counter(want_b)
                 ), {"e": e, "part": 3}
 
         # part 4: +e and -e together at one point
-        for beta in system.points:
-            if e in beta.weights and -e in beta.weights:
-                both = mults[beta.label] == tuple(sorted((-e, e)))
+        for beta, sub in zip(points, mults):
+            if e in beta and -e in beta:
+                both = sub == tuple(sorted((-e, e)))
                 yield triple and both, {"e": e, "part": 4}
 
 
@@ -773,8 +770,7 @@ def replay_lemma(lemma_id: str, scope: SearchConfig) -> ReplayReport:
         for holds, detail in statement(system, scope):
             assertions += 1
             if not holds:
-                points = tuple(p.weights for p in system.points)
-                failures.append({"points": points, "detail": detail})
+                failures.append({"points": system.points, "detail": detail})
 
     report = ReplayReport(
         lemma_id=lemma_id,

@@ -173,7 +173,7 @@ def test_criterion_6_invariance_suite():
         baseline = [(c.check_id, c.verdict) for c in check_system(system).checks]
         permuted = FixedPointSystem.from_weights(
             system.n,
-            [p.weights for p in reversed(system.points)],
+            list(reversed(system.points)),
             labels=["x", "y", "z"][: len(system.points)],
         )
         assert [

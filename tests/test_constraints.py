@@ -169,7 +169,7 @@ def test_verdicts_invariant_under_relabel_and_reversal():
         ]
         relabeled = FixedPointSystem.from_weights(
             system.n,
-            [p.weights for p in reversed(system.points)],
+            list(reversed(system.points)),
             labels=[chr(ord("a") + i) for i in range(len(system.points))],
         )
         assert [

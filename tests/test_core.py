@@ -4,7 +4,6 @@ import pytest
 
 from weightsys.core import (
     CanonicalKey,
-    FixedPoint,
     FixedPointSystem,
     canonicalize,
     default_labels,
@@ -20,7 +19,7 @@ def _system(n, *weight_lists):
 
 
 def test_multiset_sorts_and_keeps_duplicates():
-    ws = FixedPoint("p", [3, -1, 3, -2]).weights
+    ws = FixedPointSystem(4, ([3, -1, 3, -2],), ("p",)).points[0]
     assert ws == (-2, -1, 3, 3)
     assert ws.count(3) == 2
     assert ws.count(7) == 0
@@ -29,30 +28,32 @@ def test_multiset_sorts_and_keeps_duplicates():
 
 def test_multiset_rejects_zero():
     with pytest.raises(ValueError):
-        FixedPoint("p", (1, 0, -1))
+        FixedPointSystem(3, ((1, 0, -1),), ("p",))
 
 
 def test_multiset_negate():
-    system = FixedPointSystem(3, (FixedPoint("p", (-2, 1, 1)),))
-    assert reverse_action(system).points[0].weights == (-1, -1, 2)
+    system = FixedPointSystem(3, ((-2, 1, 1),), ("p",))
+    assert reverse_action(system).points[0] == (-1, -1, 2)
     assert reverse_action(reverse_action(system)) == system
 
 
 def test_system_validation():
     with pytest.raises(ValueError):
-        FixedPointSystem(0, (FixedPoint("p", (1,)),))
+        FixedPointSystem(0, ((1,),), ("p",))
     with pytest.raises(ValueError):
-        FixedPointSystem(1, ())
+        FixedPointSystem(1, (), ())
     with pytest.raises(ValueError):
         _system(2, (1, 2), (1,))
     with pytest.raises(ValueError):
         FixedPointSystem.from_weights(1, [(1,), (-1,)], labels=["p", "p"])
+    with pytest.raises(ValueError):
+        FixedPointSystem.from_weights(1, [(1,), (-1,)], labels=["p"])
 
 
 def test_from_weights_default_labels():
     system = _system(2, (1, 2), (-1, 1), (-2, -1))
-    assert [p.label for p in system.points] == ["p", "q", "r"]
-    assert system.point_by_label("q").weights == (-1, 1)
+    assert list(system.labels) == ["p", "q", "r"]
+    assert system.points[system.labels.index("q")] == (-1, 1)
     assert default_labels(4) == ("p1", "p2", "p3", "p4")
 
 
@@ -75,7 +76,7 @@ def test_largest_weight():
 def test_reverse_action_negates_every_point():
     system = _system(2, (1, 3), (-1, 2), (-3, -2))
     flipped = reverse_action(system)
-    assert [p.weights for p in flipped.points] == [
+    assert list(flipped.points) == [
         (-3, -1),
         (-2, 1),
         (2, 3),

@@ -31,7 +31,7 @@ def test_parse_accepts_dict_and_text():
     from_text = parse_system(json.dumps(GOOD))
     assert from_dict == from_text
     assert from_dict.n == 2
-    assert from_dict.point_by_label("q").weights == (-1, 2)
+    assert from_dict.points[from_dict.labels.index("q")] == (-1, 2)
 
 
 def test_round_trip():

@@ -1,0 +1,158 @@
+"""Byte guard: every emitted document over fixed input sets, one sha256
+per group.
+
+Per system: its document, its check report with and without the
+effectivity requirement, and its isotropy graph as JSON and DOT (or the
+PairingRequired message).  Per search scope: the results document of
+both effectivities.  The digests were computed before the system type
+was reduced to n, labels and ascending weight tuples, and a change that
+alters a single emitted byte (a verdict, a witness, a label in a
+witness, a graph edge, a search statistic) changes one of them.  Each
+input set is hashed twice: as built, and with the points reversed and
+labelled x, y, z, so that witness labels are pinned too.
+"""
+
+import hashlib
+import json
+from itertools import combinations_with_replacement, product
+
+import pytest
+
+from weightsys.constraints import check_system
+from weightsys.core import FixedPointSystem
+from weightsys.documents import (
+    emit_report,
+    emit_search_document,
+    emit_system,
+    render_json,
+)
+from weightsys.graph import PairingRequired, build_graph, emit_dot
+from weightsys.search import (
+    SearchConfig,
+    cp2_family,
+    dim6_pair_family,
+    enumerate_systems,
+    naive_oracle,
+)
+
+
+def _n1_triples():
+    values = [w for w in range(-6, 7) if w != 0]
+    for ws in product(values, repeat=3):
+        yield FixedPointSystem.from_weights(1, [(w,) for w in ws])
+
+
+def _n2_pairs():
+    values = [w for w in range(-4, 5) if w != 0]
+    multisets = list(combinations_with_replacement(values, 2))
+    for rows in product(multisets, repeat=2):
+        yield FixedPointSystem.from_weights(2, rows)
+
+
+def _n2_triples():
+    # reaches the same-point witness: d and -d at one point
+    values = [w for w in range(-2, 3) if w != 0]
+    multisets = list(combinations_with_replacement(values, 2))
+    for rows in product(multisets, repeat=3):
+        yield FixedPointSystem.from_weights(2, rows)
+
+
+def _n4_triples():
+    # reaches the c_1 witness, which names a point
+    multisets = list(combinations_with_replacement((-1, 1), 4))
+    for rows in product(multisets, repeat=3):
+        yield FixedPointSystem.from_weights(4, rows)
+
+
+def _families():
+    for a in range(1, 13):
+        for b in range(1, 13):
+            yield cp2_family(a, b)
+            yield dim6_pair_family(a, b)
+
+
+def _reversed_xyz(systems):
+    for system in systems:
+        rows = [pt["weights"] for pt in reversed(emit_system(system)["points"])]
+        yield FixedPointSystem.from_weights(
+            system.n, rows, labels=("x", "y", "z")[: len(rows)]
+        )
+
+
+def _system_bytes(system):
+    # render_json is json.dumps(document, indent=2): the compact dump of the
+    # same dict pins the same keys, order and values, and the C encoder it
+    # runs on keeps the 8,874 systems here inside the time budget
+    parts = [json.dumps(emit_system(system))]
+    for effective in (False, True):
+        report = check_system(system, require_effective=effective)
+        parts.append(json.dumps(emit_report(report)))
+    try:
+        graph = build_graph(system)
+    except PairingRequired as exc:
+        parts.append("PairingRequired: %s" % exc)
+    else:
+        parts.append(json.dumps(graph.as_dict()))
+        parts.append(emit_dot(graph))
+    return "\n".join(parts).encode() + b"\n"
+
+
+SYSTEM_GROUPS = {
+    "n1_triples": _n1_triples,
+    "n2_pairs": _n2_pairs,
+    "n2_triples": _n2_triples,
+    "n4_triples": _n4_triples,
+    "families": _families,
+}
+
+SYSTEM_DIGESTS = {
+    "n1_triples": "7f0fcf9438bb9d7bc72d1b4b3141cc70da5940b72ea6d2611b34649f0175b090",
+    "n2_pairs": "25bf69adc82f722d9bd941ba46f3605b61446cae25d8e24fa47a7bc5602d23cc",
+    "n2_triples": "b3ecae6c2f35f17d115eb13a7af709201ea0895cdbc8ddb7186814d4f3f417ac",
+    "n4_triples": "5f903aeca634c74395ec131b72750f4a445f6449b95c615689551342a343a918",
+    "families": "fd16e102d8ee824ea4ff535891ebb18d76a3edb958a48854e67a03353ff5f5c1",
+    "n1_triples_xyz": "44c939c3e680f781821505c096359e86df0222bd041f467032901f51921a4e02",
+    "n2_pairs_xyz": "f51fd27da742d1f11e5ad2c6066a0fcae094613c5732014dff02447a4dfca00e",
+    "n2_triples_xyz": "cbbd70b2dcc6afd525d3670421eefafb6f826b7d3026a50cf4a487258684cccc",
+    "n4_triples_xyz": "32da8da0566c0748a1d93b5e21d2a4245727135b3a1dcf516828864af1b04a94",
+    "families_xyz": "2f72ad402aeb49d8cd2b322341501ead771a3271c7cb6e0fe2e98eb918e0caf3",
+}
+
+
+def _system_group(name):
+    if name.endswith("_xyz"):
+        return _reversed_xyz(SYSTEM_GROUPS[name[: -len("_xyz")]]())
+    return SYSTEM_GROUPS[name]()
+
+
+@pytest.mark.parametrize("group", sorted(SYSTEM_DIGESTS))
+def test_system_documents_frozen(group):
+    digest = hashlib.sha256()
+    count = 0
+    for system in _system_group(group):
+        digest.update(_system_bytes(system))
+        count += 1
+    assert count > 0
+    assert digest.hexdigest() == SYSTEM_DIGESTS[group], group
+
+
+# (search, n, points, W) -> digest over both effectivities
+SEARCH_DIGESTS = {
+    ("enumerate", 2, 3, 6): "781782c5c7804c6367c8562e101a4deafa955873941e9ecd52c4b46f2ee376a0",
+    ("enumerate", 3, 2, 4): "a867c44a98f85dc8cf24c0658d9e4fe2899d694e4a32b0cc762dc3ca534d7c6c",
+    ("enumerate", 4, 3, 4): "9226ed2f457a834f6328b58ed5644cd0918cb526843624f2aa64e7c78c97af37",
+    ("oracle", 2, 3, 3): "6a00c938e2ad31400d20ac366a86d8f1c8902e0a8862dc376aba4f2fe022067c",
+}
+
+
+@pytest.mark.parametrize("scope", sorted(SEARCH_DIGESTS))
+def test_search_documents_frozen(scope):
+    search, n, points, bound = scope
+    run = enumerate_systems if search == "enumerate" else naive_oracle
+    digest = hashlib.sha256()
+    for effective in (False, True):
+        config = SearchConfig(
+            n=n, point_count=points, weight_bound=bound, require_effective=effective
+        )
+        digest.update(render_json(emit_search_document(config, run(config))).encode())
+    assert digest.hexdigest() == SEARCH_DIGESTS[scope], scope

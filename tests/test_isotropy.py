@@ -28,7 +28,6 @@ from weightsys.isotropy import (
     DIM6_PAIR,
     ISOLATED,
     SPHERE_PAIR,
-    admissible_component_shapes,
     classify_isotropy,
     component_lambda_relation,
     even_count_relation_check,
@@ -78,16 +77,6 @@ def test_residues_match_errors():
         residues_match((1,), (1,), 1)
     with pytest.raises(ValueError):
         residues_match((1,), (1, 2), 2)
-
-
-def test_admissible_component_shapes():
-    assert admissible_component_shapes(1, 2) == (ISOLATED,)
-    assert admissible_component_shapes(2, 2) == (SPHERE_PAIR, DIM6_PAIR)
-    assert admissible_component_shapes(3, 2) == (CP2_TRIPLE,)
-    with pytest.raises(ValueError):
-        admissible_component_shapes(4, 2)
-    with pytest.raises(ValueError):
-        admissible_component_shapes(1, 1)
 
 
 def test_classify_sphere_and_isolated():
@@ -154,6 +143,9 @@ def test_largest_weight_structure_not_applicable():
     assert largest_weight_structure(two).verdict == NOT_APPLICABLE
     unpaired = _system(2, (1, 2), (-1, 2), (-2, -3))
     assert largest_weight_structure(unpaired).verdict == NOT_APPLICABLE
+    # the -8 has no +8 partner
+    unpaired_multiple = _system(2, (1, 4), (-4, 3), (-8, 2))
+    assert largest_weight_structure(unpaired_multiple).verdict == NOT_APPLICABLE
 
 
 def test_largest_weight_structure_multiplicity():
@@ -168,15 +160,6 @@ def test_largest_weight_structure_same_point():
     got = largest_weight_structure(_system(2, (-4, 4), (1, 2), (-2, -1)))
     assert got.verdict == FAIL
     assert got.witness == {"d": 4, "reason": "same-point", "label": "p"}
-
-
-def test_largest_weight_structure_third_point():
-    # reachable only when the pairing premise is asserted rather than
-    # checked: the -8 below has no +8 partner
-    system = _system(2, (1, 4), (-4, 3), (-8, 2))
-    got = largest_weight_structure(system, pairing_ok=True)
-    assert got.verdict == FAIL
-    assert got.witness == {"d": 4, "reason": "third-point", "label": "r"}
 
 
 def test_largest_weight_structure_residue_clash():
@@ -216,8 +199,7 @@ def test_lambda_step_not_applicable():
     assert lambda_step_check(w, v, 3, system).verdict == NOT_APPLICABLE
     # unequal c1 values belong to the generalized relation
     family = _system(2, (1, 3), (-1, 2), (-3, -2))
-    v2 = family.point_by_label("r")
-    w2 = family.point_by_label("p")
+    w2, _, v2 = family.points
     assert lambda_step_check(v2, w2, 3, family).verdict == NOT_APPLICABLE
 
 
@@ -230,7 +212,7 @@ def test_component_lambda_relation_worked_example():
 def test_component_lambda_relation_on_point_weights():
     system = _t26(2, 3)
     v, w = system.points
-    assert component_lambda_relation(v.weights, w.weights, 5).verdict == PASS
+    assert component_lambda_relation(v, w, 5).verdict == PASS
 
 
 def test_even_count_relation_worked_example():

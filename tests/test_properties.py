@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from weightsys.constraints import check_system  # noqa: E402
 from weightsys.core import (  # noqa: E402
-    FixedPoint,
     FixedPointSystem,
     canonicalize,
     lambda_count,
@@ -53,7 +52,7 @@ def filter_systems(draw):
     a, b, c = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
     system = (cp2_family if kind == "cp2" else dim6_pair_family)(a, b)
     return FixedPointSystem.from_weights(
-        system.n, [[c * w for w in p.weights] for p in system.points]
+        system.n, [[c * w for w in ws] for ws in system.points]
     )
 
 
@@ -63,18 +62,18 @@ def _reordered(system, data):
     labels = data.draw(
         st.lists(LABELS, min_size=len(order), max_size=len(order), unique=True)
     )
-    return FixedPointSystem.from_weights(
-        system.n, [p.weights for p in order], labels=labels
-    )
+    return FixedPointSystem.from_weights(system.n, order, labels=labels)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=8))
 def test_fixed_point_sorts_keeps_duplicates_and_rejects_zero(ws):
-    if 0 in ws:
+    # one point carrying ws, so n = len(ws); no weights at all is n = 0
+    if 0 in ws or not ws:
         with pytest.raises(ValueError):
-            FixedPoint("p", ws)
+            FixedPointSystem(len(ws), (ws,), ("p",))
     else:
-        assert FixedPoint("p", ws).weights == tuple(sorted(ws))
+        system = FixedPointSystem(len(ws), (ws,), ("p",))
+        assert system.points == (tuple(sorted(ws)),)
 
 
 def _reference_key(system):
@@ -82,7 +81,7 @@ def _reference_key(system):
     # (negative count, weights) and keep the smaller
     def rows(s):
         return tuple(
-            sorted((p.weights for p in s.points), key=lambda ws: (lambda_count(ws), ws))
+            sorted(s.points, key=lambda ws: (lambda_count(ws), ws))
         )
 
     return min(rows(system), rows(reverse_action(system)))

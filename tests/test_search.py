@@ -59,6 +59,9 @@ def test_oracle_equivalence_spot_checks():
         SearchConfig(n=2, point_count=3, weight_bound=3, require_effective=False),
         SearchConfig(n=1, point_count=2, weight_bound=4),
         SearchConfig(n=2, point_count=2, weight_bound=4, require_effective=False),
+        # the scopes the dim-6 pair family lives in
+        SearchConfig(n=3, point_count=2, weight_bound=6, require_effective=False),
+        SearchConfig(n=5, point_count=2, weight_bound=3, require_effective=False),
     ]
     for config in configs:
         assert (
@@ -76,6 +79,9 @@ def test_oracle_profile_restriction():
     config = SearchConfig(n=2, point_count=3, weight_bound=3)
     with pytest.raises(ValueError):
         naive_oracle(config, lambda_profile=(0, 1))
+    with pytest.raises(ValueError):
+        # an entry outside 0..n would walk nothing and agree vacuously
+        naive_oracle(config, lambda_profile=(0, 1, 3))
     restricted = naive_oracle(config, lambda_profile=(0, 1, 2))
     assert restricted.survivors == enumerate_systems(config).survivors
 
@@ -353,7 +359,8 @@ def test_classify_dim4_frozen_values():
 
 
 def test_family_builders_validate():
-    assert cp2_family(1, 2).point_by_label("p").weights == (1, 3)
+    family = cp2_family(1, 2)
+    assert family.points[family.labels.index("p")] == (1, 3)
     assert dim6_pair_family(1, 2).n == 3
     with pytest.raises(ValueError):
         cp2_family(0, 1)
@@ -381,7 +388,7 @@ def test_partial_pool_cascade_at_the_desk_scope():
     )
     assert (len(base), len(with_chern), len(full)) == (588, 1, 0)
     lone = with_chern[0]
-    assert tuple(p.weights for p in lone.points) == (
+    assert lone.points == (
         (-4, 1, 1, 2),
         (-2, -1, 1, 2),
         (-2, -1, -1, 4),
