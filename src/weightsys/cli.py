@@ -93,6 +93,10 @@ def _load_document(path):
             return handle.read()
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            "cannot read %s: not UTF-8 (%s at byte %d)" % (path, exc.reason, exc.start)
+        ) from None
 
 
 def _open_output(path):

@@ -13,12 +13,21 @@ here is approximate and nothing uses floats.  The individual checks:
 * localization: sum over points of 1/(product of weights) must vanish.
   This is the fixed-point expansion of the equivariant integral of 1,
   which lands in negative degree and so is zero on any closed manifold
-  of positive dimension.  Exact rationals (fractions.Fraction) carry
-  the sum.
+  of positive dimension.  The verdict is integer: with P_i the product
+  at point i, the sum vanishes exactly when sum_i prod_{j != i} P_j
+  does.  Exact rationals (fractions.Fraction) appear only in
+  localization_sum, which gives the value of a failing sum for its
+  witness.
 * Chern values: the restriction of the i-th equivariant Chern class to
   a fixed point is the i-th elementary symmetric polynomial of its
   weights; c_1 is the plain weight sum.  For three fixed points and
   n >= 4 the c_1 values must all vanish.
+
+Each of these five verdicts is written once, as a predicate
+holds(n, points) on the ascending weight tuples that builds nothing.
+The search decides candidates with the predicates alone; the report
+functions (pairing_check, ...) take their verdict from the same
+predicate and build a witness and a CheckResult only on failure.
 
 check_system() reads the filter table isotropy.FILTER_CHECKS (these
 checks plus the modular ones, in the order the search applies them),
@@ -28,10 +37,12 @@ then adds the largest-weight relations, into one ConstraintReport.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .core import FixedPointSystem, effectivity_gcd, lambda_count
 
@@ -99,8 +110,7 @@ def _result(check_id: str, verdict: str, witness: dict | None = None) -> CheckRe
 
 @lru_cache(maxsize=None)
 def _plain_result(check_id: str, verdict: str) -> CheckResult:
-    # results are frozen, so the witness-free ones are shared: the filter
-    # builds one per check per candidate
+    # results are frozen, so the witness-free ones are built once and shared
     return CheckResult(check_id, verdict, ANCHORS[check_id])
 
 
@@ -126,42 +136,69 @@ class ConstraintReport:
         raise KeyError(check_id)
 
 
+def _pairing_holds(n: int, points) -> bool:
+    """The sorted union of the weights equals its own negation."""
+    if sum(map(sum, points)):
+        # a union equal to its negation sums to 0: the cheap test first
+        return False
+    union = sorted(chain.from_iterable(points))
+    return union == [-w for w in reversed(union)]
+
+
 def pairing_check(system: FixedPointSystem) -> CheckResult:
     """Union multiset of all weights must equal its own negation."""
+    if _pairing_holds(system.n, system.points):
+        return _result("pairing", PASS)
     counts = Counter(system.all_weights())
-    for l in sorted({abs(w) for w in counts}):
-        if counts[l] != counts[-l]:
-            # smallest |l| witness, so fixtures stay stable
-            return _result(
-                "pairing",
-                FAIL,
-                {"l": l, "count_pos": counts[l], "count_neg": counts[-l]},
-            )
-    return _result("pairing", PASS)
+    # smallest |l| witness, so fixtures stay stable
+    l = min(abs(w) for w in counts if counts[w] != counts[-w])
+    return _result(
+        "pairing",
+        FAIL,
+        {"l": l, "count_pos": counts[l], "count_neg": counts[-l]},
+    )
+
+
+def _lambda_symmetry_holds(n: int, points) -> bool:
+    """The negative counts of the ascending points, sorted, read the same
+    after i -> n - i."""
+    lams = sorted([bisect_left(ws, 0) for ws in points])
+    return lams == [n - lam for lam in reversed(lams)]
 
 
 def lambda_symmetry_check(system: FixedPointSystem) -> CheckResult:
     """#{points with lambda = i} = #{points with lambda = n - i} for all i."""
     n = system.n
+    if _lambda_symmetry_holds(n, system.points):
+        return _result("lambda_symmetry", PASS)
     counts = Counter(map(lambda_count, system.points))
-    for i in range(n + 1):
-        if counts[i] != counts[n - i]:
-            return _result(
-                "lambda_symmetry",
-                FAIL,
-                {"i": i, "count_i": counts[i], "count_n_minus_i": counts[n - i]},
-            )
-    return _result("lambda_symmetry", PASS)
+    i = next(i for i in range(n + 1) if counts[i] != counts[n - i])
+    return _result(
+        "lambda_symmetry",
+        FAIL,
+        {"i": i, "count_i": counts[i], "count_n_minus_i": counts[n - i]},
+    )
+
+
+def _parity_holds(n: int, points) -> bool:
+    k = len(points)
+    return k != 1 and (k % 2 == 0 or n % 2 == 0)
 
 
 def parity_check(system: FixedPointSystem) -> CheckResult:
     """Odd point count forces n even; one fixed point is never possible."""
-    k = len(system.points)
-    if k == 1:
-        return _result("parity", FAIL, {"points": 1, "n": system.n})
-    if k % 2 == 1 and system.n % 2 == 1:
-        return _result("parity", FAIL, {"points": k, "n": system.n})
-    return _result("parity", PASS)
+    if _parity_holds(system.n, system.points):
+        return _result("parity", PASS)
+    return _result("parity", FAIL, {"points": len(system.points), "n": system.n})
+
+
+def _localization_holds(n: int, points) -> bool:
+    """sum_i 1/P_i = 0, cross-multiplied: sum_i prod_{j != i} P_j = 0,
+    P_i the weight product at point i (never 0, so each divides the full
+    product exactly)."""
+    products = [math.prod(ws) for ws in points]
+    full = math.prod(products)
+    return sum([full // p for p in products]) == 0
 
 
 def localization_sum(system: FixedPointSystem) -> Fraction:
@@ -173,10 +210,9 @@ def localization_sum(system: FixedPointSystem) -> Fraction:
 
 
 def localization_check(system: FixedPointSystem) -> CheckResult:
-    total = localization_sum(system)
-    if total != 0:
-        return _result("localization", FAIL, {"sum": str(total)})
-    return _result("localization", PASS)
+    if _localization_holds(system.n, system.points):
+        return _result("localization", PASS)
+    return _result("localization", FAIL, {"sum": str(localization_sum(system))})
 
 
 def chern1_at(ms: tuple[int, ...]) -> int:
@@ -201,15 +237,27 @@ def chern_i_at(ms: tuple[int, ...], i: int) -> int:
     return coeffs[i]
 
 
+def _chern1_binds(n: int, points) -> bool:
+    return len(points) == 3 and n >= 4
+
+
+def _chern1_vanishing_holds(n: int, points) -> bool:
+    """c_1 = 0 at every point wherever that binds."""
+    return not _chern1_binds(n, points) or not any(map(sum, points))
+
+
 def chern1_vanishing_check(system: FixedPointSystem) -> CheckResult:
     """c_1 = 0 at every point; only binding for 3 points and n >= 4."""
-    if len(system.points) != 3 or system.n < 4:
+    if not _chern1_binds(system.n, system.points):
         return _result("chern1_vanishing", NOT_APPLICABLE)
-    for label, ws in zip(system.labels, system.points):
-        c1 = chern1_at(ws)
-        if c1 != 0:
-            return _result("chern1_vanishing", FAIL, {"label": label, "c1": c1})
-    return _result("chern1_vanishing", PASS)
+    if _chern1_vanishing_holds(system.n, system.points):
+        return _result("chern1_vanishing", PASS)
+    label, c1 = next(
+        (label, chern1_at(ws))
+        for label, ws in zip(system.labels, system.points)
+        if chern1_at(ws) != 0
+    )
+    return _result("chern1_vanishing", FAIL, {"label": label, "c1": c1})
 
 
 def _effectivity_check(system: FixedPointSystem) -> CheckResult:
@@ -233,7 +281,7 @@ def check_system(
 
     checks = [
         check(system)
-        for check_id, check in isotropy.FILTER_CHECKS
+        for check_id, check, _ in isotropy.FILTER_CHECKS
         if check_id != "effectivity"
     ]
     checks.extend(isotropy.structure_relation_checks(system))

@@ -54,6 +54,14 @@ def parse_system(document) -> FixedPointSystem:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise DocumentError("invalid JSON: %s" % exc) from None
+        except RecursionError:
+            raise DocumentError("invalid JSON: nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise DocumentError("invalid JSON: undecodable bytes (%s)" % exc.reason) from None
+        except ValueError:
+            # what json raises for an integer literal past the interpreter's
+            # int/str digit limit (4,300 by default), which stays as it is
+            raise DocumentError("invalid JSON: integer literal too long") from None
     if not isinstance(document, dict):
         raise DocumentError("document must be a JSON object")
     for field in ("dim", "points"):

@@ -52,7 +52,12 @@ from .constraints import (
     NOT_APPLICABLE,
     PASS,
     CheckResult,
+    _chern1_vanishing_holds,
     _effectivity_check,
+    _lambda_symmetry_holds,
+    _localization_holds,
+    _pairing_holds,
+    _parity_holds,
     _result,
     chern1_at,
     chern1_vanishing_check,
@@ -318,7 +323,7 @@ def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
     Binding only for 3-point systems whose union multiset passes the
     pairing check; otherwise not-applicable.
     """
-    if len(system.points) != 3 or pairing_check(system).verdict != PASS:
+    if len(system.points) != 3 or not _pairing_holds(system.n, system.points):
         return _result("largest_weight_structure", NOT_APPLICABLE)
 
     d, sv, sw = _largest_weight_holders(system)
@@ -514,15 +519,19 @@ def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
 
 
 # The filter: every necessary condition the search, the oracle, the replay
-# pools and check_system apply, as (check_id, check) in the order they are
-# tried.  A failing system is attributed to the first check it fails.
+# pools and check_system apply, as (check_id, check, holds) in the order they
+# are tried.  A failing system is attributed to the first check it fails.
+# check(system) is the report; holds(n, points) is the same verdict on the
+# ascending weight tuples alone, building nothing, and None where the
+# verdict needs the whole system.  The checks with a holds come first, so
+# most candidates are decided before a system is built.
 FILTER_CHECKS = (
-    ("pairing", pairing_check),
-    ("lambda_symmetry", lambda_symmetry_check),
-    ("parity", parity_check),
-    ("localization", localization_check),
-    ("chern1_vanishing", chern1_vanishing_check),
-    ("largest_weight_structure", largest_weight_structure),
-    ("isotropy", isotropy_consistency_check),
-    ("effectivity", _effectivity_check),
+    ("pairing", pairing_check, _pairing_holds),
+    ("lambda_symmetry", lambda_symmetry_check, _lambda_symmetry_holds),
+    ("parity", parity_check, _parity_holds),
+    ("localization", localization_check, _localization_holds),
+    ("chern1_vanishing", chern1_vanishing_check, _chern1_vanishing_holds),
+    ("largest_weight_structure", largest_weight_structure, None),
+    ("isotropy", isotropy_consistency_check, None),
+    ("effectivity", _effectivity_check, None),
 )

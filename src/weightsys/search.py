@@ -43,10 +43,15 @@ are the same system, so the oracle iterates multisets; the 1e8 guard is
 on the number of candidates so walked.
 
 The enumerator, the oracle and the replay premise pools share one sieve
-(_sieve: build the system, find its first failing check, keep the
-canonical key of a survivor) and differ only in their generators: the
-d-branches or staged generation, the raw product, and staged generation
-under a subset of the checks.
+(_sieve: find each candidate's first failing check, keep the canonical
+key of a survivor) and differ only in their generators: the d-branches
+or staged generation, the raw product, and staged generation under a
+subset of the checks.  The sieve decides on the candidate's ascending
+weight tuples: pairing, lambda symmetry, parity, localization (integer
+cross-multiplication) and c_1 vanishing are predicates on the tuples, and
+a FixedPointSystem is built only past them, for the largest-weight,
+isotropy and effectivity checks and for a survivor's key.
+first_failure runs the same loop on a system already built.
 
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
@@ -183,6 +188,46 @@ class SearchOutcome:
     stats: SearchStats
 
 
+def _filter_plan(require_effective: bool, check_ids=None):
+    """The FILTER_CHECKS entries to run, in order.
+
+    check_ids restricts the filter to a subset (used by the replay pools);
+    an id outside FILTER_CHECKS raises ValueError, since a misspelt premise
+    would silently weaken the filter.  Effectivity is skipped unless
+    required.
+    """
+    if check_ids is not None:
+        unknown = set(check_ids).difference(cid for cid, _, _ in FILTER_CHECKS)
+        if unknown:
+            raise ValueError("unknown check id(s): %s" % ", ".join(sorted(unknown)))
+    return tuple(
+        entry
+        for entry in FILTER_CHECKS
+        if (check_ids is None or entry[0] in check_ids)
+        and (require_effective or entry[0] != "effectivity")
+    )
+
+
+def _first_failing(n, points, plan, system=None):
+    """(id of the first check in plan that fails, system) for the ascending
+    weight tuples points.
+
+    A check with a tuple predicate is decided on the tuples; the system is
+    built (unless given) only when a check that needs it is reached, and
+    is returned so the caller can reuse it (None if never built).
+    """
+    for check_id, check, holds in plan:
+        if holds is not None:
+            if not holds(n, points):
+                return check_id, system
+            continue
+        if system is None:
+            system = FixedPointSystem.from_weights(n, points)
+        if check(system).verdict == FAIL:
+            return check_id, system
+    return None, system
+
+
 def first_failure(
     system: FixedPointSystem, require_effective: bool, check_ids=None
 ) -> str | None:
@@ -190,16 +235,10 @@ def first_failure(
 
     check_ids restricts the filter to a subset (used by the replay pools);
     omitted means the full enumeration filter.  Effectivity is skipped
-    unless required.
+    unless required.  Unknown check ids raise ValueError.
     """
-    for check_id, check in FILTER_CHECKS:
-        if check_ids is not None and check_id not in check_ids:
-            continue
-        if check_id == "effectivity" and not require_effective:
-            continue
-        if check(system).verdict == FAIL:
-            return check_id
-    return None
+    plan = _filter_plan(require_effective, check_ids)
+    return _first_failing(system.n, system.points, plan, system)[0]
 
 
 def _profiles(n: int, point_count: int, restricted: bool):
@@ -349,22 +388,26 @@ def _staged_candidates(n, point_count, bound, profile, chern_on, pairing_complet
 def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
     """Canonical keys of the candidates that pass the filter.
 
-    The one loop the enumerator, the oracle and the replay pools share:
-    build the system, find its first failing check, keep the canonical
-    key of a survivor.  With stats, every candidate counts as a node and
-    every failure is bucketed by the parity of its largest |weight|, read
-    off the ends of the ascending point tuples.
+    The one loop the enumerator, the oracle and the replay pools share.
+    Each candidate is a tuple of ascending weight tuples and is decided on
+    them: a system is built only once it passes the tuple predicates
+    (pairing, lambda symmetry, parity, localization, c_1), for the checks
+    that need it and for the canonical key of a survivor.  With stats,
+    every candidate counts as a node and every failure is bucketed by the
+    parity of its largest |weight|.
     """
+    plan = _filter_plan(require_effective, check_ids)
     keys = set()
     nodes = 0
-    for ws_tuple in candidates:
+    for points in candidates:
         nodes += 1
-        system = FixedPointSystem.from_weights(n, ws_tuple)
-        failed = first_failure(system, require_effective, check_ids)
+        failed, system = _first_failing(n, points, plan)
         if failed is None:
+            if system is None:
+                system = FixedPointSystem.from_weights(n, points)
             keys.add(canonicalize(system))
         elif stats is not None:
-            largest = max(max(-ws[0], ws[-1]) for ws in system.points)
+            largest = max(map(abs, chain.from_iterable(points)))
             stats.eliminated["odd" if largest % 2 == 1 else "even"][failed] += 1
     if stats is not None:
         stats.nodes += nodes

@@ -114,6 +114,28 @@ def test_check_exit_2_on_malformed_document(tmp_path, capsys):
     assert "zero weight at p" in capsys.readouterr().err
 
 
+MALFORMED = {
+    "not_utf8": b'{"dim": 2, "points": [{"label": "\xff", "weights": [1]}]}',
+    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
+    "integer_too_long": b'{"dim": ' + b"9" * 5000 + b', "points": []}',
+}
+
+
+@pytest.mark.parametrize("command", ["check", "graph"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_bytes_exit_2_with_one_error_line(tmp_path, capsys, command, name):
+    path = tmp_path / (name + ".json")
+    path.write_bytes(MALFORMED[name])
+    argv = [command, str(path)]
+    if command == "graph":
+        argv += ["--dot", str(tmp_path / "out.dot")]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
 def test_check_exit_2_on_missing_file(capsys):
     assert run_cli(["check", "/no/such/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

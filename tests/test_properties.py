@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
-from weightsys.constraints import check_system  # noqa: E402
+from weightsys.constraints import FAIL, check_system  # noqa: E402
 from weightsys.core import (  # noqa: E402
     FixedPointSystem,
     canonicalize,
@@ -15,6 +15,7 @@ from weightsys.core import (  # noqa: E402
     reverse_action,
 )
 from weightsys.documents import emit_system, parse_system, render_json  # noqa: E402
+from weightsys.isotropy import FILTER_CHECKS  # noqa: E402
 from weightsys.search import cp2_family, dim6_pair_family, first_failure  # noqa: E402
 
 LABELS = st.sampled_from(("p", "q", "r", "x", "y", "z", "p1", "p2", "long label"))
@@ -105,7 +106,14 @@ def test_system_documents_round_trip(system):
 @given(filter_systems(), st.booleans())
 def test_first_failure_none_exactly_when_check_system_passes(system, effective):
     report = check_system(system, require_effective=effective)
-    assert (first_failure(system, effective) is None) == report.overall
+    failed = first_failure(system, effective)
+    assert (failed is None) == report.overall
+    # and it names the first filter check the report fails
+    filter_ids = {check_id for check_id, _, _ in FILTER_CHECKS}
+    assert failed == next(
+        (c.check_id for c in report.checks if c.check_id in filter_ids and c.verdict == FAIL),
+        None,
+    )
 
 
 @given(filter_systems(), st.data())

@@ -11,7 +11,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from weightsys.constraints import check_system
+from weightsys import constraints
+from weightsys.constraints import FAIL, CheckResult, check_system
 from weightsys.core import FixedPointSystem, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
 from weightsys.isotropy import FILTER_CHECKS
@@ -62,12 +63,13 @@ def test_oracle_equivalence_spot_checks():
         # the scopes the dim-6 pair family lives in
         SearchConfig(n=3, point_count=2, weight_bound=6, require_effective=False),
         SearchConfig(n=5, point_count=2, weight_bound=3, require_effective=False),
+        SearchConfig(n=4, point_count=2, weight_bound=5, require_effective=False),
     ]
     for config in configs:
-        assert (
-            enumerate_systems(config).survivors
-            == naive_oracle(config).survivors
-        )
+        oracle = naive_oracle(config)
+        assert enumerate_systems(config).survivors == oracle.survivors
+    # the last scope walks C(13, 4)**2 multiset pairs, none consistent
+    assert (oracle.stats.nodes, oracle.survivors) == (511225, ())
 
 
 def test_oracle_guard():
@@ -171,7 +173,7 @@ PRUNE_LATTICE_STATISTICS = {
 }
 
 _PRUNES = tuple(f.name for f in fields(PruneFlags))
-_KILLS = tuple(check_id for check_id, _ in FILTER_CHECKS if check_id != "effectivity")
+_KILLS = tuple(check_id for check_id, _, _ in FILTER_CHECKS if check_id != "effectivity")
 
 
 def _lattice_row(outcome):
@@ -318,14 +320,31 @@ def _guard_candidates():
         yield FixedPointSystem.from_weights(3, ws)
 
 
+_FILTER_IDS = frozenset(check_id for check_id, _, _ in FILTER_CHECKS)
+
+
+def _first_reported_failure(report):
+    """Id of the first filter check the report fails, or None."""
+    return next(
+        (c.check_id for c in report.checks if c.check_id in _FILTER_IDS and c.verdict == FAIL),
+        None,
+    )
+
+
+def _assert_same_first_failure(system, effective):
+    failed = first_failure(system, effective)
+    report = check_system(system, require_effective=effective)
+    assert (failed is None) == report.overall, (system, effective)
+    assert failed == _first_reported_failure(report), (system, effective)
+    return failed
+
+
 def test_first_failure_agrees_with_check_system():
     killed = Counter()
     survivors = 0
     for system in _guard_candidates():
         for effective in (False, True):
-            failed = first_failure(system, effective)
-            report = check_system(system, require_effective=effective)
-            assert (failed is None) == report.overall, (system, effective)
+            failed = _assert_same_first_failure(system, effective)
             killed[failed] += 1
             survivors += failed is None
     assert survivors > 0
@@ -336,6 +355,65 @@ def test_first_failure_agrees_with_check_system():
         "isotropy",
         "effectivity",
     } <= set(killed)
+
+
+def test_first_failure_names_the_reported_failure_on_raw_oracle_candidates():
+    # every raw oracle candidate of the 3-point scopes n <= 2, W <= 3: the
+    # failures pairing and the tuple predicates let through reach the rest
+    killed = Counter()
+    for n in (1, 2):
+        values = (-3, -2, -1, 1, 2, 3)
+        for ws in product(combinations_with_replacement(values, n), repeat=3):
+            system = FixedPointSystem.from_weights(n, ws)
+            for effective in (False, True):
+                killed[_assert_same_first_failure(system, effective)] += 1
+    # pairing kills every n=1 candidate; at n=2 a paired union of three
+    # points always has a symmetric lambda profile
+    assert killed == {"pairing": 18336, "localization": 582, None: 36}
+
+
+def test_unknown_check_ids_raise():
+    system = cp2_family(1, 2)
+    with pytest.raises(ValueError, match="pairng"):
+        first_failure(system, False, ("pairng",))
+    assert first_failure(system, False, ("pairing",)) is None
+    # a misspelt premise would make the pool, and every replay on it, weaker
+    with pytest.raises(ValueError, match="localisation"):
+        _partial_pool(2, 3, 3, ("pairing", "localisation"))
+    assert len(_partial_pool(2, 3, 3, ("pairing", "localization"))) == 2
+
+
+def test_sieve_builds_no_object_for_a_cheap_failure(monkeypatch):
+    # a candidate failing a tuple predicate gets no system, no witnessed
+    # CheckResult and no Fraction: a system is built once for each candidate
+    # that reaches the deeper checks, and a witness for each one they kill
+    systems, witnessed = [], []
+    from_weights = FixedPointSystem.__dict__["from_weights"].__func__
+
+    def counting_system(cls, *args, **kwargs):
+        systems.append(args)
+        return from_weights(cls, *args, **kwargs)
+
+    def counting_result(check_id, verdict, anchor, witness=None):
+        if witness is not None:
+            witnessed.append(check_id)
+        return CheckResult(check_id, verdict, anchor, witness)
+
+    def no_fraction(*args):
+        raise AssertionError("the sieve built a Fraction")
+
+    monkeypatch.setattr(FixedPointSystem, "from_weights", classmethod(counting_system))
+    monkeypatch.setattr(constraints, "CheckResult", counting_result)
+    monkeypatch.setattr(constraints, "Fraction", no_fraction)
+    outcome = naive_oracle(SearchConfig(n=3, point_count=2, weight_bound=4))
+    killed = outcome.stats.eliminated["odd"] + outcome.stats.eliminated["even"]
+    cheap = sum(killed[check_id] for check_id, _, holds in FILTER_CHECKS if holds)
+    deep = sum(killed.values()) - cheap
+    assert (outcome.stats.nodes, cheap, deep) == (14400, 14280, 100)
+    assert len(systems) == outcome.stats.nodes - cheap
+    assert Counter(witnessed) == Counter(
+        {check_id: killed[check_id] for check_id, _, holds in FILTER_CHECKS if not holds}
+    )
 
 
 def test_classify_dim4_frozen_values():
