@@ -3,7 +3,6 @@ for the fixed-point weight data of circle actions."""
 
 from .constraints import ConstraintReport, check_system
 from .core import (
-    CanonicalKey,
     FixedPointSystem,
     canonicalize,
     effectivity_gcd,
@@ -22,7 +21,6 @@ from .search import (
 )
 
 __all__ = [
-    "CanonicalKey",
     "ConstraintReport",
     "FixedPointSystem",
     "SearchConfig",

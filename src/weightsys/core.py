@@ -17,8 +17,9 @@ Conventions fixed once, here:
 * Canonical form: weights sorted ascending inside a point, points sorted
   by (lambda_count, weight sequence), and a whole system is identified
   with its image under reversing the circle direction (global negation)
-  by keeping the lexicographically smaller of the two.  Canonical keys
-  are what the search layer dedups on.
+  by keeping the lexicographically smaller of the two.  The search layer
+  dedups its survivors on the canonical point tuples and builds one
+  canonical FixedPointSystem per distinct survivor.
 
 Weights are ordinary Python ints, so arbitrary precision comes for free;
 products of weights grow fast with n and must never wrap.
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "FixedPointSystem",
-    "CanonicalKey",
     "lambda_count",
     "largest_weight",
     "reverse_action",
@@ -45,8 +45,8 @@ class FixedPointSystem:
     """Half-dimension n, one weight multiset and one label per point.
 
     points holds each multiset as the ascending tuple of its nonzero ints
-    (the shape of CanonicalKey.points) and labels the distinct label of
-    each point, in the same order.  Every point must carry exactly n
+    (the shape the search works on) and labels the distinct label of each
+    point, in the same order.  Every point must carry exactly n
     weights.  Point order is whatever the caller chose; canonicalize() is
     the one place that imposes an order.
     """
@@ -99,24 +99,6 @@ def default_labels(count: int) -> tuple[str, ...]:
     return tuple("p%d" % i for i in range(1, count + 1))
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
-    """Normal form of a system: reversal-reduced, relabel-free.
-
-    points holds the weight tuples sorted by (negative count, sequence);
-    of the system and its reversal, the lexicographically smaller tuple
-    of tuples is kept.  Two systems get equal keys exactly when they
-    differ by point relabeling/permutation and/or reversing the action.
-    """
-
-    n: int
-    points: tuple[tuple[int, ...], ...]
-
-    def system(self) -> FixedPointSystem:
-        """The representative FixedPointSystem, labeled p, q, r, ..."""
-        return FixedPointSystem.from_weights(self.n, self.points)
-
-
 def lambda_count(ws: tuple[int, ...]) -> int:
     """Number of negative weights, with multiplicity (un-doubled index)."""
     return sum(1 for w in ws if w < 0)
@@ -141,14 +123,20 @@ def _sorted_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(rows, key=lambda ws: (lambda_count(ws), ws)))
 
 
-def canonicalize(system) -> CanonicalKey:
-    """Canonical key of a system (idempotent; accepts a key unchanged)."""
-    if isinstance(system, CanonicalKey):
-        return system
-    forward = _sorted_rows(system.points)
+def _canonical_points(points) -> tuple[tuple[int, ...], ...]:
+    """Canonical order of ascending weight tuples: points sorted by
+    (negative count, sequence), of the tuples and their reversal the
+    lexicographically smaller kept.  Equal exactly when two systems differ
+    by point relabeling/permutation and/or reversing the action."""
+    forward = _sorted_rows(points)
     # negating an ascending tuple and reading it backwards keeps it ascending
-    backward = _sorted_rows(tuple(-w for w in reversed(ws)) for ws in system.points)
-    return CanonicalKey(system.n, min(forward, backward))
+    backward = _sorted_rows(tuple(-w for w in reversed(ws)) for ws in points)
+    return min(forward, backward)
+
+
+def canonicalize(system: FixedPointSystem) -> FixedPointSystem:
+    """The canonical representative of a system, labeled p, q, r, ..."""
+    return FixedPointSystem.from_weights(system.n, _canonical_points(system.points))
 
 
 def effectivity_gcd(system: FixedPointSystem) -> int:

@@ -151,7 +151,7 @@ def emit_search_document(config, outcome) -> dict:
             "effective": config.require_effective,
         },
         "survivor_count": len(outcome.survivors),
-        "survivors": [emit_system(key.system()) for key in outcome.survivors],
+        "survivors": [emit_system(system) for system in outcome.survivors],
         "statistics": {
             "nodes": outcome.stats.nodes,
             "pruned": _counter_dict(outcome.stats.pruned),

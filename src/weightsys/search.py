@@ -44,14 +44,16 @@ on the number of candidates so walked.
 
 The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: find each candidate's first failing check, keep the canonical
-key of a survivor) and differ only in their generators: the d-branches
-or staged generation, the raw product, and staged generation under a
-subset of the checks.  The sieve decides on the candidate's ascending
-weight tuples: pairing, lambda symmetry, parity, localization (integer
-cross-multiplication) and c_1 vanishing are predicates on the tuples, and
-a FixedPointSystem is built only past them, for the largest-weight,
-isotropy and effectivity checks and for a survivor's key.
-first_failure runs the same loop on a system already built.
+point tuples of a survivor) and differ only in their generators: the
+d-branches or staged generation, the raw product, and staged generation
+under a subset of the checks.  The sieve decides on the candidate's
+ascending weight tuples: pairing, lambda symmetry, parity, localization
+(integer cross-multiplication) and c_1 vanishing are predicates on the
+tuples, and a FixedPointSystem is built only past them, for the
+largest-weight, isotropy and effectivity checks.  Survivors stay canonical
+tuples until they leave the search, where one FixedPointSystem is built
+per distinct survivor.  first_failure runs the same loop on a system's
+points.
 
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
@@ -62,6 +64,7 @@ assertion; replay_lemma alone counts them and records the failures.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -75,13 +78,7 @@ from .constraints import (
     lambda_symmetry_check,
     pairing_check,
 )
-from .core import (
-    CanonicalKey,
-    FixedPointSystem,
-    canonicalize,
-    lambda_count,
-    largest_weight,
-)
+from .core import FixedPointSystem, _canonical_points, lambda_count, largest_weight
 from .isotropy import (
     FILTER_CHECKS,
     _largest_weight_holders,
@@ -184,8 +181,13 @@ class SearchStats:
 
 @dataclass
 class SearchOutcome:
-    survivors: tuple[CanonicalKey, ...]
+    survivors: tuple[FixedPointSystem, ...]
     stats: SearchStats
+
+
+def _systems(n, survivors) -> tuple[FixedPointSystem, ...]:
+    """One system per distinct canonical point tuple, in sorted order."""
+    return tuple(FixedPointSystem.from_weights(n, pts) for pts in sorted(survivors))
 
 
 def _filter_plan(require_effective: bool, check_ids=None):
@@ -208,24 +210,24 @@ def _filter_plan(require_effective: bool, check_ids=None):
     )
 
 
-def _first_failing(n, points, plan, system=None):
-    """(id of the first check in plan that fails, system) for the ascending
-    weight tuples points.
+def _first_failing(n, points, plan):
+    """Id of the first check in plan that the ascending weight tuples
+    points fail, or None.
 
-    A check with a tuple predicate is decided on the tuples; the system is
-    built (unless given) only when a check that needs it is reached, and
-    is returned so the caller can reuse it (None if never built).
+    A check with a tuple predicate is decided on the tuples; a system is
+    built only when a check that needs it is reached.
     """
+    system = None
     for check_id, check, holds in plan:
         if holds is not None:
             if not holds(n, points):
-                return check_id, system
+                return check_id
             continue
         if system is None:
             system = FixedPointSystem.from_weights(n, points)
         if check(system).verdict == FAIL:
-            return check_id, system
-    return None, system
+            return check_id
+    return None
 
 
 def first_failure(
@@ -238,7 +240,7 @@ def first_failure(
     unless required.  Unknown check ids raise ValueError.
     """
     plan = _filter_plan(require_effective, check_ids)
-    return _first_failing(system.n, system.points, plan, system)[0]
+    return _first_failing(system.n, system.points, plan)
 
 
 def _profiles(n: int, point_count: int, restricted: bool):
@@ -260,13 +262,16 @@ def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
             yield negs + poss
 
 
-def _pairing_completions(existing, n, lam, max_val, chern_on, stats):
+def _pairing_completions(existing, n, lam, max_val, stats):
     """Multisets closing the pairing imbalance of `existing`.
 
     The imbalance forces a minimum content; the leftover slots must split
     into {l, -l} pairs with l <= max_val.  lam pins the negative count,
     which pins the pair count, so feasibility is a handful of integer
-    checks before any enumeration happens.
+    checks before any enumeration happens.  Every generator bounds the
+    other points by max_val (in a d-branch, +-d sits at v and w and
+    cancels), so the forced values need no bound check; and when c_1 is
+    cut, every other point already has c_1 = 0, so sum(forced) = 0.
     """
     cnt = Counter(existing)
     forced = []
@@ -278,15 +283,9 @@ def _pairing_completions(existing, n, lam, max_val, chern_on, stats):
         elif delta < 0:
             forced.extend([-l] * (-delta))
             neg_forced += -delta
-    if forced and max(abs(v) for v in forced) > max_val:
-        stats.pruned["pairing_completion"] += 1
-        return
     rest = n - len(forced)
     if rest < 0 or rest % 2 == 1 or lam != neg_forced + rest // 2:
         stats.pruned["pairing_completion"] += 1
-        return
-    if chern_on and sum(forced) != 0:
-        stats.pruned["chern_linear"] += 1
         return
     pairs = rest // 2
     for pvals in combinations_with_replacement(range(1, max_val + 1), pairs):
@@ -321,7 +320,7 @@ def _last_points(others, n, lam, max_val, chern_on, pairing_complete, stats):
     """The last point's multisets given the other points' multisets:
     closed from their pairing imbalance, or every free multiset."""
     if pairing_complete:
-        return _pairing_completions(sum(others, ()), n, lam, max_val, chern_on, stats)
+        return _pairing_completions(sum(others, ()), n, lam, max_val, stats)
     return _free_points(n, lam, max_val, chern_on, stats)
 
 
@@ -386,32 +385,31 @@ def _staged_candidates(n, point_count, bound, profile, chern_on, pairing_complet
 
 
 def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
-    """Canonical keys of the candidates that pass the filter.
+    """Canonical point tuples of the candidates that pass the filter.
 
     The one loop the enumerator, the oracle and the replay pools share.
     Each candidate is a tuple of ascending weight tuples and is decided on
     them: a system is built only once it passes the tuple predicates
     (pairing, lambda symmetry, parity, localization, c_1), for the checks
-    that need it and for the canonical key of a survivor.  With stats,
+    that need it.  A survivor is kept as its canonical tuples; the callers
+    build the systems where survivors leave the search.  With stats,
     every candidate counts as a node and every failure is bucketed by the
     parity of its largest |weight|.
     """
     plan = _filter_plan(require_effective, check_ids)
-    keys = set()
+    survivors = set()
     nodes = 0
     for points in candidates:
         nodes += 1
-        failed, system = _first_failing(n, points, plan)
+        failed = _first_failing(n, points, plan)
         if failed is None:
-            if system is None:
-                system = FixedPointSystem.from_weights(n, points)
-            keys.add(canonicalize(system))
+            survivors.add(_canonical_points(points))
         elif stats is not None:
             largest = max(map(abs, chain.from_iterable(points)))
             stats.eliminated["odd" if largest % 2 == 1 else "even"][failed] += 1
     if stats is not None:
         stats.nodes += nodes
-    return keys
+    return survivors
 
 
 def _run_branch(payload):
@@ -431,8 +429,8 @@ def _run_branch(payload):
         flags.pairing_completion,
         stats,
     )
-    keys = _sieve(candidates, config.n, config.require_effective, stats=stats)
-    return keys, stats
+    survivors = _sieve(candidates, config.n, config.require_effective, stats=stats)
+    return survivors, stats
 
 
 def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
@@ -459,16 +457,16 @@ def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_branch, payloads))
 
-    keys: set[CanonicalKey] = set()
+    survivors = set()
     stats = SearchStats()
-    for branch_keys, branch_stats in results:
-        keys.update(branch_keys)
+    for branch_survivors, branch_stats in results:
+        survivors.update(branch_survivors)
         stats.merge(branch_stats)
     if flags.lambda_profile:
         stats.pruned["lambda_profile"] += len(
             _profiles(config.n, config.point_count, False)
         ) - len(profiles)
-    return SearchOutcome(tuple(sorted(keys)), stats)
+    return SearchOutcome(_systems(config.n, survivors), stats)
 
 
 _ORACLE_GUARD = 10**8
@@ -480,7 +478,8 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     No structural pruning at all - every candidate is built and pushed
     through the same filter the enumerator uses.  Weight order inside a
     point is meaningless (points carry multisets), so the walk is over
-    per-point multisets; the 1e8 guard caps their product.  An optional
+    per-point multisets; the 1e8 guard caps their product, which is
+    counted with math.comb before any multiset is listed.  An optional
     lambda_profile (one negative-count per point, sorted) restricts each
     point's multisets, which is how scopes otherwise past the guard get
     spot-checked.  Single-threaded on purpose.
@@ -491,26 +490,30 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
             raise ValueError("lambda_profile length must equal point_count")
         if not all(0 <= lam <= n for lam in lambda_profile):
             raise ValueError("lambda_profile entries must lie in 0..n")
-        per_point = [
-            list(_signed_multisets(lam, n - lam, bound)) for lam in lambda_profile
-        ]
+        # lam negatives from [-W, -1] and n - lam positives from [1, W]
+        space = math.prod(
+            math.comb(bound + lam - 1, lam) * math.comb(bound + n - lam - 1, n - lam)
+            for lam in lambda_profile
+        )
     else:
-        values = list(range(-bound, 0)) + list(range(1, bound + 1))
-        all_multisets = list(combinations_with_replacement(values, n))
-        per_point = [all_multisets] * config.point_count
-
-    space = 1
-    for choices in per_point:
-        space *= len(choices)
+        space = math.comb(2 * bound + n - 1, n) ** config.point_count
     if space > _ORACLE_GUARD:
         raise SearchSpaceError(
             "oracle space has %d candidates (> %d); shrink n or the bound, "
             "or restrict the lambda profile" % (space, _ORACLE_GUARD)
         )
 
+    if lambda_profile is not None:
+        candidates = product(
+            *(_signed_multisets(lam, n - lam, bound) for lam in lambda_profile)
+        )
+    else:
+        values = list(range(-bound, 0)) + list(range(1, bound + 1))
+        multisets = combinations_with_replacement(values, n)
+        candidates = product(multisets, repeat=config.point_count)
     stats = SearchStats()
-    keys = _sieve(product(*per_point), n, config.require_effective, stats=stats)
-    return SearchOutcome(tuple(sorted(keys)), stats)
+    survivors = _sieve(candidates, n, config.require_effective, stats=stats)
+    return SearchOutcome(_systems(n, survivors), stats)
 
 
 def cp2_family(a: int, b: int) -> FixedPointSystem:
@@ -545,8 +548,8 @@ def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
     )
     outcome = enumerate_systems(config, workers=workers)
     families = []
-    for key in outcome.survivors:
-        (p0, p1, p2) = key.points
+    for system in outcome.survivors:
+        (p0, p1, p2) = system.points
         a, top = p0
         b = top - a
         if (
@@ -556,7 +559,7 @@ def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
             or p2 != tuple(sorted((-b, -a - b)))
         ):
             raise FamilyPatternError(
-                "survivor %r is not a projective-plane family" % (key.points,)
+                "survivor %r is not a projective-plane family" % (system.points,)
             )
         families.append((a, b))
     return sorted(families)
@@ -617,14 +620,12 @@ def _partial_pool(n, point_count, bound, checks):
         _staged_candidates(n, point_count, bound, profile, chern_on, True, SearchStats())
         for profile in _profiles(n, point_count, "lambda_symmetry" in checks)
     )
-    keys = _sieve(candidates, n, False, check_ids=checks)
-    return tuple(key.system() for key in sorted(keys))
+    return _systems(n, _sieve(candidates, n, False, check_ids=checks))
 
 
 def _survivor_pool(scope):
-    """The enumerator's survivors, effective or not, as systems."""
-    survivors = enumerate_systems(replace(scope, require_effective=False)).survivors
-    return tuple(key.system() for key in survivors)
+    """The enumerator's survivors, effective or not."""
+    return enumerate_systems(replace(scope, require_effective=False)).survivors
 
 
 def _premise_pool(checks, scope):
@@ -644,8 +645,8 @@ def _family_pool(scope):
 
 
 def _scope_pool(scope):
-    """The scope's own survivors, as systems."""
-    return tuple(key.system() for key in enumerate_systems(scope).survivors)
+    """The scope's own survivors."""
+    return enumerate_systems(scope).survivors
 
 
 _PAIRWISE_PREMISES = ("pairing", "lambda_symmetry", "parity", "localization")
@@ -686,11 +687,9 @@ def _l33(system, scope):
 
 
 def _pairwise(check, system):
-    """One assertion per ordered pair of points the check applies to."""
-    try:
-        d = largest_weight(system)
-    except ValueError:
-        return
+    """One assertion per ordered pair of points the check applies to; the
+    pools pass pairing, so a positive weight exists."""
+    d = largest_weight(system)
     for (v, sv), (w, sw) in permutations(zip(system.labels, system.points), 2):
         got = check(sv, sw, d, system)
         if got.verdict != NOT_APPLICABLE:

@@ -188,8 +188,8 @@ def test_criterion_6_invariance_suite():
     outcome = enumerate_systems(
         SearchConfig(n=2, point_count=3, weight_bound=5, require_effective=False)
     )
-    for key in outcome.survivors:
-        assert canonicalize(reverse_action(key.system())) == key
+    for system in outcome.survivors:
+        assert canonicalize(reverse_action(system)) == system
 
     # pruning toggles change nothing
     base = dict(n=2, point_count=3, weight_bound=4, require_effective=False)

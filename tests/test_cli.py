@@ -136,6 +136,46 @@ def test_malformed_bytes_exit_2_with_one_error_line(tmp_path, capsys, command, n
     assert captured.err.count("\n") == 1, captured.err
 
 
+FOUR_POINTS = {
+    "dim": 4,
+    "points": [
+        {"label": label, "weights": weights}
+        for label, weights in zip("pqrs", ([1, 2], [-1, 2], [-2, 1], [-2, -1]))
+    ],
+}
+
+REFUSALS = {
+    "oracle_space": (
+        ["enumerate", "--oracle", "--n", "9", "--points", "2", "--bound", "8"],
+        "error: oracle space has 1709566710016 candidates (> 100000000)",
+    ),
+    "graph_four_points": (
+        ["graph", "{doc}", "--dot", "{dot}"],
+        "error: the isotropy graph needs at most 3 fixed points",
+    ),
+    "replay_n_0": (
+        ["replay", "--lemma", "l22", "--n", "0", "--bound", "3"],
+        "error: n and bound must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, name):
+    doc = tmp_path / "four.json"
+    doc.write_text(json.dumps(FOUR_POINTS), encoding="utf-8")
+    paths = {"doc": doc, "dot": tmp_path / "out.dot", "out": tmp_path / "out.json"}
+    argv, want = REFUSALS[name]
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] == "enumerate":
+        argv += ["--out", str(paths["out"])]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(want), captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
+
 def test_check_exit_2_on_missing_file(capsys):
     assert run_cli(["check", "/no/such/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -3,7 +3,6 @@
 import pytest
 
 from weightsys.core import (
-    CanonicalKey,
     FixedPointSystem,
     canonicalize,
     default_labels,
@@ -100,14 +99,12 @@ def test_canonicalize_identifies_reversed_actions():
 def test_canonicalize_orders_points_by_lambda_then_weights():
     key = canonicalize(_system(2, (-3, -2), (-1, 2), (1, 3)))
     assert key.points == ((1, 3), (-1, 2), (-3, -2))
-    assert isinstance(key, CanonicalKey)
-    # a key round-trips through a concrete system
-    assert canonicalize(key.system()) == key
+    assert key.labels == ("p", "q", "r")
 
 
 def test_canonical_key_accepted_as_is():
     key = canonicalize(_system(2, (1, 2), (-1, 1), (-2, -1)))
-    assert canonicalize(key) is key
+    assert canonicalize(key) == key
 
 
 def test_swapped_family_parameters_share_a_key():

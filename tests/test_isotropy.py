@@ -209,6 +209,25 @@ def test_component_lambda_relation_worked_example():
     assert got.verdict == PASS
 
 
+def test_component_lambda_relation_fails_and_not_applicable():
+    # residues (1, 1) match mod 3: lhs = 1 - 0, rhs = -(-4 - 2) / 3 = 2
+    got = component_lambda_relation((-5, 1), (1, 1), 3)
+    assert got.verdict == FAIL
+    assert got.witness == {"d": 3, "lhs": 1, "rhs": 2}
+    # residues (1, 2) and (1, 1) differ mod 3
+    got = component_lambda_relation((1, 2), (1, 1), 3)
+    assert got.verdict == NOT_APPLICABLE
+
+
+def test_matching_residues_make_the_c1_difference_divisible():
+    values = [w for w in range(-6, 7) if w]
+    points = list(combinations_with_replacement(values, 2))
+    for d in range(2, 7):
+        for sv, sw in product(points, repeat=2):
+            if residues_match(sv, sw, d):
+                assert (sum(sv) - sum(sw)) % d == 0, (sv, sw, d)
+
+
 def test_component_lambda_relation_on_point_weights():
     system = _t26(2, 3)
     v, w = system.points

@@ -95,7 +95,7 @@ def test_canonicalize_ignores_order_labels_and_direction(system, data):
     moved = _reordered(system, data)
     assert canonicalize(moved) == key
     assert canonicalize(reverse_action(moved)) == key
-    assert canonicalize(key.system()) == key
+    assert canonicalize(key) == key
 
 
 @given(systems(bound=10**12))

@@ -5,8 +5,11 @@ pruning, full product walk) and checked against the structured
 enumerator before being written down.
 """
 
+import re
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
+from math import prod
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -72,9 +75,32 @@ def test_oracle_equivalence_spot_checks():
     assert (oracle.stats.nodes, oracle.survivors) == (511225, ())
 
 
+def _guard_message(space):
+    return re.escape("oracle space has %d candidates (> 100000000)" % space)
+
+
 def test_oracle_guard():
-    with pytest.raises(SearchSpaceError):
+    # the refused space is the product of the per-point multiset counts
+    values = [w for w in range(-8, 9) if w]
+    everything = len(list(combinations_with_replacement(values, 6)))
+    with pytest.raises(SearchSpaceError, match=_guard_message(everything**3)):
         naive_oracle(SearchConfig(n=6, point_count=3, weight_bound=8))
+    profile = (0, 3, 6)
+    space = prod(len(list(_signed_multisets(lam, 6 - lam, 8))) for lam in profile)
+    with pytest.raises(SearchSpaceError, match=_guard_message(space)):
+        naive_oracle(SearchConfig(n=6, point_count=3, weight_bound=8), profile)
+
+
+def test_oracle_guard_refuses_before_listing_candidates():
+    # 1,307,504 multisets per point: listing them would take about 170 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceError, match=_guard_message(1307504**2)):
+            naive_oracle(SearchConfig(n=9, point_count=2, weight_bound=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_oracle_profile_restriction():
@@ -248,7 +274,7 @@ def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
                 lam_c = profile[ic]
                 if pairing_complete:
                     third = _pairing_completions(
-                        ws_a + ws_b, n, lam_c, d - 1, chern_on, SearchStats()
+                        ws_a + ws_b, n, lam_c, d - 1, SearchStats()
                     )
                 else:
                     third = (
@@ -300,9 +326,8 @@ def test_survivors_closed_under_symmetry():
     outcome = enumerate_systems(
         SearchConfig(n=2, point_count=3, weight_bound=5, require_effective=False)
     )
-    for key in outcome.survivors:
-        system = key.system()
-        assert canonicalize(reverse_action(system)) == key
+    for system in outcome.survivors:
+        assert canonicalize(reverse_action(system)) == system
         assert first_failure(reverse_action(system), False) is None
 
 
@@ -386,7 +411,9 @@ def test_unknown_check_ids_raise():
 def test_sieve_builds_no_object_for_a_cheap_failure(monkeypatch):
     # a candidate failing a tuple predicate gets no system, no witnessed
     # CheckResult and no Fraction: a system is built once for each candidate
-    # that reaches the deeper checks, and a witness for each one they kill
+    # that reaches the deeper checks and once for each distinct survivor as
+    # it leaves the search, and a witness for each candidate the deeper
+    # checks kill
     systems, witnessed = [], []
     from_weights = FixedPointSystem.__dict__["from_weights"].__func__
 
@@ -410,7 +437,7 @@ def test_sieve_builds_no_object_for_a_cheap_failure(monkeypatch):
     cheap = sum(killed[check_id] for check_id, _, holds in FILTER_CHECKS if holds)
     deep = sum(killed.values()) - cheap
     assert (outcome.stats.nodes, cheap, deep) == (14400, 14280, 100)
-    assert len(systems) == outcome.stats.nodes - cheap
+    assert len(systems) == outcome.stats.nodes - cheap + len(outcome.survivors) == 130
     assert Counter(witnessed) == Counter(
         {check_id: killed[check_id] for check_id, _, holds in FILTER_CHECKS if not holds}
     )
