@@ -46,14 +46,20 @@ The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: find each candidate's first failing check, keep the canonical
 point tuples of a survivor) and differ only in their generators: the
 d-branches or staged generation, the raw product, and staged generation
-under a subset of the checks.  The sieve decides on the candidate's
-ascending weight tuples: pairing, lambda symmetry, parity, localization
-(integer cross-multiplication) and c_1 vanishing are predicates on the
-tuples, and a FixedPointSystem is built only past them, for the
-largest-weight, isotropy and effectivity checks.  Survivors stay canonical
-tuples until they leave the search, where one FixedPointSystem is built
-per distinct survivor.  first_failure runs the same loop on a system's
-points.
+under a subset of the checks.  A pool whose checks include localization
+also cuts its last point by the weight product that sum_p 1/P_p = 0
+forces from the other points' products (-P1 for two points,
+-P1 P2 / (P1 + P2) for three): every candidate so cut fails the
+localization check the pool's sieve runs, so the pools are unchanged.
+The enumerator's generators make no such cut.
+
+The sieve decides on the candidate's ascending weight tuples: pairing,
+lambda symmetry, parity, localization (integer cross-multiplication)
+and c_1 vanishing are predicates on the tuples, and a FixedPointSystem
+is built only past them, for the largest-weight, isotropy and
+effectivity checks.  Survivors stay canonical tuples until they leave
+the search, where one FixedPointSystem is built per distinct survivor.
+first_failure runs the same loop on a system's points.
 
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
@@ -262,7 +268,7 @@ def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
             yield negs + poss
 
 
-def _pairing_completions(existing, n, lam, max_val, stats):
+def _pairing_completions(existing, n, lam, max_val, stats, target=None):
     """Multisets closing the pairing imbalance of `existing`.
 
     The imbalance forces a minimum content; the leftover slots must split
@@ -272,6 +278,14 @@ def _pairing_completions(existing, n, lam, max_val, stats):
     other points by max_val (in a d-branch, +-d sits at v and w and
     cancels), so the forced values need no bound check; and when c_1 is
     cut, every other point already has c_1 = 0, so sum(forced) = 0.
+
+    A target is the weight product the point must have.  A completion's
+    product is prod(forced) * (-1)^pairs * prod(pair values)^2, so
+    prod(forced) must divide the target, the quotient times (-1)^pairs
+    must be a positive square r^2, and the pair values are exactly the
+    ascending factorizations of r into `pairs` factors in [1, max_val].
+    The completions so dropped are the ones whose product misses the
+    target; no completion that hits it is lost.
     """
     cnt = Counter(existing)
     forced = []
@@ -288,8 +302,32 @@ def _pairing_completions(existing, n, lam, max_val, stats):
         stats.pruned["pairing_completion"] += 1
         return
     pairs = rest // 2
-    for pvals in combinations_with_replacement(range(1, max_val + 1), pairs):
+    if target is None:
+        pair_values = combinations_with_replacement(range(1, max_val + 1), pairs)
+    else:
+        square, left = divmod(target, math.prod(forced))
+        square *= (-1) ** pairs
+        if left or square <= 0 or math.isqrt(square) ** 2 != square:
+            return
+        pair_values = _factorizations(math.isqrt(square), pairs, max_val)
+    for pvals in pair_values:
         yield tuple(sorted(forced + list(pvals) + [-v for v in pvals]))
+
+
+def _factorizations(r, k, hi, lo=1):
+    """Ascending k-tuples of factors in [lo, hi] whose product is r, in
+    lexicographic order."""
+    if k == 0:
+        if r == 1:
+            yield ()
+        return
+    # every later factor is at least f, so f^k <= r
+    f = lo
+    while f <= hi and f**k <= r:
+        if r % f == 0:
+            for tail in _factorizations(r // f, k - 1, hi, f):
+                yield (f,) + tail
+        f += 1
 
 
 def _lifts(classes, down_count, d):
@@ -316,11 +354,14 @@ def _free_points(n, lam, max_val, chern_on, stats):
         yield ws
 
 
-def _last_points(others, n, lam, max_val, chern_on, pairing_complete, stats):
+def _last_points(
+    others, n, lam, max_val, chern_on, pairing_complete, stats, target=None
+):
     """The last point's multisets given the other points' multisets:
-    closed from their pairing imbalance, or every free multiset."""
+    closed from their pairing imbalance (and weight-product target, see
+    _pairing_completions), or every free multiset."""
     if pairing_complete:
-        return _pairing_completions(sum(others, ()), n, lam, max_val, stats)
+        return _pairing_completions(sum(others, ()), n, lam, max_val, stats, target)
     return _free_points(n, lam, max_val, chern_on, stats)
 
 
@@ -365,23 +406,59 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
                     yield tuple(slots)
 
 
-def _staged_candidates(n, point_count, bound, profile, chern_on, pairing_complete, stats):
+def _staged_candidates(
+    n, point_count, bound, profile, chern_on, pairing_complete, stats, localize=False
+):
     """Plain per-point generation (the no-largest-weight-pruning path):
-    free multisets for every point but the last, then the last point."""
-    firsts = _free_points(n, profile[0], bound, chern_on, stats)
+    free multisets for every point but the last, then the last point.
+
+    With localize, the head (the points before the last) fixes the last
+    point's weight product through sum_p 1/P_p = 0 (see _last_product):
+    a head with no integer target is skipped, and the last point is
+    closed against its target.  Only candidates failing the localization
+    check are dropped, so a sieve that runs it keeps the same survivors.
+    """
+    firsts = _with_products(_free_points(n, profile[0], bound, chern_on, stats))
     if point_count == 2:
-        heads = ((ws1,) for ws1 in firsts)
+        heads = (((ws1,), (p1,)) for ws1, p1 in firsts)
     else:
+        # the second point's multisets, listed once: their c_1 cuts count
+        # once per first point, as if listed under each
+        cuts = SearchStats()
+        seconds = _with_products(_free_points(n, profile[1], bound, chern_on, cuts))
+        if firsts:
+            for key, count in cuts.pruned.items():
+                stats.pruned[key] += count * len(firsts)
         heads = (
-            (ws1, ws2)
-            for ws1 in firsts
-            for ws2 in _free_points(n, profile[1], bound, chern_on, stats)
+            ((ws1, ws2), (p1, p2)) for ws1, p1 in firsts for ws2, p2 in seconds
         )
-    for head in heads:
+    for head, products in heads:
+        target = _last_product(products) if localize else None
+        if localize and target is None:
+            continue
         for ws_last in _last_points(
-            head, n, profile[-1], bound, chern_on, pairing_complete, stats
+            head, n, profile[-1], bound, chern_on, pairing_complete, stats, target
         ):
             yield head + (ws_last,)
+
+
+def _with_products(points):
+    """(weights, weight product) for each multiset."""
+    return [(ws, math.prod(ws)) for ws in points]
+
+
+def _last_product(products):
+    """The last point's weight product that sum_p 1/P_p = 0 forces, given
+    the other points' products: -P1 after one point, -P1 P2 / (P1 + P2)
+    after two.  None when no integer fits (P1 + P2 = 0 leaves 1/P3 = 0;
+    an inexact quotient is no weight product)."""
+    if len(products) == 1:
+        return -products[0]
+    p1, p2 = products
+    if p1 + p2 == 0:
+        return None
+    q, left = divmod(-p1 * p2, p1 + p2)
+    return None if left else q
 
 
 def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
@@ -611,13 +688,24 @@ def _partial_pool(n, point_count, bound, checks):
     Generation is staged per lambda profile with the final point closed
     from the pairing imbalance, so "pairing" must be in the check set;
     profiles are restricted only when lambda_symmetry is being assumed.
+    When "localization" is in the set, the final point is also closed
+    against the weight product the others force: sum_p 1/P_p = 0 gives
+    P_last = -P1 after one point and -P1 P2 / (P1 + P2) after two, and a
+    head with P1 + P2 = 0 or an inexact quotient has no completion at
+    all.  The cut is sound because the sieve below runs the full
+    localization check on every candidate, and a candidate the cut drops
+    is one that check rejects: the pool is what the uncut generation
+    gives, at a fraction of the candidates.
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")
     chern_on = "chern1_vanishing" in checks and point_count == 3 and n >= 4
+    localize = "localization" in checks
     # the generators count their cuts; a pool throws the counts away
     candidates = chain.from_iterable(
-        _staged_candidates(n, point_count, bound, profile, chern_on, True, SearchStats())
+        _staged_candidates(
+            n, point_count, bound, profile, chern_on, True, SearchStats(), localize
+        )
         for profile in _profiles(n, point_count, "lambda_symmetry" in checks)
     )
     return _systems(n, _sieve(candidates, n, False, check_ids=checks))

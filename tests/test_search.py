@@ -10,12 +10,12 @@ import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from math import prod
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 
 import pytest
 
 from weightsys import constraints
-from weightsys.constraints import FAIL, CheckResult, check_system
+from weightsys.constraints import FAIL, CheckResult, _localization_holds, check_system
 from weightsys.core import FixedPointSystem, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
 from weightsys.isotropy import FILTER_CHECKS
@@ -36,11 +36,16 @@ from weightsys.search import (
     naive_oracle,
     replay_lemma,
     verify_nonexistence,
+    _L32_PREMISES,
+    _L33_PREMISES,
+    _PAIRWISE_PREMISES,
     _REPLAYS,
     _dbranch_candidates,
+    _factorizations,
     _pairing_completions,
     _partial_pool,
     _profiles,
+    _sieve,
     _signed_multisets,
     _staged_candidates,
 )
@@ -500,6 +505,71 @@ def test_partial_pool_cascade_at_the_desk_scope():
     )
 
 
+def test_factorizations_match_the_filtered_multisets():
+    for k in range(5):
+        for hi in range(1, 9):
+            by_product = {}
+            for c in combinations_with_replacement(range(1, hi + 1), k):
+                by_product.setdefault(prod(c), []).append(c)
+            for r in range(1, hi**k + 1):
+                want = by_product.get(r, [])
+                assert list(_factorizations(r, k, hi)) == want, (r, k, hi)
+    # r = 1 closes every pair with l = 1
+    assert list(_factorizations(1, 3, 5)) == [(1, 1, 1)]
+
+
+# the replay premise sets, and the weakest set a pool may have; all four
+# hold localization, so their pools cut the last point by its target
+_CUT_PREMISES = (
+    _PAIRWISE_PREMISES,
+    _L32_PREMISES,
+    _L33_PREMISES,
+    ("pairing", "localization"),
+)
+
+
+def test_localization_cut_keeps_every_pool():
+    # n = 1..4 and W = 3..5; three-point n >= 3 stops at W = 3, where the
+    # uncut walk over every profile still takes well under a second (the
+    # n = 4 pools at W = 6 are pinned by criterion 5 and the desk cascade)
+    scopes = [
+        (n, point_count, bound)
+        for n in (1, 2, 3, 4)
+        for point_count in (2, 3)
+        for bound in (3, 4, 5)
+        if bound == 3 or point_count == 2 or n < 3
+    ]
+    for n, point_count, bound in scopes:
+        # the cut drops exactly the uncut candidates failing localization
+        kept = {}
+        for profile in _profiles(n, point_count, False):
+            for chern_on in {False, point_count == 3 and n >= 4}:
+                args = (n, point_count, bound, profile, chern_on, True)
+                uncut = [
+                    ws
+                    for ws in _staged_candidates(*args, SearchStats())
+                    if _localization_holds(n, ws)
+                ]
+                cut = _staged_candidates(*args, SearchStats(), True)
+                assert Counter(cut) == Counter(uncut), args
+                kept[profile, chern_on] = uncut
+        # so each pool is the reference sieve over the uncut generation
+        # (whose localization failures the sieve would reject anyway)
+        for checks in _CUT_PREMISES:
+            chern_on = "chern1_vanishing" in checks and point_count == 3 and n >= 4
+            profiles = _profiles(n, point_count, "lambda_symmetry" in checks)
+            reference = _sieve(
+                chain.from_iterable(kept[p, chern_on] for p in profiles),
+                n,
+                False,
+                check_ids=checks,
+            )
+            got = _partial_pool(n, point_count, bound, checks)
+            assert tuple(s.points for s in got) == tuple(sorted(reference)), (
+                n, point_count, bound, checks
+            )
+
+
 def test_partial_pool_requires_pairing():
     with pytest.raises(ValueError):
         _partial_pool(2, 3, 3, ("parity",))
@@ -547,6 +617,49 @@ def test_replays_clean_and_non_vacuous_at_small_scope():
     for lemma in REPLAY_LEMMAS:
         fired = sum(a for (name, _, _), (_, a) in counts.items() if name == lemma)
         assert fired > 0, lemma
+
+
+# criterion 5 per scope: (lemma, points, n) -> (candidates, assertions)
+# at bound 6; in total 1,900 candidates and 488 assertions
+REPLAY_COUNTS_W6 = {
+    ("l22", 2, 1): (6, 6), ("l22", 2, 2): (0, 0),
+    ("l22", 2, 3): (18, 18), ("l22", 2, 4): (0, 0),
+    ("l22", 3, 1): (0, 0), ("l22", 3, 2): (9, 9),
+    ("l22", 3, 3): (0, 0), ("l22", 3, 4): (0, 0),
+    ("l24", 2, 1): (6, 6), ("l24", 2, 2): (0, 0),
+    ("l24", 2, 3): (18, 18), ("l24", 2, 4): (0, 0),
+    ("l24", 3, 1): (0, 0), ("l24", 3, 2): (9, 9),
+    ("l24", 3, 3): (0, 0), ("l24", 3, 4): (0, 0),
+    ("l32", 3, 1): (0, 0), ("l32", 3, 2): (9, 9),
+    ("l32", 3, 3): (0, 0), ("l32", 3, 4): (0, 0),
+    ("l33", 3, 1): (0, 0), ("l33", 3, 2): (9, 9),
+    ("l33", 3, 3): (0, 0), ("l33", 3, 4): (0, 0),
+    ("l34", 2, 1): (6, 0), ("l34", 2, 2): (0, 0),
+    ("l34", 2, 3): (182, 9), ("l34", 2, 4): (0, 0),
+    ("l34", 3, 1): (0, 0), ("l34", 3, 2): (9, 0),
+    ("l34", 3, 3): (0, 0), ("l34", 3, 4): (588, 7),
+    ("l36", 2, 1): (6, 0), ("l36", 2, 2): (0, 0),
+    ("l36", 2, 3): (182, 3), ("l36", 2, 4): (0, 0),
+    ("l36", 3, 1): (0, 0), ("l36", 3, 2): (9, 0),
+    ("l36", 3, 3): (0, 0), ("l36", 3, 4): (588, 3),
+    ("r35", 2, 1): (30, 45), ("r35", 2, 2): (30, 45),
+    ("r35", 2, 3): (30, 45), ("r35", 2, 4): (30, 45),
+    ("r35", 3, 1): (30, 45), ("r35", 3, 2): (30, 45),
+    ("r35", 3, 3): (30, 45), ("r35", 3, 4): (30, 45),
+    ("l46", 3, 1): (0, 0), ("l46", 3, 2): (6, 22),
+    ("l46", 3, 3): (0, 0), ("l46", 3, 4): (0, 0),
+}
+
+
+def test_replay_counts_at_the_criterion_5_scope():
+    counts = {}
+    for lemma in REPLAY_LEMMAS:
+        for point_count in REPLAY_POINT_COUNTS[lemma]:
+            for n in (1, 2, 3, 4):
+                scope = SearchConfig(n=n, point_count=point_count, weight_bound=6)
+                report = replay_lemma(lemma, scope)
+                counts[lemma, point_count, n] = (report.candidates, report.assertions)
+    assert counts == REPLAY_COUNTS_W6
 
 
 def _refuted(system, scope):
