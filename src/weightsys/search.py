@@ -46,12 +46,13 @@ The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: find each candidate's first failing check, keep the canonical
 point tuples of a survivor) and differ only in their generators: the
 d-branches or staged generation, the raw product, and staged generation
-under a subset of the checks.  A pool whose checks include localization
-also cuts its last point by the weight product that sum_p 1/P_p = 0
-forces from the other points' products (-P1 for two points,
--P1 P2 / (P1 + P2) for three): every candidate so cut fails the
-localization check the pool's sieve runs, so the pools are unchanged.
-The enumerator's generators make no such cut.
+under a subset of the checks.  sum_p 1/P_p = 0 fixes the last point's
+weight product from the others' (-P1 for two points, -P1 P2 / (P1 + P2)
+for three).  A pool whose checks include localization lists only last
+points with that product: every candidate so cut fails the check its
+sieve runs.  A three-point d-branch cuts its third point too, but counts
+each cut completion as a node killed at localization, as the sieve
+would (see _target_completions).  The staged path makes no cut.
 
 The sieve decides on the candidate's ascending weight tuples: pairing,
 lambda symmetry, parity, localization (integer cross-multiplication)
@@ -269,23 +270,25 @@ def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
 
 
 def _pairing_completions(existing, n, lam, max_val, stats, target=None):
-    """Multisets closing the pairing imbalance of `existing`.
+    """Multisets closing the pairing imbalance of `existing` (see
+    _imbalance), with weight product target if one is given."""
+    closing = _imbalance(existing, n, lam, stats)
+    if closing is None:
+        return
+    forced, pairs = closing
+    for pvals in _pair_values(forced, pairs, max_val, target):
+        yield _completion(forced, pvals)
 
-    The imbalance forces a minimum content; the leftover slots must split
-    into {l, -l} pairs with l <= max_val.  lam pins the negative count,
-    which pins the pair count, so feasibility is a handful of integer
-    checks before any enumeration happens.  Every generator bounds the
-    other points by max_val (in a d-branch, +-d sits at v and w and
-    cancels), so the forced values need no bound check; and when c_1 is
-    cut, every other point already has c_1 = 0, so sum(forced) = 0.
 
-    A target is the weight product the point must have.  A completion's
-    product is prod(forced) * (-1)^pairs * prod(pair values)^2, so
-    prod(forced) must divide the target, the quotient times (-1)^pairs
-    must be a positive square r^2, and the pair values are exactly the
-    ascending factorizations of r into `pairs` factors in [1, max_val].
-    The completions so dropped are the ones whose product misses the
-    target; no completion that hits it is lost.
+def _imbalance(existing, n, lam, stats):
+    """(forced, pairs): the weights the pairing imbalance of `existing`
+    forces on an n-weight point with lam negatives, and how many {l, -l}
+    pairs fill the rest; None (a pairing_completion prune) if none do.
+
+    Every generator bounds the other points by the completion's max_val
+    (in a d-branch, +-d sits at v and w and cancels), so the forced
+    values need no bound check; and when c_1 is cut, every other point
+    already has c_1 = 0, so sum(forced) = 0.
     """
     cnt = Counter(existing)
     forced = []
@@ -300,18 +303,28 @@ def _pairing_completions(existing, n, lam, max_val, stats, target=None):
     rest = n - len(forced)
     if rest < 0 or rest % 2 == 1 or lam != neg_forced + rest // 2:
         stats.pruned["pairing_completion"] += 1
-        return
-    pairs = rest // 2
+        return None
+    return forced, rest // 2
+
+
+def _pair_values(forced, pairs, max_val, target):
+    """Ascending `pairs`-tuples in [1, max_val] completing `forced`: all,
+    or those giving weight product target.  That product is prod(forced)
+    * (-1)^pairs * r^2, r the tuple's product, so r is fixed and the
+    tuples are its factorizations.
+    """
     if target is None:
-        pair_values = combinations_with_replacement(range(1, max_val + 1), pairs)
-    else:
-        square, left = divmod(target, math.prod(forced))
-        square *= (-1) ** pairs
-        if left or square <= 0 or math.isqrt(square) ** 2 != square:
-            return
-        pair_values = _factorizations(math.isqrt(square), pairs, max_val)
-    for pvals in pair_values:
-        yield tuple(sorted(forced + list(pvals) + [-v for v in pvals]))
+        return combinations_with_replacement(range(1, max_val + 1), pairs)
+    square, left = divmod(target, math.prod(forced))
+    square *= (-1) ** pairs
+    if left or square <= 0 or math.isqrt(square) ** 2 != square:
+        return ()
+    return _factorizations(math.isqrt(square), pairs, max_val)
+
+
+def _completion(forced, pvals):
+    """The ascending point of the forced weights and the pairs {l, -l}."""
+    return tuple(sorted(forced + list(pvals) + [-v for v in pvals]))
 
 
 def _factorizations(r, k, hi, lo=1):
@@ -365,8 +378,15 @@ def _last_points(
     return _free_points(n, lam, max_val, chern_on, stats)
 
 
-def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, stats):
-    """Candidates whose largest weight is exactly d, via the +-d structure."""
+def _dbranch_candidates(
+    n, point_count, d, profile, chern_on, pairing_complete, stats, localize=False
+):
+    """Candidates whose largest weight is exactly d, via the +-d structure.
+
+    With localize, a three-point branch that closes its third point from
+    the pairing imbalance under a count-symmetric profile lists only the
+    third points hitting the localization target (_target_completions).
+    """
     if point_count == 2 and d == 1:
         # every weight is +-1 and the profile determines both points
         ws = tuple(
@@ -376,6 +396,13 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
         yield ws
         return
 
+    lams = sorted(profile)
+    counted = (
+        localize
+        and point_count == 3
+        and pairing_complete
+        and lams == [n - lam for lam in reversed(lams)]
+    )
     for ia, ib in permutations(range(point_count), 2):
         lam_a, lam_b = profile[ia], profile[ib]
         if lam_a < 1 or lam_b > n - 1:
@@ -390,6 +417,7 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
                 stats.pruned["chern_linear"] += 1
                 continue
             ws_a = (-d,) + others
+            p_a = math.prod(ws_a) if counted else None
             classes = tuple(sorted(Counter(x % d for x in others).items()))
             for downs, ups in _lifts(classes, lam_b, d):
                 ws_b = downs + ups + (d,)
@@ -399,11 +427,43 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
                     yield tuple(slots)
                     continue
                 ic = 3 - ia - ib
-                for ws_c in _last_points(
-                    (ws_a, ws_b), n, profile[ic], d - 1, chern_on, pairing_complete, stats
-                ):
+                if counted:
+                    thirds = _target_completions(
+                        ws_a, p_a, ws_b, n, profile[ic], d, stats
+                    )
+                else:
+                    thirds = _last_points(
+                        (ws_a, ws_b), n, profile[ic], d - 1, chern_on, pairing_complete, stats
+                    )
+                for ws_c in thirds:
                     slots[ic] = ws_c
                     yield tuple(slots)
+
+
+def _target_completions(ws_a, p_a, ws_b, n, lam, d, stats):
+    """The pairing completions of v (weight product p_a) and w with the
+    product -P_v P_w / (P_v + P_w); each one missing it is counted as a
+    node killed at localization in d's bucket.  So would the sieve count
+    it: under a count-symmetric profile (n even) it passes pairing,
+    lambda symmetry and parity, its largest |weight| is d, and it fails
+    localization exactly when it misses the target.
+    """
+    closing = _imbalance(ws_a + ws_b, n, lam, stats)
+    if closing is None:
+        return
+    forced, pairs = closing
+    target = _last_product((p_a, math.prod(ws_b)))
+    hits = 0
+    if target is not None:
+        for pvals in _pair_values(forced, pairs, d - 1, target):
+            hits += 1
+            yield _completion(forced, pvals)
+    # C(d - 2 + pairs, pairs) multisets of pair values in [1, d - 1];
+    # d >= 2, since n is even
+    missed = math.comb(d - 2 + pairs, pairs) - hits
+    if missed:
+        stats.nodes += missed
+        stats.eliminated["odd" if d % 2 == 1 else "even"]["localization"] += missed
 
 
 def _staged_candidates(
@@ -496,7 +556,10 @@ def _run_branch(payload):
     flags = config.prune_flags
     chern_on = flags.chern_linear and config.point_count == 3 and config.n >= 4
     stats = SearchStats()
-    generate = _staged_candidates if d is None else _dbranch_candidates
+    # d-branches count the third points they cut; staged ones cut none
+    generate = (
+        _staged_candidates if d is None else partial(_dbranch_candidates, localize=True)
+    )
     candidates = generate(
         config.n,
         config.point_count,
@@ -688,17 +751,14 @@ def _partial_pool(n, point_count, bound, checks):
     Generation is staged per lambda profile with the final point closed
     from the pairing imbalance, so "pairing" must be in the check set;
     profiles are restricted only when lambda_symmetry is being assumed.
-    When "localization" is in the set, the final point is also closed
-    against the weight product the others force: sum_p 1/P_p = 0 gives
-    P_last = -P1 after one point and -P1 P2 / (P1 + P2) after two, and a
-    head with P1 + P2 = 0 or an inexact quotient has no completion at
-    all.  The cut is sound because the sieve below runs the full
-    localization check on every candidate, and a candidate the cut drops
-    is one that check rejects: the pool is what the uncut generation
-    gives, at a fraction of the candidates.
+    When "localization" is in the set, the final point is also cut by its
+    target (see _staged_candidates): the sieve below rejects every
+    candidate so dropped, so the pool is what the uncut generation gives.
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")
+    if point_count * n % 2 == 1:  # an odd number of weights never pairs
+        return ()
     chern_on = "chern1_vanishing" in checks and point_count == 3 and n >= 4
     localize = "localization" in checks
     # the generators count their cuts; a pool throws the counts away

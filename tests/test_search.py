@@ -14,7 +14,7 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 
 import pytest
 
-from weightsys import constraints
+from weightsys import constraints, search
 from weightsys.constraints import FAIL, CheckResult, _localization_holds, check_system
 from weightsys.core import FixedPointSystem, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
@@ -48,6 +48,7 @@ from weightsys.search import (
     _sieve,
     _signed_multisets,
     _staged_candidates,
+    _target_completions,
 )
 
 BOUND3_SURVIVORS = (
@@ -307,6 +308,49 @@ def test_dbranch_lifts_match_the_full_lift_walk():
     assert branches == 27724
 
 
+def test_dbranch_localization_cut_counts_what_it_drops():
+    # the lift-walk test's branches again, against the uncut stream (which
+    # that test holds to the full lift walk); the cut applies to three-point
+    # branches closed by pairing completion under a count-symmetric profile
+    cut_branches = dropped_total = kept_total = 0
+    for point_count in (2, 3):
+        for n in range(1, 17):
+            for d in range(1, 16 // n + 1):
+                bucket = "odd" if d % 2 == 1 else "even"
+                for profile in _profiles(n, point_count, False):
+                    symmetric = list(profile) == [n - lam for lam in reversed(profile)]
+                    for chern_on, pairing in product((False, True), repeat=2):
+                        args = (n, point_count, d, profile, chern_on, pairing)
+                        uncut, cut = SearchStats(), SearchStats()
+                        reference = list(_dbranch_candidates(*args, uncut))
+                        got = list(_dbranch_candidates(*args, cut, localize=True))
+                        kept = reference
+                        if point_count == 3 and pairing and symmetric:
+                            kept = [ws for ws in reference if _localization_holds(n, ws)]
+                            cut_branches += 1
+                            kept_total += len(kept)
+                        dropped = len(reference) - len(kept)
+                        # in the reference's order: hits come as ascending
+                        # factorizations, as the pair values they replace
+                        assert got == kept, args
+                        # each dropped candidate is one node killed at
+                        # localization, and no zero count is recorded
+                        assert cut.nodes == dropped, args
+                        killed = {b: dict(c) for b, c in cut.eliminated.items() if c}
+                        assert killed == (
+                            {bucket: {"localization": dropped}} if dropped else {}
+                        ), args
+                        assert dict(cut.pruned) == dict(uncut.pruned), args
+                        dropped_total += dropped
+    assert (cut_branches, dropped_total, kept_total) == (152, 1376, 63)
+    # a (v, w) pair whose one completion hits the target records nothing:
+    # v and w of the cp2 family (1, 1), third point {-1, 1}
+    stats = SearchStats()
+    hits = list(_target_completions((-2, -1), 2, (1, 2), 2, 1, 2, stats))
+    assert hits == [(-1, 1)]
+    assert (stats.nodes, stats.eliminated) == (0, {"odd": {}, "even": {}})
+
+
 def test_frontier_counts_frozen():
     config = SearchConfig(n=8, point_count=3, weight_bound=6)
     outcome = enumerate_systems(config)
@@ -315,6 +359,28 @@ def test_frontier_counts_frozen():
     assert outcome.stats.eliminated == {
         "odd": {"localization": 2276, "isotropy": 20},
         "even": {"localization": 12488, "isotropy": 44},
+    }
+
+
+def test_frontier_counts_frozen_at_n10_w6(monkeypatch):
+    # the sieve sees only the 412 candidates that hit their localization
+    # target; every other node is a completion counted without being listed
+    listed = []
+    first_failing = search._first_failing
+
+    def counting(n, points, plan):
+        listed.append(points)
+        return first_failing(n, points, plan)
+
+    monkeypatch.setattr(search, "_first_failing", counting)
+    config = SearchConfig(n=10, point_count=3, weight_bound=6)
+    outcome = enumerate_systems(config)
+    assert len(listed) == 412
+    assert outcome.survivors == ()
+    assert outcome.stats.nodes == 185718
+    assert outcome.stats.eliminated == {
+        "odd": {"localization": 21944, "isotropy": 102},
+        "even": {"localization": 163362, "isotropy": 310},
     }
 
 
@@ -573,6 +639,27 @@ def test_localization_cut_keeps_every_pool():
 def test_partial_pool_requires_pairing():
     with pytest.raises(ValueError):
         _partial_pool(2, 3, 3, ("parity",))
+
+
+def test_odd_three_point_pools_list_no_head(monkeypatch):
+    # 3n weights, an odd count, never pair: the sieve over the uncut
+    # generation keeps nothing at W = 3 ...
+    for n in (1, 3):
+        candidates = chain.from_iterable(
+            _staged_candidates(n, 3, 3, profile, False, True, SearchStats())
+            for profile in _profiles(n, 3, False)
+        )
+        assert _sieve(candidates, n, False, check_ids=("pairing",)) == set()
+    # ... and the pools are empty without a head being listed
+    def refuse(*args):
+        raise AssertionError("an odd-n three-point pool listed a head")
+
+    monkeypatch.setattr(search, "_staged_candidates", refuse)
+    build = _partial_pool.__wrapped__
+    assert build(5, 3, 4, ("pairing", "localization")) == ()
+    for n in (1, 3, 5):
+        for checks in _CUT_PREMISES + (("pairing",),):
+            assert build(n, 3, 3, checks) == (), (n, checks)
 
 
 def test_replay_rejects_unknown_lemma_and_scope():
