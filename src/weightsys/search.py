@@ -48,11 +48,12 @@ point tuples of a survivor) and differ only in their generators: the
 d-branches or staged generation, the raw product, and staged generation
 under a subset of the checks.  sum_p 1/P_p = 0 fixes the last point's
 weight product from the others' (-P1 for two points, -P1 P2 / (P1 + P2)
-for three).  A pool whose checks include localization lists only last
-points with that product: every candidate so cut fails the check its
-sieve runs.  A three-point d-branch cuts its third point too, but counts
-each cut completion as a node killed at localization, as the sieve
-would (see _target_completions).  The staged path makes no cut.
+for three).  Both generators close the last point with _last_points:
+given the other points' products, it lists only the closures with that
+product and counts the rest.  A pool whose checks include localization
+drops the count (each cut candidate fails the check its sieve runs); a
+three-point d-branch counts each as a node killed at localization, as
+the sieve would.  The enumerator's staged path makes no cut.
 
 The sieve decides on the candidate's ascending weight tuples: pairing,
 lambda symmetry, parity, localization (integer cross-multiplication)
@@ -269,17 +270,6 @@ def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
             yield negs + poss
 
 
-def _pairing_completions(existing, n, lam, max_val, stats, target=None):
-    """Multisets closing the pairing imbalance of `existing` (see
-    _imbalance), with weight product target if one is given."""
-    closing = _imbalance(existing, n, lam, stats)
-    if closing is None:
-        return
-    forced, pairs = closing
-    for pvals in _pair_values(forced, pairs, max_val, target):
-        yield _completion(forced, pvals)
-
-
 def _imbalance(existing, n, lam, stats):
     """(forced, pairs): the weights the pairing imbalance of `existing`
     forces on an n-weight point with lam negatives, and how many {l, -l}
@@ -292,39 +282,35 @@ def _imbalance(existing, n, lam, stats):
     """
     cnt = Counter(existing)
     forced = []
-    neg_forced = 0
-    for l in sorted({abs(w) for w in existing}):
-        delta = cnt[-l] - cnt[l]
-        if delta > 0:
-            forced.extend([l] * delta)
-        elif delta < 0:
-            forced.extend([-l] * (-delta))
-            neg_forced += -delta
+    for w, c in cnt.items():
+        # each w in excess of -w needs a -w at the last point
+        excess = c - cnt.get(-w, 0)
+        if excess > 0:
+            forced.extend([-w] * excess)
     rest = n - len(forced)
-    if rest < 0 or rest % 2 == 1 or lam != neg_forced + rest // 2:
+    if rest < 0 or rest % 2 == 1 or lam != sum(w < 0 for w in forced) + rest // 2:
         stats.pruned["pairing_completion"] += 1
         return None
     return forced, rest // 2
 
 
-def _pair_values(forced, pairs, max_val, target):
+def _pair_values(forced, pairs, max_val, products):
     """Ascending `pairs`-tuples in [1, max_val] completing `forced`: all,
-    or those giving weight product target.  That product is prod(forced)
-    * (-1)^pairs * r^2, r the tuple's product, so r is fixed and the
-    tuples are its factorizations.
+    or, given the other points' weight products, those giving the last
+    point the product sum_p 1/P_p = 0 forces (_last_product).  That
+    product is prod(forced) * (-1)^pairs * r^2, r the tuple's product, so
+    r is fixed and the tuples are its factorizations.
     """
-    if target is None:
+    if products is None:
         return combinations_with_replacement(range(1, max_val + 1), pairs)
+    target = _last_product(products)
+    if target is None:
+        return ()
     square, left = divmod(target, math.prod(forced))
     square *= (-1) ** pairs
     if left or square <= 0 or math.isqrt(square) ** 2 != square:
         return ()
     return _factorizations(math.isqrt(square), pairs, max_val)
-
-
-def _completion(forced, pvals):
-    """The ascending point of the forced weights and the pairs {l, -l}."""
-    return tuple(sorted(forced + list(pvals) + [-v for v in pvals]))
 
 
 def _factorizations(r, k, hi, lo=1):
@@ -367,42 +353,49 @@ def _free_points(n, lam, max_val, chern_on, stats):
         yield ws
 
 
-def _last_points(
-    others, n, lam, max_val, chern_on, pairing_complete, stats, target=None
-):
-    """The last point's multisets given the other points' multisets:
-    closed from their pairing imbalance (and weight-product target, see
-    _pairing_completions), or every free multiset."""
-    if pairing_complete:
-        return _pairing_completions(sum(others, ()), n, lam, max_val, stats, target)
-    return _free_points(n, lam, max_val, chern_on, stats)
+def _last_points(head, n, lam, max_val, chern_on, pairing_complete, stats, products=None):
+    """(points, missed): the last point's multisets given the head (the
+    other points' multisets), and how many closures went unlisted.
+
+    The points are every free multiset, or the closures of the head's
+    pairing imbalance: the forced weights and `pairs` {l, -l} pairs, l in
+    [1, max_val].  Given the head's weight products, only the closures
+    with the product sum_p 1/P_p = 0 forces are listed, and missed counts
+    the rest of the C(max_val - 1 + pairs, pairs).
+    """
+    if not pairing_complete:
+        return _free_points(n, lam, max_val, chern_on, stats), 0
+    closing = _imbalance(sum(head, ()), n, lam, stats)
+    if closing is None:
+        return (), 0
+    forced, pairs = closing
+    points = [
+        tuple(sorted(forced + list(pvals) + [-v for v in pvals]))
+        for pvals in _pair_values(forced, pairs, max_val, products)
+    ]
+    if products is None:
+        return points, 0
+    return points, math.comb(max_val - 1 + pairs, pairs) - len(points)
 
 
-def _dbranch_candidates(
-    n, point_count, d, profile, chern_on, pairing_complete, stats, localize=False
-):
+def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, stats):
     """Candidates whose largest weight is exactly d, via the +-d structure.
 
-    With localize, a three-point branch that closes its third point from
-    the pairing imbalance under a count-symmetric profile lists only the
-    third points hitting the localization target (_target_completions).
+    A three-point branch that closes its third point from the pairing
+    imbalance under a count-symmetric profile (so n is even and d >= 2)
+    lists only the third points hitting the localization target of v and
+    w (_last_points).  Each one it leaves out would pass pairing, lambda
+    symmetry and parity, have largest |weight| d, and fail localization,
+    so it is counted as a node the sieve killed there, in d's bucket.
     """
     if point_count == 2 and d == 1:
         # every weight is +-1 and the profile determines both points
-        ws = tuple(
-            (-1,) * lam + (1,) * (n - lam)
-            for lam in profile
-        )
-        yield ws
+        yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
         return
 
     lams = sorted(profile)
-    counted = (
-        localize
-        and point_count == 3
-        and pairing_complete
-        and lams == [n - lam for lam in reversed(lams)]
-    )
+    symmetric = lams == [n - lam for lam in reversed(lams)]
+    counted = point_count == 3 and pairing_complete and symmetric
     for ia, ib in permutations(range(point_count), 2):
         lam_a, lam_b = profile[ia], profile[ib]
         if lam_a < 1 or lam_b > n - 1:
@@ -417,7 +410,6 @@ def _dbranch_candidates(
                 stats.pruned["chern_linear"] += 1
                 continue
             ws_a = (-d,) + others
-            p_a = math.prod(ws_a) if counted else None
             classes = tuple(sorted(Counter(x % d for x in others).items()))
             for downs, ups in _lifts(classes, lam_b, d):
                 ws_b = downs + ups + (d,)
@@ -427,43 +419,16 @@ def _dbranch_candidates(
                     yield tuple(slots)
                     continue
                 ic = 3 - ia - ib
-                if counted:
-                    thirds = _target_completions(
-                        ws_a, p_a, ws_b, n, profile[ic], d, stats
-                    )
-                else:
-                    thirds = _last_points(
-                        (ws_a, ws_b), n, profile[ic], d - 1, chern_on, pairing_complete, stats
-                    )
+                thirds, missed = _last_points(
+                    (ws_a, ws_b), n, profile[ic], d - 1, chern_on, pairing_complete, stats,
+                    (math.prod(ws_a), math.prod(ws_b)) if counted else None,
+                )
+                if missed:
+                    stats.nodes += missed
+                    stats.eliminated["odd" if d % 2 else "even"]["localization"] += missed
                 for ws_c in thirds:
                     slots[ic] = ws_c
                     yield tuple(slots)
-
-
-def _target_completions(ws_a, p_a, ws_b, n, lam, d, stats):
-    """The pairing completions of v (weight product p_a) and w with the
-    product -P_v P_w / (P_v + P_w); each one missing it is counted as a
-    node killed at localization in d's bucket.  So would the sieve count
-    it: under a count-symmetric profile (n even) it passes pairing,
-    lambda symmetry and parity, its largest |weight| is d, and it fails
-    localization exactly when it misses the target.
-    """
-    closing = _imbalance(ws_a + ws_b, n, lam, stats)
-    if closing is None:
-        return
-    forced, pairs = closing
-    target = _last_product((p_a, math.prod(ws_b)))
-    hits = 0
-    if target is not None:
-        for pvals in _pair_values(forced, pairs, d - 1, target):
-            hits += 1
-            yield _completion(forced, pvals)
-    # C(d - 2 + pairs, pairs) multisets of pair values in [1, d - 1];
-    # d >= 2, since n is even
-    missed = math.comb(d - 2 + pairs, pairs) - hits
-    if missed:
-        stats.nodes += missed
-        stats.eliminated["odd" if d % 2 == 1 else "even"]["localization"] += missed
 
 
 def _staged_candidates(
@@ -474,18 +439,23 @@ def _staged_candidates(
 
     With localize, the head (the points before the last) fixes the last
     point's weight product through sum_p 1/P_p = 0 (see _last_product):
-    a head with no integer target is skipped, and the last point is
-    closed against its target.  Only candidates failing the localization
-    check are dropped, so a sieve that runs it keeps the same survivors.
+    a head with no integer target is skipped, and only the last points
+    hitting the target are listed (_last_points; the count of the others
+    is dropped).  Only candidates failing the localization check are
+    left out, so a sieve that runs it keeps the same survivors.
     """
-    firsts = _with_products(_free_points(n, profile[0], bound, chern_on, stats))
+    firsts = [
+        (ws, math.prod(ws)) for ws in _free_points(n, profile[0], bound, chern_on, stats)
+    ]
     if point_count == 2:
         heads = (((ws1,), (p1,)) for ws1, p1 in firsts)
     else:
         # the second point's multisets, listed once: their c_1 cuts count
         # once per first point, as if listed under each
         cuts = SearchStats()
-        seconds = _with_products(_free_points(n, profile[1], bound, chern_on, cuts))
+        seconds = [
+            (ws, math.prod(ws)) for ws in _free_points(n, profile[1], bound, chern_on, cuts)
+        ]
         if firsts:
             for key, count in cuts.pruned.items():
                 stats.pruned[key] += count * len(firsts)
@@ -493,18 +463,15 @@ def _staged_candidates(
             ((ws1, ws2), (p1, p2)) for ws1, p1 in firsts for ws2, p2 in seconds
         )
     for head, products in heads:
-        target = _last_product(products) if localize else None
-        if localize and target is None:
+        # skip a head with no target before its imbalance is taken
+        if localize and _last_product(products) is None:
             continue
-        for ws_last in _last_points(
-            head, n, profile[-1], bound, chern_on, pairing_complete, stats, target
-        ):
+        lasts, _ = _last_points(
+            head, n, profile[-1], bound, chern_on, pairing_complete, stats,
+            products if localize else None,
+        )
+        for ws_last in lasts:
             yield head + (ws_last,)
-
-
-def _with_products(points):
-    """(weights, weight product) for each multiset."""
-    return [(ws, math.prod(ws)) for ws in points]
 
 
 def _last_product(products):
@@ -556,10 +523,7 @@ def _run_branch(payload):
     flags = config.prune_flags
     chern_on = flags.chern_linear and config.point_count == 3 and config.n >= 4
     stats = SearchStats()
-    # d-branches count the third points they cut; staged ones cut none
-    generate = (
-        _staged_candidates if d is None else partial(_dbranch_candidates, localize=True)
-    )
+    generate = _staged_candidates if d is None else _dbranch_candidates
     candidates = generate(
         config.n,
         config.point_count,

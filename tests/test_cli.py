@@ -281,27 +281,42 @@ def test_enumerate_rejects_bad_config(tmp_path, capsys):
     assert "n must be" in capsys.readouterr().err
 
 
-def test_enumerate_exit_2_on_unwritable_out(monkeypatch, capsys):
-    # the path is checked before the search, which would otherwise run first
-    def no_search(config):
-        raise AssertionError("searched before checking --out")
+# a path that cannot be opened, and (where the system has one) a path
+# that opens but takes no bytes
+_UNWRITABLE = ["/nonexistent/x"]
+if os.path.exists("/dev/full"):
+    _UNWRITABLE.append("/dev/full")
 
-    monkeypatch.setattr(cli, "enumerate_systems", no_search)
+
+def test_enumerate_exit_2_on_unwritable_out(monkeypatch, capsys):
+    # a path that cannot be opened is refused before the search, which
+    # would otherwise run first; /dev/full opens, so it fails at the write
+    searched = []
+
+    def recording(config):
+        searched.append(config)
+        return search.enumerate_systems(config)
+
+    monkeypatch.setattr(cli, "enumerate_systems", recording)
     args = ["enumerate", "--n", "2", "--points", "3", "--bound", "3"]
-    assert run_cli(args + ["--out", "/nonexistent/x.json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: cannot write /nonexistent/x.json")
-    assert len(captured.err.splitlines()) == 1
+    for path in _UNWRITABLE:
+        searched.clear()
+        assert run_cli(args + ["--out", path]) == 2
+        assert len(searched) == (path == "/dev/full"), path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write %s" % path)
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_graph_exit_2_on_unwritable_dot(capsys):
-    args = ["graph", str(DATA / "cp2_12.json"), "--dot", "/nonexistent/x.dot"]
-    assert run_cli(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: cannot write /nonexistent/x.dot")
-    assert len(captured.err.splitlines()) == 1
+    for path in _UNWRITABLE:
+        args = ["graph", str(DATA / "cp2_12.json"), "--dot", path]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write %s" % path)
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):

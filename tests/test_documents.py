@@ -47,6 +47,7 @@ def _rejects(document, needle):
 
 def test_parse_diagnostics_are_specific():
     _rejects("{nope", "invalid JSON")
+    _rejects(b"\xff\xfe{", "invalid JSON: undecodable bytes (truncated data)")
     _rejects([1, 2], "must be a JSON object")
     _rejects({"points": []}, "missing field: dim")
     _rejects({"dim": 4}, "missing field: points")

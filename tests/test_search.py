@@ -15,7 +15,13 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 import pytest
 
 from weightsys import constraints, search
-from weightsys.constraints import FAIL, CheckResult, _localization_holds, check_system
+from weightsys.constraints import (
+    FAIL,
+    CheckResult,
+    _localization_holds,
+    _pairing_holds,
+    check_system,
+)
 from weightsys.core import FixedPointSystem, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
 from weightsys.isotropy import FILTER_CHECKS
@@ -42,13 +48,12 @@ from weightsys.search import (
     _REPLAYS,
     _dbranch_candidates,
     _factorizations,
-    _pairing_completions,
+    _last_points,
     _partial_pool,
     _profiles,
     _sieve,
     _signed_multisets,
     _staged_candidates,
-    _target_completions,
 )
 
 BOUND3_SURVIVORS = (
@@ -247,8 +252,8 @@ def test_all_ones_corner_is_reached():
 
 def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
     """The d-branch generator written the plain way: walk all 2^(n-1)
-    up/down lifts of v's residues, drop repeats, then filter w by lambda
-    and c_1."""
+    up/down lifts of v's residues, drop repeats, filter w by lambda and
+    c_1, then keep the third points that pair the union (or pass c_1)."""
     if point_count == 2 and d == 1:
         yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
         return
@@ -278,41 +283,22 @@ def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
                     continue
                 ic = 3 - ia - ib
                 lam_c = profile[ic]
-                if pairing_complete:
-                    third = _pairing_completions(
-                        ws_a + ws_b, n, lam_c, d - 1, SearchStats()
-                    )
-                else:
-                    third = (
-                        ws
-                        for ws in _signed_multisets(lam_c, n - lam_c, d - 1)
-                        if not (chern_on and sum(ws) != 0)
-                    )
-                for ws_c in third:
+                for ws_c in _signed_multisets(lam_c, n - lam_c, d - 1):
+                    if pairing_complete:
+                        if not _pairing_holds(n, (ws_a, ws_b, ws_c)):
+                            continue
+                    elif chern_on and sum(ws_c) != 0:
+                        continue
                     slots[ic] = ws_c
                     yield tuple(slots)
 
 
 def test_dbranch_lifts_match_the_full_lift_walk():
-    # the unrestricted profiles include every count-symmetric one
-    branches = 0
-    for point_count in (2, 3):
-        for n in range(1, 17):
-            for d in range(1, 16 // n + 1):
-                for profile in _profiles(n, point_count, False):
-                    for chern_on, pairing in product((False, True), repeat=2):
-                        args = (n, point_count, d, profile, chern_on, pairing)
-                        got = Counter(_dbranch_candidates(*args, SearchStats()))
-                        assert got == Counter(_reference_dbranch(*args)), args
-                        branches += 1
-    assert branches == 27724
-
-
-def test_dbranch_localization_cut_counts_what_it_drops():
-    # the lift-walk test's branches again, against the uncut stream (which
-    # that test holds to the full lift walk); the cut applies to three-point
-    # branches closed by pairing completion under a count-symmetric profile
-    cut_branches = dropped_total = kept_total = 0
+    # the unrestricted profiles include every count-symmetric one; a
+    # three-point branch closed by pairing completion under a symmetric
+    # profile lists only the reference's localization passes, and counts
+    # each candidate it drops as a node killed at localization
+    branches = cut_branches = dropped_total = kept_total = 0
     for point_count in (2, 3):
         for n in range(1, 17):
             for d in range(1, 16 // n + 1):
@@ -321,33 +307,30 @@ def test_dbranch_localization_cut_counts_what_it_drops():
                     symmetric = list(profile) == [n - lam for lam in reversed(profile)]
                     for chern_on, pairing in product((False, True), repeat=2):
                         args = (n, point_count, d, profile, chern_on, pairing)
-                        uncut, cut = SearchStats(), SearchStats()
-                        reference = list(_dbranch_candidates(*args, uncut))
-                        got = list(_dbranch_candidates(*args, cut, localize=True))
-                        kept = reference
+                        stats = SearchStats()
+                        got = Counter(_dbranch_candidates(*args, stats))
+                        kept = reference = list(_reference_dbranch(*args))
                         if point_count == 3 and pairing and symmetric:
                             kept = [ws for ws in reference if _localization_holds(n, ws)]
                             cut_branches += 1
                             kept_total += len(kept)
+                        assert got == Counter(kept), args
                         dropped = len(reference) - len(kept)
-                        # in the reference's order: hits come as ascending
-                        # factorizations, as the pair values they replace
-                        assert got == kept, args
-                        # each dropped candidate is one node killed at
-                        # localization, and no zero count is recorded
-                        assert cut.nodes == dropped, args
-                        killed = {b: dict(c) for b, c in cut.eliminated.items() if c}
+                        assert stats.nodes == dropped, args
+                        # and no zero count is recorded
+                        killed = {b: dict(c) for b, c in stats.eliminated.items() if c}
                         assert killed == (
                             {bucket: {"localization": dropped}} if dropped else {}
                         ), args
-                        assert dict(cut.pruned) == dict(uncut.pruned), args
+                        branches += 1
                         dropped_total += dropped
+    assert branches == 27724
     assert (cut_branches, dropped_total, kept_total) == (152, 1376, 63)
-    # a (v, w) pair whose one completion hits the target records nothing:
+    # a (v, w) pair whose one completion hits the target misses nothing:
     # v and w of the cp2 family (1, 1), third point {-1, 1}
     stats = SearchStats()
-    hits = list(_target_completions((-2, -1), 2, (1, 2), 2, 1, 2, stats))
-    assert hits == [(-1, 1)]
+    head = ((-2, -1), (1, 2))
+    assert _last_points(head, 2, 1, 1, False, True, stats, (2, 2)) == ([(-1, 1)], 0)
     assert (stats.nodes, stats.eliminated) == (0, {"odd": {}, "even": {}})
 
 
@@ -747,6 +730,38 @@ def test_replay_counts_at_the_criterion_5_scope():
                 report = replay_lemma(lemma, scope)
                 counts[lemma, point_count, n] = (report.candidates, report.assertions)
     assert counts == REPLAY_COUNTS_W6
+
+
+def test_replay_statements_on_systems_no_pool_holds():
+    # the l32/l33 pools are empty at n = 4 (up to W = 10) and no effective
+    # n = 2 survivor repeats a weight with |e| >= 2, so the sweeps above
+    # never reach these assertions
+    # the desk cascade's lone system: the l33 profile, -d and d misplaced
+    desk = FixedPointSystem.from_weights(4, [(-4, 1, 1, 2), (-2, -1, 1, 2), (-2, -1, -1, 4)])
+    scope = SearchConfig(n=4, point_count=3, weight_bound=6)
+    assert list(search._l33(desk, scope)) == [
+        (True, {"profile": (1, 2, 3), "expected": (1, 2, 3)}),
+        (False, {"d": 4, "placement": "off"}),
+    ]
+    scope = SearchConfig(n=2, point_count=3, weight_bound=6)
+    # parts 2 and 4 at e = +-2, part 1 at e = +-4
+    assert list(search._l46(cp2_family(2, 2), scope)) == [
+        (True, {"e": 2, "part": 2}),
+        (True, {"e": 2, "part": 4}),
+        (True, {"e": 4, "part": 1}),
+        (True, {"e": -2, "part": 2}),
+        (True, {"e": -2, "part": 4}),
+        (True, {"e": -4, "part": 1}),
+    ]
+    # part 3: +-2 twice at one point
+    twice = FixedPointSystem.from_weights(3, [(-4, 2, 2), (-2, -2, 4), (-1, 1, 3)])
+    scope = SearchConfig(n=3, point_count=3, weight_bound=4)
+    assert list(search._l46(twice, scope)) == [
+        (True, {"e": 2, "part": 3}),
+        (True, {"e": 4, "part": 1}),
+        (True, {"e": -2, "part": 3}),
+        (True, {"e": -4, "part": 1}),
+    ]
 
 
 def _refuted(system, scope):
