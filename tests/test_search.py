@@ -9,6 +9,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
+from functools import cache
 from math import prod
 from itertools import chain, combinations_with_replacement, permutations, product
 
@@ -293,38 +294,60 @@ def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
                     yield tuple(slots)
 
 
-def test_dbranch_lifts_match_the_full_lift_walk():
-    # the unrestricted profiles include every count-symmetric one; a
-    # three-point branch closed by pairing completion under a symmetric
-    # profile lists only the reference's localization passes, and counts
-    # each candidate it drops as a node killed at localization
-    branches = cut_branches = dropped_total = kept_total = 0
+@cache
+def _dbranch_walk():
+    """Every d-branch up to n d = 16, both point counts, every profile and
+    c_1 / pairing-completion setting: (args, cut, listed, reference, stats),
+    where cut says the branch lists only its localization passes (three
+    points closed by pairing completion under a count-symmetric profile)."""
+    walk = []
     for point_count in (2, 3):
         for n in range(1, 17):
             for d in range(1, 16 // n + 1):
-                bucket = "odd" if d % 2 == 1 else "even"
                 for profile in _profiles(n, point_count, False):
                     symmetric = list(profile) == [n - lam for lam in reversed(profile)]
                     for chern_on, pairing in product((False, True), repeat=2):
                         args = (n, point_count, d, profile, chern_on, pairing)
                         stats = SearchStats()
-                        got = Counter(_dbranch_candidates(*args, stats))
-                        kept = reference = list(_reference_dbranch(*args))
-                        if point_count == 3 and pairing and symmetric:
-                            kept = [ws for ws in reference if _localization_holds(n, ws)]
-                            cut_branches += 1
-                            kept_total += len(kept)
-                        assert got == Counter(kept), args
-                        dropped = len(reference) - len(kept)
-                        assert stats.nodes == dropped, args
-                        # and no zero count is recorded
-                        killed = {b: dict(c) for b, c in stats.eliminated.items() if c}
-                        assert killed == (
-                            {bucket: {"localization": dropped}} if dropped else {}
-                        ), args
-                        branches += 1
-                        dropped_total += dropped
-    assert branches == 27724
+                        listed = Counter(_dbranch_candidates(*args, stats))
+                        reference = list(_reference_dbranch(*args))
+                        cut = point_count == 3 and pairing and symmetric
+                        walk.append((args, cut, listed, reference, stats))
+    return tuple(walk)
+
+
+def _kept(args, cut, reference):
+    if not cut:
+        return reference
+    return [ws for ws in reference if _localization_holds(args[0], ws)]
+
+
+def test_dbranch_lifts_match_the_full_lift_walk():
+    # the unrestricted profiles include every count-symmetric one; a cut
+    # branch lists exactly the reference's localization passes, any other
+    # branch exactly the reference
+    walk = _dbranch_walk()
+    for args, cut, listed, reference, _ in walk:
+        assert listed == Counter(_kept(args, cut, reference)), args
+    assert len(walk) == 27724
+
+
+def test_dbranch_localization_cut_counts_what_it_drops():
+    # the lift-walk test's branches again: each candidate a cut branch drops
+    # is one node killed at localization, in the bucket of d's parity, and
+    # no zero count is recorded; an uncut branch records nothing
+    cut_branches = dropped_total = kept_total = 0
+    for args, cut, _, reference, stats in _dbranch_walk():
+        kept = _kept(args, cut, reference)
+        dropped = len(reference) - len(kept)
+        assert stats.nodes == dropped, args
+        bucket = "odd" if args[2] % 2 == 1 else "even"
+        killed = {b: dict(c) for b, c in stats.eliminated.items() if c}
+        assert killed == ({bucket: {"localization": dropped}} if dropped else {}), args
+        if cut:
+            cut_branches += 1
+            kept_total += len(kept)
+        dropped_total += dropped
     assert (cut_branches, dropped_total, kept_total) == (152, 1376, 63)
     # a (v, w) pair whose one completion hits the target misses nothing:
     # v and w of the cp2 family (1, 1), third point {-1, 1}
