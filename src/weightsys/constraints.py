@@ -237,18 +237,19 @@ def chern_i_at(ms: tuple[int, ...], i: int) -> int:
     return coeffs[i]
 
 
-def _chern1_binds(n: int, points) -> bool:
-    return len(points) == 3 and n >= 4
+def _chern1_binds(n: int, point_count: int) -> bool:
+    """c_1 = 0 is a condition for three points and n >= 4 only."""
+    return point_count == 3 and n >= 4
 
 
 def _chern1_vanishing_holds(n: int, points) -> bool:
     """c_1 = 0 at every point wherever that binds."""
-    return not _chern1_binds(n, points) or not any(map(sum, points))
+    return not _chern1_binds(n, len(points)) or not any(map(sum, points))
 
 
 def chern1_vanishing_check(system: FixedPointSystem) -> CheckResult:
     """c_1 = 0 at every point; only binding for 3 points and n >= 4."""
-    if not _chern1_binds(system.n, system.points):
+    if not _chern1_binds(system.n, len(system.points)):
         return _result("chern1_vanishing", NOT_APPLICABLE)
     if _chern1_vanishing_holds(system.n, system.points):
         return _result("chern1_vanishing", PASS)

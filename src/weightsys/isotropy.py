@@ -11,9 +11,11 @@ points is one of four shapes:
 * SPHERE_PAIR   - two points joined by a 2-sphere, k-divisible weights
                   {m} and {-m} for a positive multiple m of k;
 * DIM6_PAIR     - two points in a 6-dimensional component, k-divisible
-                  weights {a', b', -a'-b'} and {a'+b', -a', -b'};
-* CP2_TRIPLE    - all three points in a 4-dimensional component with
-                  k-divisible weights {a'+b', a'}, {-a', b'}, {-b', -a'-b'}.
+                  weights _dim6_points(a', b'): {a', b', -a'-b'} and
+                  {a'+b', -a', -b'}, a' and b' positive multiples of k;
+* CP2_TRIPLE    - all three points in a 4-dimensional component,
+                  k-divisible weights _cp2_points(a', b'): {a', a'+b'},
+                  {-a', b'}, {-a'-b', -b'}, a' and b' positive multiples of k.
 
 The patterns are exact: a point's k-divisible sub-multiset must be wholly
 consumed by its component's shape, so no stray multiples of k may appear.
@@ -44,7 +46,7 @@ the search and by check_system alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from math import isqrt
 
 from .constraints import (
@@ -181,45 +183,36 @@ def _match_sphere(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
     return (abs(x),)
 
 
-def _split_dim6(sub: tuple[int, ...]):
-    # {a', b', -a'-b'}: two positives whose sum is the negated third
-    if len(sub) != 3:
-        return None
-    neg = [w for w in sub if w < 0]
-    pos = [w for w in sub if w > 0]
-    if len(neg) != 1 or len(pos) != 2:
-        return None
-    if neg[0] != -(pos[0] + pos[1]):
-        return None
-    return (pos[0], pos[1])
+def _cp2_points(a: int, b: int):
+    """The CP2 triple {a, a+b}, {-a, b}, {-a-b, -b} as ascending tuples in
+    canonical order, for positive a and b."""
+    return ((a, a + b), (-a, b), (-a - b, -b))
+
+
+def _dim6_points(a: int, b: int):
+    """The dim-6 pair {a, b, -a-b}, {a+b, -a, -b}; ascending tuples in
+    canonical order when 0 < a <= b."""
+    return ((-a - b, a, b), (-b, -a, a + b))
 
 
 def _match_dim6(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
     for first, second in ((sub_a, sub_b), (sub_b, sub_a)):
-        params = _split_dim6(first)
-        if params is None:
+        if len(first) != 3 or not first[0] < 0 < first[1]:
             continue
-        a, b = params
-        partner = tuple(sorted((a + b, -a, -b)))
-        if second == partner:
-            return params
+        if (first, second) == _dim6_points(first[1], first[2]):
+            return (first[1], first[2])
     return None
 
 
 def _match_cp2(subs: dict[str, tuple[int, ...]]):
-    # roles: {a'+b', a'} / {-a', b'} / {-b', -a'-b'} over the three points
+    # the roles of _cp2_points(a', b') over the three points
     best = None
     for lab1, lab2, lab3 in permutations(sorted(subs)):
         top = subs[lab1]
-        if len(top) != 2 or top[0] <= 0:
+        if len(top) != 2 or not 0 < top[0] < top[1]:
             continue
-        a = top[0]
-        b = top[1] - top[0]
-        if b <= 0:
-            continue
-        if subs[lab2] != tuple(sorted((-a, b))):
-            continue
-        if subs[lab3] != tuple(sorted((-b, -a - b))):
+        a, b = top[0], top[1] - top[0]
+        if (top, subs[lab2], subs[lab3]) != _cp2_points(a, b):
             continue
         if best is None or (a, b) < best:
             best = (a, b)
@@ -263,22 +256,15 @@ def _try_block(block, points, subs, k):
             kind = DIM6_PAIR
         if params is None:
             return "divisible weights at %s,%s match no two-point shape" % (la, lb)
+    else:
+        params = _match_cp2({lab: subs[lab] for lab in block})
+        kind = CP2_TRIPLE
+        if params is None:
+            return "divisible weights match no three-point shape"
+    for la, lb in combinations(block, 2):
         if not residues_match(points[la], points[lb], k):
             return "residues mod %d differ between %s and %s" % (k, la, lb)
-        return IsotropyComponent(kind, block, params)
-
-    params = _match_cp2({lab: subs[lab] for lab in block})
-    if params is None:
-        return "divisible weights match no three-point shape"
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not residues_match(points[block[i]], points[block[j]], k):
-                return "residues mod %d differ between %s and %s" % (
-                    k,
-                    block[i],
-                    block[j],
-                )
-    return IsotropyComponent(CP2_TRIPLE, params=params, labels=block)
+    return IsotropyComponent(kind, block, params)
 
 
 def classify_isotropy(system: FixedPointSystem, k: int):

@@ -83,12 +83,15 @@ from .constraints import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
+    _chern1_binds,
     lambda_symmetry_check,
     pairing_check,
 )
 from .core import FixedPointSystem, _canonical_points, lambda_count, largest_weight
 from .isotropy import (
     FILTER_CHECKS,
+    _cp2_points,
+    _dim6_points,
     _largest_weight_holders,
     even_count_relation_check,
     component_lambda_relation,
@@ -238,16 +241,12 @@ def _first_failing(n, points, plan):
     return None
 
 
-def first_failure(
-    system: FixedPointSystem, require_effective: bool, check_ids=None
-) -> str | None:
+def first_failure(system: FixedPointSystem, require_effective: bool) -> str | None:
     """Id of the first filter check the system fails, or None if it survives.
 
-    check_ids restricts the filter to a subset (used by the replay pools);
-    omitted means the full enumeration filter.  Effectivity is skipped
-    unless required.  Unknown check ids raise ValueError.
+    Effectivity is skipped unless required.
     """
-    plan = _filter_plan(require_effective, check_ids)
+    plan = _filter_plan(require_effective)
     return _first_failing(system.n, system.points, plan)
 
 
@@ -521,7 +520,7 @@ def _run_branch(payload):
     Picklable."""
     config, profile, d = payload
     flags = config.prune_flags
-    chern_on = flags.chern_linear and config.point_count == 3 and config.n >= 4
+    chern_on = flags.chern_linear and _chern1_binds(config.n, config.point_count)
     stats = SearchStats()
     generate = _staged_candidates if d is None else _dbranch_candidates
     candidates = generate(
@@ -621,29 +620,27 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
 
 
 def cp2_family(a: int, b: int) -> FixedPointSystem:
-    """The three-point dim-4 family {a, a+b}, {-a, b}, {-b, -a-b}."""
+    """The three-point dim-4 family: the CP2 weights _cp2_points(a, b),
+    {a, a+b}, {-a, b}, {-a-b, -b}, labelled p, q, r."""
     if a < 1 or b < 1:
         raise ValueError("family parameters must be natural numbers")
-    return FixedPointSystem.from_weights(
-        2, [(a, a + b), (-a, b), (-b, -a - b)]
-    )
+    return FixedPointSystem.from_weights(2, _cp2_points(a, b))
 
 
 def dim6_pair_family(a: int, b: int) -> FixedPointSystem:
-    """The two-point dim-6 family {a, b, -a-b}, {a+b, -a, -b}."""
+    """The two-point dim-6 family: _dim6_points(a, b), {a, b, -a-b} and
+    {a+b, -a, -b}, labelled p, q; each point is sorted when a > b."""
     if a < 1 or b < 1:
         raise ValueError("family parameters must be natural numbers")
-    return FixedPointSystem.from_weights(
-        3, [(a, b, -a - b), (a + b, -a, -b)]
-    )
+    return FixedPointSystem.from_weights(3, _dim6_points(a, b))
 
 
 def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
     """Enumerate n=2, 3-point survivors and read off their (a, b) families.
 
-    Every survivor must match {a, a+b}, {-a, b}, {-b, -a-b} up to
-    canonical form (which reversal-reduces (a, b) to a <= b); anything
-    else raises FamilyPatternError.
+    Every survivor must be _cp2_points(a, b) for positive a and b, read
+    off its first point (canonical form reversal-reduces (a, b) to
+    a <= b); anything else raises FamilyPatternError.
     """
     if weight_bound < 2:
         raise ValueError("weight_bound must be >= 2")
@@ -653,15 +650,9 @@ def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
     outcome = enumerate_systems(config, workers=workers)
     families = []
     for system in outcome.survivors:
-        (p0, p1, p2) = system.points
-        a, top = p0
+        a, top = system.points[0]
         b = top - a
-        if (
-            a < 1
-            or b < 1
-            or p1 != tuple(sorted((-a, b)))
-            or p2 != tuple(sorted((-b, -a - b)))
-        ):
+        if a < 1 or b < 1 or system.points != _cp2_points(a, b):
             raise FamilyPatternError(
                 "survivor %r is not a projective-plane family" % (system.points,)
             )
@@ -723,7 +714,7 @@ def _partial_pool(n, point_count, bound, checks):
         raise ValueError("every replay pool assumes the pairing check")
     if point_count * n % 2 == 1:  # an odd number of weights never pairs
         return ()
-    chern_on = "chern1_vanishing" in checks and point_count == 3 and n >= 4
+    chern_on = "chern1_vanishing" in checks and _chern1_binds(n, point_count)
     localize = "localization" in checks
     # the generators count their cuts; a pool throws the counts away
     candidates = chain.from_iterable(
@@ -834,11 +825,9 @@ def _l46(system, scope):
     for e in chain(range(2, bound + 1), range(-2, -bound - 1, -1)):
         mults = [tuple(x for x in ws if x % e == 0) for ws in points]
         total = Counter(chain.from_iterable(mults))
-        # the three sub-multisets are exactly {2e, e}, {-e, e}, {-2e, -e}
-        # in some point order
-        triple = sorted(mults) == sorted(
-            tuple(sorted(pair)) for pair in ((2 * e, e), (-e, e), (-2 * e, -e))
-        )
+        # the three sub-multisets are exactly the CP2 triple at a = b = |e|,
+        # in some point order; the shape is the same for e and -e
+        triple = sorted(mults) == sorted(_cp2_points(abs(e), abs(e)))
 
         # part 1: lone +-e across the top half of the weight range
         if 2 * abs(e) > d:
@@ -859,8 +848,8 @@ def _l46(system, scope):
             yield triple, {"e": e, "part": 2}
 
         # part 3: +e twice at one point
-        want_a = tuple(sorted((-2 * e, e, e)))
-        want_b = tuple(sorted((2 * e, -e, -e)))
+        # the dim-6 pair at a = b = e, each point sorted for either sign of e
+        want_a, want_b = (tuple(sorted(ws)) for ws in _dim6_points(e, e))
         for i, alpha in enumerate(points):
             if alpha.count(e) > 1:
                 rest = (sub for j, sub in enumerate(mults) if j != i)

@@ -9,7 +9,9 @@ was reduced to n, labels and ascending weight tuples, and a change that
 alters a single emitted byte (a verdict, a witness, a label in a
 witness, a graph edge, a search statistic) changes one of them.  Each
 input set is hashed twice: as built, and with the points reversed and
-labelled x, y, z, so that witness labels are pinned too.
+labelled x, y, z, so that witness labels are pinned too.  The
+scaled_shapes digests were computed before the CP2 and dim-6 shapes were
+each given one definition in the isotropy module.
 """
 
 import hashlib
@@ -71,6 +73,32 @@ def _families():
             yield dim6_pair_family(a, b)
 
 
+def _scaled_shapes():
+    # the CP2 triple and the dim-6 pair at multiples of k, each point
+    # padded with a weight the Z_k shapes must see past
+    pads = (-2, -1, 1, 2)
+    for k in (2, 3):
+        for a in range(1, 4):
+            for b in range(1, 4):
+                for x, y, z in product(pads, repeat=3):
+                    yield FixedPointSystem.from_weights(
+                        3,
+                        [
+                            (k * a, k * (a + b), x),
+                            (-k * a, k * b, y),
+                            (-k * (a + b), -k * b, z),
+                        ],
+                    )
+                for x, y in product(pads, repeat=2):
+                    yield FixedPointSystem.from_weights(
+                        4,
+                        [
+                            (k * a, k * b, -k * (a + b), x),
+                            (k * (a + b), -k * a, -k * b, y),
+                        ],
+                    )
+
+
 def _reversed_xyz(systems):
     for system in systems:
         rows = [pt["weights"] for pt in reversed(emit_system(system)["points"])]
@@ -103,6 +131,7 @@ SYSTEM_GROUPS = {
     "n2_triples": _n2_triples,
     "n4_triples": _n4_triples,
     "families": _families,
+    "scaled_shapes": _scaled_shapes,
 }
 
 SYSTEM_DIGESTS = {
@@ -111,11 +140,13 @@ SYSTEM_DIGESTS = {
     "n2_triples": "b3ecae6c2f35f17d115eb13a7af709201ea0895cdbc8ddb7186814d4f3f417ac",
     "n4_triples": "5f903aeca634c74395ec131b72750f4a445f6449b95c615689551342a343a918",
     "families": "fd16e102d8ee824ea4ff535891ebb18d76a3edb958a48854e67a03353ff5f5c1",
+    "scaled_shapes": "9f9296f3f54234b03b6958c329d563606b845d3ca1d0aaa2cf38d79d3e44c39f",
     "n1_triples_xyz": "44c939c3e680f781821505c096359e86df0222bd041f467032901f51921a4e02",
     "n2_pairs_xyz": "f51fd27da742d1f11e5ad2c6066a0fcae094613c5732014dff02447a4dfca00e",
     "n2_triples_xyz": "cbbd70b2dcc6afd525d3670421eefafb6f826b7d3026a50cf4a487258684cccc",
     "n4_triples_xyz": "32da8da0566c0748a1d93b5e21d2a4245727135b3a1dcf516828864af1b04a94",
     "families_xyz": "2f72ad402aeb49d8cd2b322341501ead771a3271c7cb6e0fe2e98eb918e0caf3",
+    "scaled_shapes_xyz": "7ccd77a1d7582747805b1c0b9c05420695c6ddc39c81ea78dd2b649c45569cc7",
 }
 
 

@@ -19,6 +19,7 @@ from weightsys.constraints import (
     NOT_APPLICABLE,
     PASS,
     CheckResult,
+    check_system,
     pairing_check,
 )
 from weightsys.core import FixedPointSystem
@@ -120,6 +121,28 @@ def test_classify_rejection_lists_every_partition():
     partitions = [part for part, _ in got.failures]
     assert "p | q | r" in partitions
     assert "p,q,r" in partitions
+
+
+def test_three_point_block_failures():
+    # a CP2 triple at multiples of 3 whose remaining weights clash mod 3
+    clash = classify_isotropy(_system(3, (1, 3, 6), (-3, 2, 3), (-6, -3, 1)), 3)
+    assert clash.failures[-1] == ("p,q,r", "residues mod 3 differ between p and q")
+    # a top role with equal entries would need b' = 0
+    flat = classify_isotropy(_system(2, (3, 3), (-3, 1), (-3, -1)), 3)
+    assert flat.failures[-1] == (
+        "p,q,r",
+        "divisible weights match no three-point shape",
+    )
+
+
+def test_one_point_partition_witness():
+    got = check_system(_system(2, (2, 4))).by_id("isotropy")
+    assert got.witness == {
+        "k": 2,
+        "failures": [
+            {"partition": "p", "violation": "point p carries weights divisible by 2"}
+        ],
+    }
 
 
 def test_classify_errors():

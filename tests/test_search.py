@@ -29,10 +29,12 @@ from weightsys.isotropy import FILTER_CHECKS
 from weightsys.search import (
     FamilyPatternError,
     LemmaCounterexample,
+    NonexistenceViolation,
     PruneFlags,
     REPLAY_LEMMAS,
     REPLAY_POINT_COUNTS,
     SearchConfig,
+    SearchOutcome,
     SearchSpaceError,
     SearchStats,
     classify_dim4,
@@ -49,6 +51,7 @@ from weightsys.search import (
     _REPLAYS,
     _dbranch_candidates,
     _factorizations,
+    _filter_plan,
     _last_points,
     _partial_pool,
     _profiles,
@@ -475,10 +478,9 @@ def test_first_failure_names_the_reported_failure_on_raw_oracle_candidates():
 
 
 def test_unknown_check_ids_raise():
-    system = cp2_family(1, 2)
     with pytest.raises(ValueError, match="pairng"):
-        first_failure(system, False, ("pairng",))
-    assert first_failure(system, False, ("pairing",)) is None
+        _filter_plan(False, ("pairng",))
+    assert [entry[0] for entry in _filter_plan(False, ("pairing",))] == ["pairing"]
     # a misspelt premise would make the pool, and every replay on it, weaker
     with pytest.raises(ValueError, match="localisation"):
         _partial_pool(2, 3, 3, ("pairing", "localisation"))
@@ -538,6 +540,33 @@ def test_classify_dim4_frozen_values():
     ]
     with pytest.raises(ValueError):
         classify_dim4(1)
+
+
+@pytest.mark.parametrize(
+    "points", [((1, 2), (-1, 2), (-2, -2)), ((-1, 2), (-1, 2), (-2, 1))]
+)
+def test_classify_dim4_rejects_a_survivor_off_the_family(monkeypatch, points):
+    system = FixedPointSystem.from_weights(2, points)
+    monkeypatch.setattr(
+        search,
+        "enumerate_systems",
+        lambda config, workers=1: SearchOutcome((system,), SearchStats()),
+    )
+    message = "survivor %r is not a projective-plane family" % (points,)
+    with pytest.raises(FamilyPatternError, match=re.escape(message)):
+        classify_dim4(4)
+
+
+def test_verify_nonexistence_raises_on_a_survivor(monkeypatch):
+    system = FixedPointSystem.from_weights(2, ((-1, 2), (-1, 2), (-2, 1)))
+    outcome = SearchOutcome((system,), SearchStats())
+    monkeypatch.setattr(
+        search, "enumerate_systems", lambda config, workers=1: outcome
+    )
+    message = "expected no survivors at n=4, bound=3, found 1"
+    with pytest.raises(NonexistenceViolation, match=message) as raised:
+        verify_nonexistence(4, 3)
+    assert raised.value.outcome is outcome
 
 
 def test_family_builders_validate():
