@@ -40,13 +40,18 @@ naive_oracle does none of this: it walks the full product of per-point
 weight multisets, applies the same filter to each candidate, and must
 agree with the enumerator exactly.  Slot orderings of the same multiset
 are the same system, so the oracle iterates multisets; the 1e8 guard is
-on the number of candidates so walked.
+on the number of candidates so walked.  It orders the walk by largest
+|weight| t, one sub-product per t and per first point reaching t, so
+each candidate is listed exactly once and nothing is cut or counted
+unlisted; t is only the bucket its failures are counted in.
 
 The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: find each candidate's first failing check, keep the canonical
 point tuples of a survivor) and differ only in their generators: the
 d-branches or staged generation, the raw product, and staged generation
-under a subset of the checks.  sum_p 1/P_p = 0 fixes the last point's
+under a subset of the checks.  A d-branch and an oracle level tell the
+sieve their largest |weight|, which buckets their failures; the staged
+path leaves the sieve to take it per failure.  sum_p 1/P_p = 0 fixes the last point's
 weight product from the others' (-P1 for two points, -P1 P2 / (P1 + P2)
 for three).  Both generators close the last point with _last_points:
 given the other points' products, it lists only the closures with that
@@ -73,6 +78,7 @@ assertion; replay_lemma alone counts them and records the failures.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -487,7 +493,7 @@ def _last_product(products):
     return None if left else q
 
 
-def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
+def _sieve(candidates, n, require_effective, check_ids=None, stats=None, largest=None):
     """Canonical point tuples of the candidates that pass the filter.
 
     The one loop the enumerator, the oracle and the replay pools share.
@@ -497,7 +503,9 @@ def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
     that need it.  A survivor is kept as its canonical tuples; the callers
     build the systems where survivors leave the search.  With stats,
     every candidate counts as a node and every failure is bucketed by the
-    parity of its largest |weight|.
+    parity of its largest |weight|.  A generator whose candidates all
+    share one largest |weight| (a d-branch, a level of the oracle's walk)
+    passes it as largest; otherwise each failure's is computed.
     """
     plan = _filter_plan(require_effective, check_ids)
     survivors = set()
@@ -508,8 +516,8 @@ def _sieve(candidates, n, require_effective, check_ids=None, stats=None):
         if failed is None:
             survivors.add(_canonical_points(points))
         elif stats is not None:
-            largest = max(map(abs, chain.from_iterable(points)))
-            stats.eliminated["odd" if largest % 2 == 1 else "even"][failed] += 1
+            top = largest or max(map(abs, chain.from_iterable(points)))
+            stats.eliminated["odd" if top % 2 == 1 else "even"][failed] += 1
     if stats is not None:
         stats.nodes += nodes
     return survivors
@@ -532,7 +540,9 @@ def _run_branch(payload):
         flags.pairing_completion,
         stats,
     )
-    survivors = _sieve(candidates, config.n, config.require_effective, stats=stats)
+    survivors = _sieve(
+        candidates, config.n, config.require_effective, stats=stats, largest=d
+    )
     return survivors, stats
 
 
@@ -582,7 +592,12 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     through the same filter the enumerator uses.  Weight order inside a
     point is meaningless (points carry multisets), so the walk is over
     per-point multisets; the 1e8 guard caps their product, which is
-    counted with math.comb before any multiset is listed.  An optional
+    counted with math.comb before any multiset is listed.  The product is
+    walked as the disjoint sub-products of largest |weight| t = 1..W:
+    with i the first point whose largest |weight| is t, the points before
+    it take the multisets below t, point i those at t, and the points
+    after it those at most t.  Every candidate still reaches the sieve,
+    which is told t for the parity bucket of its failures.  An optional
     lambda_profile (one negative-count per point, sorted) restricts each
     point's multisets, which is how scopes otherwise past the guard get
     spot-checked.  Single-threaded on purpose.
@@ -607,16 +622,39 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
         )
 
     if lambda_profile is not None:
-        candidates = product(
-            *(_signed_multisets(lam, n - lam, bound) for lam in lambda_profile)
-        )
+        by_lam = {
+            lam: _by_largest(_signed_multisets(lam, n - lam, bound), bound)
+            for lam in set(lambda_profile)
+        }
+        pools = [by_lam[lam] for lam in lambda_profile]
     else:
         values = list(range(-bound, 0)) + list(range(1, bound + 1))
         multisets = combinations_with_replacement(values, n)
-        candidates = product(multisets, repeat=config.point_count)
+        pools = [_by_largest(multisets, bound)] * config.point_count
     stats = SearchStats()
-    survivors = _sieve(candidates, n, config.require_effective, stats=stats)
+    survivors = set()
+    for t in range(1, bound + 1):
+        for i in range(len(pools)):
+            # i is the first point reaching t: the points before it stay
+            # below t, the points after it at most t
+            factors = [
+                ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
+                for j, (ranked, ends) in enumerate(pools)
+            ]
+            survivors |= _sieve(
+                product(*factors), n, config.require_effective, stats=stats, largest=t
+            )
     return SearchOutcome(_systems(n, survivors), stats)
+
+
+def _by_largest(multisets, bound):
+    """(ranked, ends): the ascending multisets sorted by largest |weight|,
+    and ends[t] = how many have largest |weight| <= t, for t in 0..bound."""
+    def largest(ws):
+        return max(-ws[0], ws[-1])
+
+    ranked = sorted(multisets, key=largest)
+    return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)]
 
 
 def cp2_family(a: int, b: int) -> FixedPointSystem:

@@ -11,7 +11,9 @@ witness, a graph edge, a search statistic) changes one of them.  Each
 input set is hashed twice: as built, and with the points reversed and
 labelled x, y, z, so that witness labels are pinned too.  The
 scaled_shapes digests were computed before the CP2 and dim-6 shapes were
-each given one definition in the isotropy module.
+each given one definition in the isotropy module, and the oracle digests
+at (n, points, W) = (3, 2, 4) and (4, 2, 3) before the oracle walked its
+product by largest |weight|.
 """
 
 import hashlib
@@ -175,6 +177,8 @@ SEARCH_DIGESTS = {
     ("enumerate", 6, 3, 6): "69398e3169feffbf7d2d590e722d3b81799dce5c4127e8ee5f4eeecb9fc664d9",
     ("enumerate", 10, 3, 5): "f36dbc600cb5a322b9140aa062cd207a4b2f3b626477cf9bfcacc3fdb7e9c945",
     ("oracle", 2, 3, 3): "6a00c938e2ad31400d20ac366a86d8f1c8902e0a8862dc376aba4f2fe022067c",
+    ("oracle", 3, 2, 4): "60efab40a3bd49773f29798f69a9a8f4dc68544bc8a34dceb058b763e9cf4128",
+    ("oracle", 4, 2, 3): "8bf1e0416e32cf7361169c8cbd8ef868550125ff90fd0fa057542bafe01ef1de",
 }
 
 

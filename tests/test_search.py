@@ -90,6 +90,54 @@ def test_oracle_equivalence_spot_checks():
     assert (oracle.stats.nodes, oracle.survivors) == (511225, ())
 
 
+def _reference_oracle(config, lambda_profile=None):
+    """The oracle as one plain product walk: every candidate through the
+    sieve, each failure bucketed by its own largest |weight|."""
+    n, bound = config.n, config.weight_bound
+    if lambda_profile is None:
+        values = [w for w in range(-bound, bound + 1) if w]
+        pools = [list(combinations_with_replacement(values, n))] * config.point_count
+    else:
+        pools = [list(_signed_multisets(lam, n - lam, bound)) for lam in lambda_profile]
+    stats = SearchStats()
+    survivors = _sieve(product(*pools), n, config.require_effective, stats=stats)
+    return stats, tuple(sorted(survivors))
+
+
+def _oracle_reference_scopes():
+    for n, bound, points, effective in product((1, 2), (1, 2, 3, 4), (2, 3), (True, False)):
+        yield SearchConfig(n, points, bound, effective), None
+    for n, points in product((3, 4), (2, 3)):
+        yield SearchConfig(n, points, 1, False), None
+    yield SearchConfig(4, 3, 3), (1, 2, 3)
+    yield SearchConfig(2, 3, 5), (0, 1, 2)
+
+
+def test_oracle_largest_weight_walk_matches_the_plain_product():
+    # the walk by largest |weight| lists each candidate once and buckets
+    # its failures as the per-candidate max would
+    for config, profile in _oracle_reference_scopes():
+        outcome = naive_oracle(config, profile)
+        stats, survivors = _reference_oracle(config, profile)
+        assert tuple(s.points for s in outcome.survivors) == survivors, config
+        assert outcome.stats.nodes == stats.nodes, config
+        killed = {b: dict(c) for b, c in outcome.stats.eliminated.items()}
+        assert killed == {b: dict(c) for b, c in stats.eliminated.items()}, config
+        assert all(chain.from_iterable(c.values() for c in killed.values())), config
+
+
+def test_oracle_spot_check_three_points_n6():
+    # the smallest count-symmetric profile at W=3: 28 * 100 * 28 candidates
+    config = SearchConfig(n=6, point_count=3, weight_bound=3, require_effective=False)
+    oracle = naive_oracle(config, lambda_profile=(0, 3, 6))
+    assert oracle.survivors == enumerate_systems(config).survivors == ()
+    assert oracle.stats.nodes == 78400
+    assert oracle.stats.eliminated == {
+        "odd": {"pairing": 75952, "localization": 1642, "chern1_vanishing": 23},
+        "even": {"pairing": 692, "localization": 88, "chern1_vanishing": 3},
+    }
+
+
 def _guard_message(space):
     return re.escape("oracle space has %d candidates (> 100000000)" % space)
 
@@ -332,6 +380,9 @@ def test_dbranch_lifts_match_the_full_lift_walk():
     walk = _dbranch_walk()
     for args, cut, listed, reference, _ in walk:
         assert listed == Counter(_kept(args, cut, reference)), args
+        # the sieve buckets a d-branch's failures by d without looking
+        d = args[2]
+        assert all(max(map(abs, chain.from_iterable(c))) == d for c in listed), args
     assert len(walk) == 27724
 
 
