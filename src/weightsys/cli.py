@@ -190,13 +190,14 @@ def _cmd_graph(args) -> int:
     system = parse_system(_load_document(args.file))
     try:
         document = build_graph(system)
+        dot = emit_dot(document)
     except PairingRequired as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     with _open_output(args.dot) as out:
-        _write_output(out, emit_dot(document))
+        _write_output(out, dot)
     sys.stdout.write(render_json(document.as_dict()))
     return 0
 

@@ -159,11 +159,14 @@ def pairing_check(system: FixedPointSystem) -> CheckResult:
     )
 
 
-def _lambda_symmetry_holds(n: int, points) -> bool:
-    """The negative counts of the ascending points, sorted, read the same
-    after i -> n - i."""
-    lams = sorted([bisect_left(ws, 0) for ws in points])
+def _count_symmetric(n: int, lams: list) -> bool:
+    """The ascending list of negative counts reads the same after i -> n - i."""
     return lams == [n - lam for lam in reversed(lams)]
+
+
+def _lambda_symmetry_holds(n: int, points) -> bool:
+    """The negative counts of the ascending points are count-symmetric."""
+    return _count_symmetric(n, sorted([bisect_left(ws, 0) for ws in points]))
 
 
 def lambda_symmetry_check(system: FixedPointSystem) -> CheckResult:

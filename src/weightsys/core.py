@@ -145,7 +145,5 @@ def effectivity_gcd(system: FixedPointSystem) -> int:
     Dividing every weight by this gcd models quotienting out the subgroup
     that acts trivially.
     """
-    values = [abs(w) for w in system.all_weights()]
-    if not values:
-        raise ValueError("no weight data")
-    return math.gcd(*values)
+    # a system has at least one point and n >= 1 weights at each
+    return math.gcd(*system.all_weights())

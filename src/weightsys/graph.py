@@ -59,17 +59,15 @@ def build_graph(system: FixedPointSystem) -> GraphDocument:
         )
     )
 
+    # isotropy_orders is ascending: the last k joining a pair is the largest
     best = {}
     for k in isotropy_orders(system.all_weights()):
         decomposition = classify_isotropy(system, k)
         if not decomposition:
             continue
         for component in decomposition.components:
-            if len(component.labels) < 2:
-                continue
             for a, b in combinations(sorted(component.labels), 2):
-                if k > best.get((a, b), 0):
-                    best[(a, b)] = k
+                best[(a, b)] = k
 
     edges = tuple(
         (a, b, best[(a, b)]) for a, b in sorted(best)
@@ -77,11 +75,19 @@ def build_graph(system: FixedPointSystem) -> GraphDocument:
     return GraphDocument(vertices=vertices, edges=edges)
 
 
+def _dot_id(label: str) -> str:
+    """label as a DOT quoted string, " escaped as \\"; a backslash, which DOT
+    reads as the start of an escape, raises ValueError."""
+    if "\\" in label:
+        raise ValueError("label %r contains a backslash, which DOT cannot quote" % label)
+    return '"%s"' % label.replace('"', '\\"')
+
+
 def emit_dot(document: GraphDocument) -> str:
     lines = ["graph {"]
     for label, lam in document.vertices:
-        lines.append('  "%s" [lambda=%d];' % (label, lam))
+        lines.append("  %s [lambda=%d];" % (_dot_id(label), lam))
     for a, b, k in document.edges:
-        lines.append('  "%s" -- "%s" [k=%d];' % (a, b, k))
+        lines.append("  %s -- %s [k=%d];" % (_dot_id(a), _dot_id(b), k))
     lines.append("}")
     return "\n".join(lines) + "\n"

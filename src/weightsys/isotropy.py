@@ -205,18 +205,16 @@ def _match_dim6(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
 
 
 def _match_cp2(subs: dict[str, tuple[int, ...]]):
-    # the roles of _cp2_points(a', b') over the three points
-    best = None
-    for lab1, lab2, lab3 in permutations(sorted(subs)):
+    # the roles of _cp2_points(a', b') over the three points; their sign
+    # patterns differ, so at most one assignment of roles matches
+    for lab1, lab2, lab3 in permutations(subs):
         top = subs[lab1]
         if len(top) != 2 or not 0 < top[0] < top[1]:
             continue
         a, b = top[0], top[1] - top[0]
-        if (top, subs[lab2], subs[lab3]) != _cp2_points(a, b):
-            continue
-        if best is None or (a, b) < best:
-            best = (a, b)
-    return best
+        if (top, subs[lab2], subs[lab3]) == _cp2_points(a, b):
+            return a, b
+    return None
 
 
 def _partition_repr(blocks) -> str:

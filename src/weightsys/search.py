@@ -13,7 +13,7 @@ are switched on.  The default (all prunes on) search runs, per lambda
 profile and per candidate largest weight d:
 
     1. lambda profiles are restricted to the count-symmetric ones
-       ((i, n/2, n-i) for three points, (i, n-i) for two);
+       (constraints._count_symmetric);
     2. the point v holding -d is generated outright: -d occurs once,
        every other weight lies in [-(d-1), d-1] (the filter forces d and
        -d to occur exactly once overall, at distinct points, for d >= 2:
@@ -46,19 +46,20 @@ each candidate is listed exactly once and nothing is cut or counted
 unlisted; t is only the bucket its failures are counted in.
 
 The enumerator, the oracle and the replay premise pools share one sieve
-(_sieve: find each candidate's first failing check, keep the canonical
-point tuples of a survivor) and differ only in their generators: the
-d-branches or staged generation, the raw product, and staged generation
-under a subset of the checks.  A d-branch and an oracle level tell the
-sieve their largest |weight|, which buckets their failures; the staged
-path leaves the sieve to take it per failure.  sum_p 1/P_p = 0 fixes the last point's
-weight product from the others' (-P1 for two points, -P1 P2 / (P1 + P2)
-for three).  Both generators close the last point with _last_points:
-given the other points' products, it lists only the closures with that
-product and counts the rest.  A pool whose checks include localization
-drops the count (each cut candidate fails the check its sieve runs); a
-three-point d-branch counts each as a node killed at localization, as
-the sieve would.  The enumerator's staged path makes no cut.
+(_sieve: run a plan of checks, count nodes and failures, keep survivors'
+canonical point tuples), each building its _filter_plan once: the full
+filter over d-branches or staged generation, over the raw product, and a
+subset of the checks over staged generation (a pool drops the counts).  A
+d-branch and an oracle level tell the sieve their largest |weight|,
+which buckets their failures; the staged paths leave the sieve to take
+it per failure.  sum_p 1/P_p = 0 fixes the last point's weight product
+from the others' (-P1 for two points, -P1 P2 / (P1 + P2) for three).
+Both generators close the last point with _last_points: given the other
+points' products, it lists only the closures with that product and
+counts the rest.  A pool whose checks include localization drops the
+count (each cut candidate fails the check its sieve runs); a three-point
+d-branch counts each as a node killed at localization, as the sieve
+would.  The enumerator's staged path makes no cut.
 
 The sieve decides on the candidate's ascending weight tuples: pairing,
 lambda symmetry, parity, localization (integer cross-multiplication)
@@ -90,6 +91,7 @@ from .constraints import (
     NOT_APPLICABLE,
     PASS,
     _chern1_binds,
+    _count_symmetric,
     lambda_symmetry_check,
     pairing_check,
 )
@@ -257,14 +259,10 @@ def first_failure(system: FixedPointSystem, require_effective: bool) -> str | No
 
 
 def _profiles(n: int, point_count: int, restricted: bool):
-    """Sorted lambda profiles; restricted = only count-symmetric ones."""
-    if restricted:
-        if point_count == 3:
-            if n % 2 == 1:
-                return []
-            return [(i, n // 2, n - i) for i in range(n // 2 + 1)]
-        return [(i, n - i) for i in range(n // 2 + 1)]
-    return list(combinations_with_replacement(range(n + 1), point_count))
+    """Sorted lambda profiles in lexicographic order; restricted = only
+    the count-symmetric ones (_count_symmetric)."""
+    profiles = combinations_with_replacement(range(n + 1), point_count)
+    return [p for p in profiles if not restricted or _count_symmetric(n, list(p))]
 
 
 def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
@@ -398,8 +396,7 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
         yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
         return
 
-    lams = sorted(profile)
-    symmetric = lams == [n - lam for lam in reversed(lams)]
+    symmetric = _count_symmetric(n, sorted(profile))
     counted = point_count == 3 and pairing_complete and symmetric
     for ia, ib in permutations(range(point_count), 2):
         lam_a, lam_b = profile[ia], profile[ib]
@@ -493,21 +490,21 @@ def _last_product(products):
     return None if left else q
 
 
-def _sieve(candidates, n, require_effective, check_ids=None, stats=None, largest=None):
-    """Canonical point tuples of the candidates that pass the filter.
+def _sieve(candidates, n, plan, stats, largest=None):
+    """Canonical point tuples of the candidates that pass every check in
+    plan (a _filter_plan).
 
     The one loop the enumerator, the oracle and the replay pools share.
     Each candidate is a tuple of ascending weight tuples and is decided on
     them: a system is built only once it passes the tuple predicates
     (pairing, lambda symmetry, parity, localization, c_1), for the checks
     that need it.  A survivor is kept as its canonical tuples; the callers
-    build the systems where survivors leave the search.  With stats,
-    every candidate counts as a node and every failure is bucketed by the
-    parity of its largest |weight|.  A generator whose candidates all
-    share one largest |weight| (a d-branch, a level of the oracle's walk)
-    passes it as largest; otherwise each failure's is computed.
+    build the systems where survivors leave the search.  Every candidate
+    counts as a node in stats and every failure is bucketed by the parity
+    of its largest |weight|.  A generator whose candidates all share one
+    largest |weight| (a d-branch, a level of the oracle's walk) passes it
+    as largest; otherwise each failure's is computed.
     """
-    plan = _filter_plan(require_effective, check_ids)
     survivors = set()
     nodes = 0
     for points in candidates:
@@ -515,11 +512,10 @@ def _sieve(candidates, n, require_effective, check_ids=None, stats=None, largest
         failed = _first_failing(n, points, plan)
         if failed is None:
             survivors.add(_canonical_points(points))
-        elif stats is not None:
+        else:
             top = largest or max(map(abs, chain.from_iterable(points)))
             stats.eliminated["odd" if top % 2 == 1 else "even"][failed] += 1
-    if stats is not None:
-        stats.nodes += nodes
+    stats.nodes += nodes
     return survivors
 
 
@@ -540,10 +536,8 @@ def _run_branch(payload):
         flags.pairing_completion,
         stats,
     )
-    survivors = _sieve(
-        candidates, config.n, config.require_effective, stats=stats, largest=d
-    )
-    return survivors, stats
+    plan = _filter_plan(config.require_effective)
+    return _sieve(candidates, config.n, plan, stats, largest=d), stats
 
 
 def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
@@ -576,9 +570,8 @@ def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
         survivors.update(branch_survivors)
         stats.merge(branch_stats)
     if flags.lambda_profile:
-        stats.pruned["lambda_profile"] += len(
-            _profiles(config.n, config.point_count, False)
-        ) - len(profiles)
+        unrestricted = math.comb(config.n + config.point_count, config.point_count)
+        stats.pruned["lambda_profile"] += unrestricted - len(profiles)
     return SearchOutcome(_systems(config.n, survivors), stats)
 
 
@@ -631,6 +624,7 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
         values = list(range(-bound, 0)) + list(range(1, bound + 1))
         multisets = combinations_with_replacement(values, n)
         pools = [_by_largest(multisets, bound)] * config.point_count
+    plan = _filter_plan(config.require_effective)
     stats = SearchStats()
     survivors = set()
     for t in range(1, bound + 1):
@@ -641,9 +635,7 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
                 ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
                 for j, (ranked, ends) in enumerate(pools)
             ]
-            survivors |= _sieve(
-                product(*factors), n, config.require_effective, stats=stats, largest=t
-            )
+            survivors |= _sieve(product(*factors), n, plan, stats, largest=t)
     return SearchOutcome(_systems(n, survivors), stats)
 
 
@@ -673,7 +665,7 @@ def dim6_pair_family(a: int, b: int) -> FixedPointSystem:
     return FixedPointSystem.from_weights(3, _dim6_points(a, b))
 
 
-def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
+def classify_dim4(weight_bound: int, effective: bool = True):
     """Enumerate n=2, 3-point survivors and read off their (a, b) families.
 
     Every survivor must be _cp2_points(a, b) for positive a and b, read
@@ -685,7 +677,7 @@ def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
     config = SearchConfig(
         n=2, point_count=3, weight_bound=weight_bound, require_effective=effective
     )
-    outcome = enumerate_systems(config, workers=workers)
+    outcome = enumerate_systems(config)
     families = []
     for system in outcome.survivors:
         a, top = system.points[0]
@@ -698,7 +690,7 @@ def classify_dim4(weight_bound: int, effective: bool = True, workers: int = 1):
     return sorted(families)
 
 
-def verify_nonexistence(n: int, weight_bound: int, workers: int = 1) -> SearchOutcome:
+def verify_nonexistence(n: int, weight_bound: int) -> SearchOutcome:
     """Assert the bounded 3-point search is empty for n >= 4.
 
     The outcome keeps the per-constraint elimination counters, bucketed
@@ -708,7 +700,7 @@ def verify_nonexistence(n: int, weight_bound: int, workers: int = 1) -> SearchOu
     if n < 4:
         raise ValueError("nonexistence checks start at n = 4")
     config = SearchConfig(n=n, point_count=3, weight_bound=weight_bound)
-    outcome = enumerate_systems(config, workers=workers)
+    outcome = enumerate_systems(config)
     if outcome.survivors:
         raise NonexistenceViolation(
             "expected no survivors at n=%d, bound=%d, found %d"
@@ -750,18 +742,18 @@ def _partial_pool(n, point_count, bound, checks):
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")
+    plan = _filter_plan(False, checks)
     if point_count * n % 2 == 1:  # an odd number of weights never pairs
         return ()
     chern_on = "chern1_vanishing" in checks and _chern1_binds(n, point_count)
     localize = "localization" in checks
-    # the generators count their cuts; a pool throws the counts away
+    # the generators and the sieve count; a pool throws the counts away
+    stats = SearchStats()
     candidates = chain.from_iterable(
-        _staged_candidates(
-            n, point_count, bound, profile, chern_on, True, SearchStats(), localize
-        )
+        _staged_candidates(n, point_count, bound, profile, chern_on, True, stats, localize)
         for profile in _profiles(n, point_count, "lambda_symmetry" in checks)
     )
-    return _systems(n, _sieve(candidates, n, False, check_ids=checks))
+    return _systems(n, _sieve(candidates, n, plan, stats))
 
 
 def _survivor_pool(scope):

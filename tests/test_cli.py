@@ -153,6 +153,11 @@ REFUSALS = {
         ["graph", "{doc}", "--dot", "{dot}"],
         "error: the isotropy graph needs at most 3 fixed points",
     ),
+    # in DOT a backslash before a quote or a newline has its own meaning
+    "graph_backslash_label": (
+        ["graph", "{backslash}", "--dot", "{dot}"],
+        "error: label 'q\\\\' contains a backslash",
+    ),
     "replay_n_0": (
         ["replay", "--lemma", "l22", "--n", "0", "--bound", "3"],
         "error: n and bound must be >= 1",
@@ -164,7 +169,12 @@ REFUSALS = {
 def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, name):
     doc = tmp_path / "four.json"
     doc.write_text(json.dumps(FOUR_POINTS), encoding="utf-8")
-    paths = {"doc": doc, "dot": tmp_path / "out.dot", "out": tmp_path / "out.json"}
+    paths = {
+        "doc": doc,
+        "backslash": _relabelled_cp2_12(tmp_path, ["p", "q\\", "r"]),
+        "dot": tmp_path / "out.dot",
+        "out": tmp_path / "out.json",
+    }
     argv, want = REFUSALS[name]
     argv = [arg.format(**paths) for arg in argv]
     if argv[0] == "enumerate":
@@ -174,6 +184,7 @@ def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith(want), captured.err
     assert captured.err.count("\n") == 1, captured.err
+    assert not paths["dot"].exists()
 
 
 def test_check_exit_2_on_missing_file(capsys):
@@ -210,6 +221,29 @@ def test_graph_golden_dot(tmp_path, capsys):
         {"ends": ["p", "r"], "k": 3},
         {"ends": ["q", "r"], "k": 2},
     ]
+
+
+def _relabelled_cp2_12(tmp_path, labels):
+    doc = json.loads(_read("cp2_12.json"))
+    for point, label in zip(doc["points"], labels):
+        point["label"] = label
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_graph_escapes_a_quote_in_a_label(tmp_path, capsys):
+    path = _relabelled_cp2_12(tmp_path, ['p"x', "q", "r"])
+    out = tmp_path / "graph.dot"
+    assert run_cli(["graph", str(path), "--dot", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _read("cp2_12.dot").replace(
+        '"p"', '"p\\"x"'
+    )
+    assert json.loads(capsys.readouterr().out)["vertices"][0]["label"] == 'p"x'
+    # a backslash label, which graph refuses (REFUSALS), passes check
+    path = _relabelled_cp2_12(tmp_path, ["p", "q\\", "r"])
+    assert run_cli(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
 
 
 def test_graph_exit_1_without_pairing(tmp_path, capsys):

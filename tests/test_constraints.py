@@ -18,6 +18,7 @@ from weightsys.constraints import (
     NOT_APPLICABLE,
     PASS,
     CheckResult,
+    ConstraintReport,
     chern1_at,
     chern1_vanishing_check,
     chern_i_at,
@@ -116,6 +117,8 @@ def test_check_result_insists_witness_on_fail_only():
         CheckResult("pairing", FAIL, ANCHORS["pairing"], None)
     with pytest.raises(ValueError):
         CheckResult("pairing", PASS, ANCHORS["pairing"], {"l": 1})
+    with pytest.raises(ValueError, match="bad verdict"):
+        CheckResult("pairing", "passed", ANCHORS["pairing"])
 
 
 def test_check_system_report_shape():
@@ -154,6 +157,12 @@ def test_check_system_overall_false_on_any_failure():
     report = check_system(_system(2, (1, 2), (-1, 2), (-2, -3)))
     assert not report.overall
     assert report.by_id("pairing").verdict == FAIL
+    # effectivity is reported only when required
+    with pytest.raises(KeyError):
+        report.by_id("effectivity")
+    # one entry per check id
+    with pytest.raises(ValueError, match="duplicate check ids"):
+        ConstraintReport(report.checks[:1] * 2)
 
 
 def test_verdicts_invariant_under_relabel_and_reversal():

@@ -39,6 +39,8 @@ from weightsys.isotropy import (
     residues_match,
     structure_relation_checks,
     sub_multiset_mod_k,
+    _cp2_points,
+    _match_cp2,
 )
 from weightsys.search import cp2_family, dim6_pair_family
 
@@ -93,6 +95,8 @@ def test_classify_sphere_and_isolated():
     assert got3.component_of("p").kind == SPHERE_PAIR
     assert got3.component_of("p").params == (3,)
     assert got3.component_of("q").kind == ISOLATED
+    with pytest.raises(KeyError):
+        got3.component_of("s")
 
 
 def test_classify_cp2_triple():
@@ -104,6 +108,27 @@ def test_classify_cp2_triple():
     assert component.kind == CP2_TRIPLE
     assert component.labels == ("p", "q", "r")
     assert component.params == (2, 2)
+
+
+def test_cp2_match_is_the_one_matching_role_assignment():
+    # every triple of two-weight sub-multisets in [-4, 4]: at most one
+    # assignment of the CP2 roles to the labels matches, and it is returned
+    values = [w for w in range(-4, 5) if w]
+    labels = ("p", "q", "r")
+    matched = 0
+    for subs in product(combinations_with_replacement(values, 2), repeat=3):
+        by_label = dict(zip(labels, subs))
+        matches = []
+        for order in permutations(labels):
+            a, top = by_label[order[0]]
+            roles = tuple(by_label[label] for label in order)
+            if 0 < a < top and roles == _cp2_points(a, top - a):
+                matches.append((a, top - a))
+        assert len(matches) <= 1, subs
+        assert _match_cp2(by_label) == (matches[0] if matches else None), subs
+        matched += len(matches)
+    # the six (a, b) with a + b <= 4, each in six label orders
+    assert matched == 36
 
 
 def test_classify_dim6_pair():
@@ -224,6 +249,9 @@ def test_lambda_step_not_applicable():
     family = _system(2, (1, 3), (-1, 2), (-3, -2))
     w2, _, v2 = family.points
     assert lambda_step_check(v2, w2, 3, family).verdict == NOT_APPLICABLE
+    # no positive weight, so no largest weight d
+    negative = _system(1, (-1,), (-1,))
+    assert lambda_step_check((-1,), (1,), 1, negative).verdict == NOT_APPLICABLE
 
 
 def test_component_lambda_relation_worked_example():
@@ -240,6 +268,8 @@ def test_component_lambda_relation_fails_and_not_applicable():
     # residues (1, 2) and (1, 1) differ mod 3
     got = component_lambda_relation((1, 2), (1, 1), 3)
     assert got.verdict == NOT_APPLICABLE
+    with pytest.raises(ValueError, match="d must be positive"):
+        component_lambda_relation((-3, -2), (1, 3), 0)
 
 
 def test_matching_residues_make_the_c1_difference_divisible():

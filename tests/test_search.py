@@ -10,7 +10,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from functools import cache
-from math import prod
+from math import comb, prod
 from itertools import chain, combinations_with_replacement, permutations, product
 
 import pytest
@@ -100,7 +100,7 @@ def _reference_oracle(config, lambda_profile=None):
     else:
         pools = [list(_signed_multisets(lam, n - lam, bound)) for lam in lambda_profile]
     stats = SearchStats()
-    survivors = _sieve(product(*pools), n, config.require_effective, stats=stats)
+    survivors = _sieve(product(*pools), n, _filter_plan(config.require_effective), stats)
     return stats, tuple(sorted(survivors))
 
 
@@ -175,6 +175,18 @@ def test_oracle_profile_restriction():
         naive_oracle(config, lambda_profile=(0, 1, 3))
     restricted = naive_oracle(config, lambda_profile=(0, 1, 2))
     assert restricted.survivors == enumerate_systems(config).survivors
+
+
+def test_profiles_are_the_closed_forms():
+    # the count-symmetric profiles, written out: (i, n/2, n - i) for three
+    # points (none at odd n) and (i, n - i) for two
+    for n in range(1, 41):
+        three = [] if n % 2 else [(i, n // 2, n - i) for i in range(n // 2 + 1)]
+        assert _profiles(n, 3, True) == three, n
+        assert _profiles(n, 2, True) == [(i, n - i) for i in range(n // 2 + 1)], n
+        for point_count in (2, 3):
+            unrestricted = _profiles(n, point_count, False)
+            assert len(unrestricted) == comb(n + point_count, point_count)
 
 
 def test_monotone_in_the_bound():
@@ -535,6 +547,9 @@ def test_unknown_check_ids_raise():
     # a misspelt premise would make the pool, and every replay on it, weaker
     with pytest.raises(ValueError, match="localisation"):
         _partial_pool(2, 3, 3, ("pairing", "localisation"))
+    # also where the pool is empty without listing a candidate
+    with pytest.raises(ValueError, match="localisation"):
+        _partial_pool(1, 3, 3, ("pairing", "localisation"))
     assert len(_partial_pool(2, 3, 3, ("pairing", "localization"))) == 2
 
 
@@ -713,8 +728,8 @@ def test_localization_cut_keeps_every_pool():
             reference = _sieve(
                 chain.from_iterable(kept[p, chern_on] for p in profiles),
                 n,
-                False,
-                check_ids=checks,
+                _filter_plan(False, checks),
+                SearchStats(),
             )
             got = _partial_pool(n, point_count, bound, checks)
             assert tuple(s.points for s in got) == tuple(sorted(reference)), (
@@ -735,7 +750,8 @@ def test_odd_three_point_pools_list_no_head(monkeypatch):
             _staged_candidates(n, 3, 3, profile, False, True, SearchStats())
             for profile in _profiles(n, 3, False)
         )
-        assert _sieve(candidates, n, False, check_ids=("pairing",)) == set()
+        plan = _filter_plan(False, ("pairing",))
+        assert _sieve(candidates, n, plan, SearchStats()) == set()
     # ... and the pools are empty without a head being listed
     def refuse(*args):
         raise AssertionError("an odd-n three-point pool listed a head")
