@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from .constraints import check_system
@@ -99,13 +101,23 @@ def _load_document(path):
         ) from None
 
 
+@contextmanager
 def _open_output(path):
     # append mode creates the file without truncating it: a bad path is
-    # reported before any work, and what is there stays until the write
+    # reported before any work, and what is there stays until the write;
+    # a file created here is removed again when the run fails
+    created = not os.path.exists(path)
     try:
-        return open(path, "a", encoding="utf-8")
+        handle = open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise DocumentError("cannot write %s: %s" % (path, exc.strerror)) from None
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _write_output(handle, text):

@@ -84,7 +84,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, groupby, permutations, product
 
 from .constraints import (
     FAIL,
@@ -439,41 +439,40 @@ def _staged_candidates(
     """Plain per-point generation (the no-largest-weight-pruning path):
     free multisets for every point but the last, then the last point.
 
-    With localize, the head (the points before the last) fixes the last
-    point's weight product through sum_p 1/P_p = 0 (see _last_product):
-    a head with no integer target is skipped, and only the last points
-    hitting the target are listed (_last_points; the count of the others
-    is dropped).  Only candidates failing the localization check are
-    left out, so a sieve that runs it keeps the same survivors.
+    The heads (the points before the last) are walked grouped by weight
+    product.  With localize, sum_p 1/P_p = 0 fixes the last point's
+    product (_last_product), decided once per product pair (per first
+    product for two points).  A pair is skipped whole when no integer
+    fits, when the sign is not (-1)^lam (the last point's lam negative
+    weights), or when |target| > bound^n; otherwise only the last points
+    hitting it are listed (_last_points; the count of the others is
+    dropped).  Only candidates failing the localization check are left
+    out, so a sieve running it keeps the same survivors.
     """
-    firsts = [
-        (ws, math.prod(ws)) for ws in _free_points(n, profile[0], bound, chern_on, stats)
-    ]
-    if point_count == 2:
-        heads = (((ws1,), (p1,)) for ws1, p1 in firsts)
-    else:
-        # the second point's multisets, listed once: their c_1 cuts count
-        # once per first point, as if listed under each
-        cuts = SearchStats()
-        seconds = [
-            (ws, math.prod(ws)) for ws in _free_points(n, profile[1], bound, chern_on, cuts)
-        ]
-        if firsts:
-            for key, count in cuts.pruned.items():
-                stats.pruned[key] += count * len(firsts)
-        heads = (
-            ((ws1, ws2), (p1, p2)) for ws1, p1 in firsts for ws2, p2 in seconds
-        )
-    for head, products in heads:
-        # skip a head with no target before its imbalance is taken
-        if localize and _last_product(products) is None:
-            continue
-        lasts, _ = _last_points(
-            head, n, profile[-1], bound, chern_on, pairing_complete, stats,
-            products if localize else None,
-        )
-        for ws_last in lasts:
-            yield head + (ws_last,)
+    # the second point's multisets are listed once: their c_1 cuts count
+    # once per first point, as if listed under each
+    cuts = SearchStats()
+    groups = []
+    for head_lam, counts in zip(profile[:-1], (stats, cuts)):
+        free = sorted(_free_points(n, head_lam, bound, chern_on, counts), key=math.prod)
+        groups.append({p: list(g) for p, g in groupby(free, math.prod)})
+    if groups[0]:
+        for key, count in cuts.pruned.items():
+            stats.pruned[key] += count * sum(map(len, groups[0].values()))
+    lam = profile[-1]
+    for pairs in product(*(g.items() for g in groups)):
+        products, points = zip(*pairs)
+        if localize:
+            target = _last_product(products)
+            if target is None or not 0 < target * (-1) ** lam <= bound**n:
+                continue
+        for head in product(*points):
+            lasts, _ = _last_points(
+                head, n, lam, bound, chern_on, pairing_complete, stats,
+                products if localize else None,
+            )
+            for ws_last in lasts:
+                yield head + (ws_last,)
 
 
 def _last_product(products):
@@ -737,8 +736,10 @@ def _partial_pool(n, point_count, bound, checks):
     from the pairing imbalance, so "pairing" must be in the check set;
     profiles are restricted only when lambda_symmetry is being assumed.
     When "localization" is in the set, the final point is also cut by its
-    target (see _staged_candidates): the sieve below rejects every
-    candidate so dropped, so the pool is what the uncut generation gives.
+    target, decided once per weight-product pair of the head, which skips
+    a pair's heads whole when the target has the wrong sign or size (see
+    _staged_candidates): the sieve below rejects every candidate so
+    dropped, so the pool is what the uncut generation gives.
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")

@@ -185,6 +185,12 @@ def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, name):
     assert captured.err.startswith(want), captured.err
     assert captured.err.count("\n") == 1, captured.err
     assert not paths["dot"].exists()
+    # a refused run creates no file, and a file already there keeps its bytes
+    assert not paths["out"].exists()
+    if argv[0] == "enumerate":
+        paths["out"].write_text("kept", encoding="utf-8")
+        assert run_cli(argv) == 2
+        assert paths["out"].read_text(encoding="utf-8") == "kept"
 
 
 def test_check_exit_2_on_missing_file(capsys):

@@ -13,7 +13,9 @@ labelled x, y, z, so that witness labels are pinned too.  The
 scaled_shapes digests were computed before the CP2 and dim-6 shapes were
 each given one definition in the isotropy module, and the oracle digests
 at (n, points, W) = (3, 2, 4) and (4, 2, 3) before the oracle walked its
-product by largest |weight|.
+product by largest |weight|.  The pairwise-premise pool digests (each
+pool system's document, in pool order) were computed before the pools
+walked their heads grouped by weight product.
 """
 
 import hashlib
@@ -37,6 +39,8 @@ from weightsys.search import (
     dim6_pair_family,
     enumerate_systems,
     naive_oracle,
+    _PAIRWISE_PREMISES,
+    _partial_pool,
 )
 
 
@@ -193,3 +197,19 @@ def test_search_documents_frozen(scope):
         )
         digest.update(render_json(emit_search_document(config, run(config))).encode())
     assert digest.hexdigest() == SEARCH_DIGESTS[scope], scope
+
+
+# (n, points, W) -> (system count, digest) of the pairwise-premise pool
+POOL_DIGESTS = {
+    (4, 3, 5): (234, "b38d1753a8350898c4a6db81413a8dddfd3534c582d38e8be168da827ba36d40"),
+    (4, 3, 6): (588, "5cf5953fa813cc0d1f1e5e7d6a79cefc6f8e4267179d7272ff9d26d3c611e416"),
+}
+
+
+@pytest.mark.parametrize("scope", sorted(POOL_DIGESTS))
+def test_pairwise_premise_pools_frozen(scope):
+    pool = _partial_pool(*scope, _PAIRWISE_PREMISES)
+    digest = hashlib.sha256()
+    for system in pool:
+        digest.update(render_json(emit_system(system)).encode())
+    assert (len(pool), digest.hexdigest()) == POOL_DIGESTS[scope], scope

@@ -52,7 +52,9 @@ from weightsys.search import (
     _dbranch_candidates,
     _factorizations,
     _filter_plan,
+    _free_points,
     _last_points,
+    _last_product,
     _partial_pool,
     _profiles,
     _sieve,
@@ -135,6 +137,18 @@ def test_oracle_spot_check_three_points_n6():
     assert oracle.stats.eliminated == {
         "odd": {"pairing": 75952, "localization": 1642, "chern1_vanishing": 23},
         "even": {"pairing": 692, "localization": 88, "chern1_vanishing": 3},
+    }
+
+
+def test_oracle_spot_check_three_points_n8():
+    # the smallest count-symmetric profile at W=3: 45 * 225 * 45 candidates
+    config = SearchConfig(n=8, point_count=3, weight_bound=3, require_effective=False)
+    oracle = naive_oracle(config, lambda_profile=(0, 4, 8))
+    assert oracle.survivors == enumerate_systems(config).survivors == ()
+    assert oracle.stats.nodes == 455625
+    assert oracle.stats.eliminated == {
+        "odd": {"pairing": 447440, "localization": 6161},
+        "even": {"pairing": 1840, "localization": 184},
     }
 
 
@@ -735,6 +749,31 @@ def test_localization_cut_keeps_every_pool():
             assert tuple(s.points for s in got) == tuple(sorted(reference)), (
                 n, point_count, bound, checks
             )
+
+
+def _per_head_candidates(n, point_count, bound, profile):
+    """The localize walk one head at a time: every head, its target
+    taken per head (_last_product), then the last points hitting it."""
+    stats = SearchStats()
+    points = [list(_free_points(n, lam, bound, False, stats)) for lam in profile[:-1]]
+    for head in product(*points):
+        products = tuple(prod(ws) for ws in head)
+        if _last_product(products) is None:
+            continue
+        lasts, _ = _last_points(head, n, profile[-1], bound, False, True, stats, products)
+        for ws_last in lasts:
+            yield head + (ws_last,)
+
+
+def test_grouped_localize_walk_matches_the_per_head_walk():
+    # every profile at n <= 4, W <= 5, but at (4, 3, 5) only the
+    # count-symmetric ones, which its pairwise-premise pool walks
+    for n, point_count, bound in product(range(1, 5), (2, 3), range(1, 6)):
+        symmetric = (n, point_count, bound) == (4, 3, 5)
+        for profile in _profiles(n, point_count, symmetric):
+            args = (n, point_count, bound, profile)
+            grouped = _staged_candidates(*args, False, True, SearchStats(), True)
+            assert Counter(grouped) == Counter(_per_head_candidates(*args)), args
 
 
 def test_partial_pool_requires_pairing():
