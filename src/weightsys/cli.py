@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -101,6 +102,10 @@ def _load_document(path):
         ) from None
 
 
+def _cannot_write(path, exc):
+    return DocumentError("cannot write %s: %s" % (path, exc.strerror))
+
+
 @contextmanager
 def _open_output(path):
     # append mode creates the file without truncating it: a bad path is
@@ -110,10 +115,16 @@ def _open_output(path):
     try:
         handle = open(path, "a", encoding="utf-8")
     except OSError as exc:
-        raise DocumentError("cannot write %s: %s" % (path, exc.strerror)) from None
+        raise _cannot_write(path, exc) from None
     try:
-        with handle:
+        try:
             yield handle
+        finally:
+            # close flushes again what a failed write left buffered
+            try:
+                handle.close()
+            except OSError as exc:
+                raise _cannot_write(path, exc) from None
     except BaseException:
         if created:
             os.remove(path)
@@ -121,14 +132,15 @@ def _open_output(path):
 
 
 def _write_output(handle, text):
+    # only a regular file has old bytes to drop; a device or a pipe
+    # refuses truncate
     try:
-        handle.truncate(0)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(0)
         handle.write(text)
         handle.flush()
     except OSError as exc:
-        raise DocumentError(
-            "cannot write %s: %s" % (handle.name, exc.strerror)
-        ) from None
+        raise _cannot_write(handle.name, exc) from None
 
 
 def _cmd_check(args) -> int:

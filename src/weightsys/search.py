@@ -23,13 +23,16 @@ profile and per candidate largest weight d:
     3. the point w holding +d is completed from v's residues mod d: a
        weight congruent to rho in (0, d) and bounded by d-1 is rho or
        rho-d, and only rho-d is negative, so lambda(w) downs are spread
-       over the residue classes, each distinct lift made once;
+       over the residue classes: one iterative walk over the classes'
+       down counts makes each distinct lift once;
     4. the remaining point is completed from the pairing imbalance: the
        excess of -l over +l across the other points forces l's
        multiplicity, and what is left splits into {l, -l} padding pairs;
-    5. when n >= 4 and there are three points, partial weight sums are
-       cut against c_1 = 0; once c_1(v) = 0 every lift has c_1(w) =
-       d * (1 + lambda(v) - lambda(w)), an O(1) test per (v, w) slot pair.
+       v's excess is taken once, and each lift adds w's to it;
+    5. when n >= 4 and there are three points, v's positives are listed
+       by the sum c_1(v) = 0 leaves them (the rest are counted); then
+       every lift has c_1(w) = d * (1 + lambda(v) - lambda(w)), an O(1)
+       test per (v, w) slot pair.
 
 The one case none of the structure above covers is a two-point system
 whose largest weight is 1 (all weights are +-1; the Z_k checks start at
@@ -273,28 +276,37 @@ def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
             yield negs + poss
 
 
-def _imbalance(existing, n, lam, stats):
-    """(forced, pairs): the weights the pairing imbalance of `existing`
-    forces on an n-weight point with lam negatives, and how many {l, -l}
-    pairs fill the rest; None (a pairing_completion prune) if none do.
+def _excess(points, top):
+    """The pairing excess of the weights of points, all |weights| <= top:
+    e[x] = count(x) - count(-x) for x in 0..top (e[0] = 0)."""
+    excess = [0] * (top + 1)
+    for x in chain.from_iterable(points):
+        excess[abs(x)] += 1 if x > 0 else -1
+    return excess
+
+
+def _imbalance(excess, n, lam, stats):
+    """(forced, pairs): the weights the pairing excess of the other points
+    (_excess) forces on an n-weight point with lam negatives, and how many
+    {l, -l} pairs fill the rest; None (a pairing_completion prune) if none do.
 
     Every generator bounds the other points by the completion's max_val
     (in a d-branch, +-d sits at v and w and cancels), so the forced
     values need no bound check; and when c_1 is cut, every other point
     already has c_1 = 0, so sum(forced) = 0.
     """
-    cnt = Counter(existing)
-    forced = []
-    for w, c in cnt.items():
-        # each w in excess of -w needs a -w at the last point
-        excess = c - cnt.get(-w, 0)
-        if excess > 0:
-            forced.extend([-w] * excess)
-    rest = n - len(forced)
-    if rest < 0 or rest % 2 == 1 or lam != sum(w < 0 for w in forced) + rest // 2:
+    negs, poss = [], []
+    for x, e in enumerate(excess):
+        # each x in excess of -x needs a -x at the last point, and back
+        if e > 0:
+            negs += [-x] * e
+        elif e < 0:
+            poss += [x] * -e
+    rest = n - len(negs) - len(poss)
+    if rest < 0 or rest % 2 == 1 or lam != len(negs) + rest // 2:
         stats.pruned["pairing_completion"] += 1
         return None
-    return forced, rest // 2
+    return negs + poss, rest // 2
 
 
 def _pair_values(forced, pairs, max_val, products):
@@ -332,43 +344,59 @@ def _factorizations(r, k, hi, lo=1):
         f += 1
 
 
-def _lifts(classes, down_count, d):
-    """Every distinct way to lift residue classes ((r, m_r), ...), r
-    ascending, with exactly down_count members sent to r - d and the rest
-    kept at r.  Yields (downs, ups), each an ascending tuple."""
-    if not classes:
-        yield (), ()
-        return
-    (r, m), rest = classes[0], classes[1:]
-    room = sum(count for _, count in rest)
-    for j in range(max(0, down_count - room), min(m, down_count) + 1):
-        for downs, ups in _lifts(rest, down_count - j, d):
-            yield (r - d,) * j + downs, (r,) * (m - j) + ups
-
-
-def _free_points(n, lam, max_val, chern_on, stats):
-    """Every multiset with lam negative weights and |weights| <= max_val,
-    cut by c_1 = 0 when chern_on."""
-    for ws in _signed_multisets(lam, n - lam, max_val):
-        if chern_on and sum(ws) != 0:
-            stats.pruned["chern_linear"] += 1
+def _lifts(others, down_count, d):
+    """Every distinct w over v's weights beside -d: class r mod d sends
+    j_r of its m_r members to r - d and keeps the rest at r, sum j_r =
+    down_count.  Yields (w, excess): w ascending, ending in d, and the
+    pairing excess of v and w (_excess; +-d cancel)."""
+    classes = sorted(Counter(x % d for x in others).items())
+    # the product of the classes' j_r; the last class takes what is left
+    *free, top = [m for _, m in classes] or [0]
+    excess = _excess((others,), d - 1)
+    for js in product(*(range(min(m, down_count) + 1) for m in free)):
+        last = down_count - sum(js)
+        if not 0 <= last <= top:
             continue
-        yield ws
+        joint = excess.copy()
+        downs, ups = [], []
+        for (r, m), j in zip(classes, js + (last,)):
+            joint[r] += m - j  # m - j members stay at r
+            joint[d - r] -= j  # j members go to r - d = -(d - r)
+            downs += [r - d] * j
+            ups += [r] * (m - j)
+        yield tuple(downs + ups) + (d,), joint
 
 
-def _last_points(head, n, lam, max_val, chern_on, pairing_complete, stats, products=None):
-    """(points, missed): the last point's multisets given the head (the
-    other points' multisets), and how many closures went unlisted.
+def _free_points(neg_count, pos_count, max_abs, total, chern_on, stats):
+    """neg_count weights from [-max_abs, -1], then pos_count from [1,
+    max_abs], ascending (_signed_multisets).  With chern_on only those
+    summing to total are listed, the positives by that sum, and the rest
+    are counted as chern_linear prunes."""
+    if not chern_on:
+        yield from _signed_multisets(neg_count, pos_count, max_abs)
+        return
+    poss = sorted(combinations_with_replacement(range(1, max_abs + 1), pos_count), key=sum)
+    by_sum = {key: list(group) for key, group in groupby(poss, sum)}
+    for negs in combinations_with_replacement(range(-max_abs, 0), neg_count):
+        fits = by_sum.get(total - sum(negs), ())
+        if len(fits) < len(poss):
+            stats.pruned["chern_linear"] += len(poss) - len(fits)
+        yield from (negs + ws for ws in fits)
 
-    The points are every free multiset, or the closures of the head's
-    pairing imbalance: the forced weights and `pairs` {l, -l} pairs, l in
-    [1, max_val].  Given the head's weight products, only the closures
-    with the product sum_p 1/P_p = 0 forces are listed, and missed counts
-    the rest of the C(max_val - 1 + pairs, pairs).
+
+def _last_points(excess, n, lam, max_val, chern_on, pairing_complete, stats, products=None):
+    """(points, missed): the last point's multisets given the pairing
+    excess of the other points (_excess), and how many went unlisted.
+
+    The points are every free multiset, or the closures of the excess:
+    the forced weights and `pairs` {l, -l} pairs, l in [1, max_val].
+    Given the other points' weight products, only the closures with the
+    product sum_p 1/P_p = 0 forces are listed, and missed counts the rest
+    of the C(max_val - 1 + pairs, pairs).
     """
     if not pairing_complete:
-        return _free_points(n, lam, max_val, chern_on, stats), 0
-    closing = _imbalance(sum(head, ()), n, lam, stats)
+        return _free_points(lam, n - lam, max_val, 0, chern_on, stats), 0
+    closing = _imbalance(excess, n, lam, stats)
     if closing is None:
         return (), 0
     forced, pairs = closing
@@ -407,14 +435,10 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
         if chern_on and lam_b != lam_a + 1:
             stats.pruned["chern_linear"] += 1
             continue
-        for others in _signed_multisets(lam_a - 1, n - lam_a, d - 1):
-            if chern_on and sum(others) != d:
-                stats.pruned["chern_linear"] += 1
-                continue
+        # v's weights beside -d, summing to d when c_1 is cut
+        for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
             ws_a = (-d,) + others
-            classes = tuple(sorted(Counter(x % d for x in others).items()))
-            for downs, ups in _lifts(classes, lam_b, d):
-                ws_b = downs + ups + (d,)
+            for ws_b, excess in _lifts(others, lam_b, d):
                 slots = [None] * point_count
                 slots[ia], slots[ib] = ws_a, ws_b
                 if point_count == 2:
@@ -422,7 +446,7 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
                     continue
                 ic = 3 - ia - ib
                 thirds, missed = _last_points(
-                    (ws_a, ws_b), n, profile[ic], d - 1, chern_on, pairing_complete, stats,
+                    excess, n, profile[ic], d - 1, chern_on, pairing_complete, stats,
                     (math.prod(ws_a), math.prod(ws_b)) if counted else None,
                 )
                 if missed:
@@ -454,7 +478,8 @@ def _staged_candidates(
     cuts = SearchStats()
     groups = []
     for head_lam, counts in zip(profile[:-1], (stats, cuts)):
-        free = sorted(_free_points(n, head_lam, bound, chern_on, counts), key=math.prod)
+        free = _free_points(head_lam, n - head_lam, bound, 0, chern_on, counts)
+        free = sorted(free, key=math.prod)
         groups.append({p: list(g) for p, g in groupby(free, math.prod)})
     if groups[0]:
         for key, count in cuts.pruned.items():
@@ -468,7 +493,7 @@ def _staged_candidates(
                 continue
         for head in product(*points):
             lasts, _ = _last_points(
-                head, n, lam, bound, chern_on, pairing_complete, stats,
+                _excess(head, bound), n, lam, bound, chern_on, pairing_complete, stats,
                 products if localize else None,
             )
             for ws_last in lasts:

@@ -8,6 +8,7 @@ that is removed at exit, so no .hypothesis/ directory appears in the
 checkout.
 """
 
+import atexit
 import tempfile
 
 try:
@@ -21,4 +22,5 @@ else:
     )
     settings.load_profile("weightsys")
     _STORAGE = tempfile.TemporaryDirectory(prefix="weightsys-hypothesis-")
+    atexit.register(_STORAGE.cleanup)
     set_hypothesis_home_dir(_STORAGE.name)

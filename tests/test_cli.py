@@ -11,6 +11,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -357,6 +358,57 @@ def test_graph_exit_2_on_unwritable_dot(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write %s" % path)
         assert len(captured.err.splitlines()) == 1
+
+
+def test_output_to_a_device_is_written_without_truncating(capsys):
+    # a device refuses truncate; only a regular file has old bytes to drop
+    args = ["enumerate", "--n", "2", "--points", "3", "--bound", "3"]
+    assert run_cli(args + ["--out", os.devnull]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "2 survivor(s), 27 candidate(s) examined, results in %s\n" % os.devnull
+    )
+    assert captured.err == ""
+    assert run_cli(["graph", str(DATA / "cp2_12.json"), "--dot", os.devnull]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["vertices"][0]["label"] == "p"
+    assert captured.err == ""
+
+
+# runs the command with the file size limit lowered below its output: the
+# write then fails with EFBIG (the signal that would end the process is
+# ignored), and the close that flushes the same bytes again fails too
+_SIZE_LIMITED = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard))
+from weightsys.cli import run_cli
+sys.exit(run_cli(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+@pytest.mark.parametrize("command", ["enumerate", "graph"])
+def test_failed_write_to_a_regular_file_exits_2(tmp_path, command):
+    path = tmp_path / "out.txt"
+    argv = {
+        "enumerate": ["enumerate", "--n", "2", "--points", "3", "--bound", "6",
+                      "--out", str(path)],
+        "graph": ["graph", str(DATA / "cp2_12.json"), "--dot", str(path)],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIZE_LIMITED, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cannot write %s: File too large\n" % path
+    assert not path.exists()
 
 
 def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):

@@ -178,7 +178,10 @@ SEARCH_DIGESTS = {
     ("enumerate", 2, 3, 6): "781782c5c7804c6367c8562e101a4deafa955873941e9ecd52c4b46f2ee376a0",
     ("enumerate", 3, 2, 4): "a867c44a98f85dc8cf24c0658d9e4fe2899d694e4a32b0cc762dc3ca534d7c6c",
     ("enumerate", 4, 3, 4): "9226ed2f457a834f6328b58ed5644cd0918cb526843624f2aa64e7c78c97af37",
+    ("enumerate", 4, 3, 24): "f84c28ba147fa66e6c8a6cce737b3ce63e7e462bfdac06015e6b6944c292440d",
+    ("enumerate", 6, 2, 6): "3c0443fb217114da29250ef2eb7a2be8d514424d195e45d6e55294201d1c93bf",
     ("enumerate", 6, 3, 6): "69398e3169feffbf7d2d590e722d3b81799dce5c4127e8ee5f4eeecb9fc664d9",
+    ("enumerate", 6, 3, 10): "d846e53e2f718311aca13d9d99ab9005b0d4323607711e7f68b0f1bcc4ae44ca",
     ("enumerate", 10, 3, 5): "f36dbc600cb5a322b9140aa062cd207a4b2f3b626477cf9bfcacc3fdb7e9c945",
     ("oracle", 2, 3, 3): "6a00c938e2ad31400d20ac366a86d8f1c8902e0a8862dc376aba4f2fe022067c",
     ("oracle", 3, 2, 4): "60efab40a3bd49773f29798f69a9a8f4dc68544bc8a34dceb058b763e9cf4128",

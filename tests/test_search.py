@@ -5,6 +5,7 @@ pruning, full product walk) and checked against the structured
 enumerator before being written down.
 """
 
+import hashlib
 import re
 import tracemalloc
 from collections import Counter
@@ -50,6 +51,7 @@ from weightsys.search import (
     _PAIRWISE_PREMISES,
     _REPLAYS,
     _dbranch_candidates,
+    _excess,
     _factorizations,
     _filter_plan,
     _free_points,
@@ -433,8 +435,41 @@ def test_dbranch_localization_cut_counts_what_it_drops():
     # v and w of the cp2 family (1, 1), third point {-1, 1}
     stats = SearchStats()
     head = ((-2, -1), (1, 2))
-    assert _last_points(head, 2, 1, 1, False, True, stats, (2, 2)) == ([(-1, 1)], 0)
+    excess = _excess(head, 2)
+    assert _last_points(excess, 2, 1, 1, False, True, stats, (2, 2)) == ([(-1, 1)], 0)
     assert (stats.nodes, stats.eliminated) == (0, {"odd": {}, "even": {}})
+
+
+def test_dbranch_pruned_counts_frozen():
+    # the lift-walk test's branches again: every branch's prune counters,
+    # pinned when v was still listed whole and cut one multiset at a time
+    digest = hashlib.sha256()
+    for args, _, _, _, stats in _dbranch_walk():
+        digest.update(repr((args, sorted(stats.pruned.items()))).encode())
+    assert digest.hexdigest() == (
+        "a771329e2f6b6a221736d5791f828b835a49e6ba98ba11d8248d7bfc87d093e5"
+    )
+
+
+def test_free_points_by_target_sum_match_the_filtered_multisets():
+    # a d-branch's v beside -d sums to d, a staged point to 0; n d <= 64
+    # within n <= 12, d <= 8: the whole rectangle lists 6.25M reference
+    # multisets for v alone (3.7 s), this part 424k
+    for n, d in product(range(1, 13), range(1, 9)):
+        if n * d > 64:
+            continue
+        for lam, total in product(range(1, n + 1), (d, 0)):
+            args = (lam - 1 if total else lam, n - lam, d - 1)
+            every = list(_signed_multisets(*args))
+            kept = [ws for ws in every if sum(ws) == total]
+            stats = SearchStats()
+            assert list(_free_points(*args, total, True, stats)) == kept, args
+            rejected = len(every) - len(kept)
+            want = {"chern_linear": rejected} if rejected else {}
+            assert dict(stats.pruned) == want, args
+            stats = SearchStats()
+            assert list(_free_points(*args, total, False, stats)) == every, args
+            assert dict(stats.pruned) == {}, args
 
 
 def test_frontier_counts_frozen():
@@ -755,12 +790,13 @@ def _per_head_candidates(n, point_count, bound, profile):
     """The localize walk one head at a time: every head, its target
     taken per head (_last_product), then the last points hitting it."""
     stats = SearchStats()
-    points = [list(_free_points(n, lam, bound, False, stats)) for lam in profile[:-1]]
+    points = [list(_signed_multisets(lam, n - lam, bound)) for lam in profile[:-1]]
     for head in product(*points):
         products = tuple(prod(ws) for ws in head)
         if _last_product(products) is None:
             continue
-        lasts, _ = _last_points(head, n, profile[-1], bound, False, True, stats, products)
+        excess = _excess(head, bound)
+        lasts, _ = _last_points(excess, n, profile[-1], bound, False, True, stats, products)
         for ws_last in lasts:
             yield head + (ws_last,)
 
