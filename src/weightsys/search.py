@@ -42,11 +42,13 @@ lambda profile pins both multisets.
 naive_oracle does none of this: it walks the full product of per-point
 weight multisets, applies the same filter to each candidate, and must
 agree with the enumerator exactly.  Slot orderings of the same multiset
-are the same system, so the oracle iterates multisets; the 1e8 guard is
-on the number of candidates so walked.  It orders the walk by largest
-|weight| t, one sub-product per t and per first point reaching t, so
-each candidate is listed exactly once and nothing is cut or counted
-unlisted; t is only the bucket its failures are counted in.
+are the same system, so the oracle iterates multisets, listed by the
+negative counts allowed at each point: a lambda profile's one per point,
+or, unrestricted, every lambda in 0..n at every point.  The 1e8 guard on
+the number of candidates so walked is counted from the same counts.  The
+walk goes by largest |weight| t, one sub-product per t and per first
+point reaching t, so each candidate is listed exactly once and nothing
+is cut or counted unlisted; t is only the bucket its failures go to.
 
 The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: run a plan of checks, count nodes and failures, keep survivors'
@@ -409,7 +411,7 @@ def _last_points(excess, n, lam, max_val, chern_on, pairing_complete, stats, pro
     return points, math.comb(max_val - 1 + pairs, pairs) - len(points)
 
 
-def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, stats):
+def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
     """Candidates whose largest weight is exactly d, via the +-d structure.
 
     A three-point branch that closes its third point from the pairing
@@ -419,6 +421,7 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
     symmetry and parity, have largest |weight| d, and fail localization,
     so it is counted as a node the sieve killed there, in d's bucket.
     """
+    point_count = len(profile)
     if point_count == 2 and d == 1:
         # every weight is +-1 and the profile determines both points
         yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
@@ -457,9 +460,7 @@ def _dbranch_candidates(n, point_count, d, profile, chern_on, pairing_complete, 
                     yield tuple(slots)
 
 
-def _staged_candidates(
-    n, point_count, bound, profile, chern_on, pairing_complete, stats, localize=False
-):
+def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, localize=False):
     """Plain per-point generation (the no-largest-weight-pruning path):
     free multisets for every point but the last, then the last point.
 
@@ -553,7 +554,6 @@ def _run_branch(payload):
     generate = _staged_candidates if d is None else _dbranch_candidates
     candidates = generate(
         config.n,
-        config.point_count,
         d or config.weight_bound,
         profile,
         chern_on,
@@ -615,39 +615,36 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     it take the multisets below t, point i those at t, and the points
     after it those at most t.  Every candidate still reaches the sieve,
     which is told t for the parity bucket of its failures.  An optional
-    lambda_profile (one negative-count per point, sorted) restricts each
-    point's multisets, which is how scopes otherwise past the guard get
-    spot-checked.  Single-threaded on purpose.
+    lambda_profile (one negative count per point, in point order) narrows
+    each point's counts from 0..n to its own, which is how scopes
+    otherwise past the guard get spot-checked.  Single-threaded on purpose.
     """
     n, bound = config.n, config.weight_bound
-    if lambda_profile is not None:
+    if lambda_profile is None:
+        lam_sets = (tuple(range(n + 1)),) * config.point_count
+    else:
         if len(lambda_profile) != config.point_count:
             raise ValueError("lambda_profile length must equal point_count")
         if not all(0 <= lam <= n for lam in lambda_profile):
             raise ValueError("lambda_profile entries must lie in 0..n")
-        # lam negatives from [-W, -1] and n - lam positives from [1, W]
-        space = math.prod(
+        lam_sets = tuple((lam,) for lam in lambda_profile)
+    # lam negatives from [-W, -1] and n - lam positives from [1, W]
+    space = math.prod(
+        sum(
             math.comb(bound + lam - 1, lam) * math.comb(bound + n - lam - 1, n - lam)
-            for lam in lambda_profile
+            for lam in lams
         )
-    else:
-        space = math.comb(2 * bound + n - 1, n) ** config.point_count
+        for lams in lam_sets
+    )
     if space > _ORACLE_GUARD:
         raise SearchSpaceError(
             "oracle space has %d candidates (> %d); shrink n or the bound, "
             "or restrict the lambda profile" % (space, _ORACLE_GUARD)
         )
 
-    if lambda_profile is not None:
-        by_lam = {
-            lam: _by_largest(_signed_multisets(lam, n - lam, bound), bound)
-            for lam in set(lambda_profile)
-        }
-        pools = [by_lam[lam] for lam in lambda_profile]
-    else:
-        values = list(range(-bound, 0)) + list(range(1, bound + 1))
-        multisets = combinations_with_replacement(values, n)
-        pools = [_by_largest(multisets, bound)] * config.point_count
+    # one pool per distinct set, shared by the points that use it
+    by_set = {lams: _by_largest(n, lams, bound) for lams in set(lam_sets)}
+    pools = [by_set[lams] for lams in lam_sets]
     plan = _filter_plan(config.require_effective)
     stats = SearchStats()
     survivors = set()
@@ -663,12 +660,14 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     return SearchOutcome(_systems(n, survivors), stats)
 
 
-def _by_largest(multisets, bound):
-    """(ranked, ends): the ascending multisets sorted by largest |weight|,
-    and ends[t] = how many have largest |weight| <= t, for t in 0..bound."""
+def _by_largest(n, lams, bound):
+    """(ranked, ends): the ascending multisets of n weights from +-[1, bound]
+    with a negative count in lams, sorted by largest |weight|, and
+    ends[t] = how many have largest |weight| <= t, for t in 0..bound."""
     def largest(ws):
         return max(-ws[0], ws[-1])
 
+    multisets = chain.from_iterable(_signed_multisets(lam, n - lam, bound) for lam in lams)
     ranked = sorted(multisets, key=largest)
     return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)]
 
@@ -776,7 +775,7 @@ def _partial_pool(n, point_count, bound, checks):
     # the generators and the sieve count; a pool throws the counts away
     stats = SearchStats()
     candidates = chain.from_iterable(
-        _staged_candidates(n, point_count, bound, profile, chern_on, True, stats, localize)
+        _staged_candidates(n, bound, profile, chern_on, True, stats, localize)
         for profile in _profiles(n, point_count, "lambda_symmetry" in checks)
     )
     return _systems(n, _sieve(candidates, n, plan, stats))

@@ -115,6 +115,8 @@ def _oracle_reference_scopes():
         yield SearchConfig(n, points, 1, False), None
     yield SearchConfig(4, 3, 3), (1, 2, 3)
     yield SearchConfig(2, 3, 5), (0, 1, 2)
+    # a repeated lambda: two points share one pool
+    yield SearchConfig(3, 3, 2), (1, 1, 2)
 
 
 def test_oracle_largest_weight_walk_matches_the_plain_product():
@@ -128,6 +130,23 @@ def test_oracle_largest_weight_walk_matches_the_plain_product():
         killed = {b: dict(c) for b, c in outcome.stats.eliminated.items()}
         assert killed == {b: dict(c) for b, c in stats.eliminated.items()}, config
         assert all(chain.from_iterable(c.values() for c in killed.values())), config
+
+
+def test_oracle_is_the_union_of_its_profile_walks():
+    # the unrestricted walk allows every lambda at every point, so it is
+    # the profile walks over every ordered lambda tuple, merged: a lambda
+    # dropped or listed twice would show in the nodes or the counts
+    for n, bound, points, effective in product((1, 2), (1, 2, 3), (2, 3), (True, False)):
+        config = SearchConfig(n, points, bound, effective)
+        stats, survivors = SearchStats(), set()
+        for profile in product(range(n + 1), repeat=points):
+            outcome = naive_oracle(config, profile)
+            stats.merge(outcome.stats)
+            survivors.update(outcome.survivors)
+        whole = naive_oracle(config)
+        assert set(whole.survivors) == survivors, config
+        assert whole.stats.nodes == stats.nodes, config
+        assert whole.stats.eliminated == stats.eliminated, config
 
 
 def test_oracle_spot_check_three_points_n6():
@@ -388,7 +407,7 @@ def _dbranch_walk():
                     for chern_on, pairing in product((False, True), repeat=2):
                         args = (n, point_count, d, profile, chern_on, pairing)
                         stats = SearchStats()
-                        listed = Counter(_dbranch_candidates(*args, stats))
+                        listed = Counter(_dbranch_candidates(n, *args[2:], stats))
                         reference = list(_reference_dbranch(*args))
                         cut = point_count == 3 and pairing and symmetric
                         walk.append((args, cut, listed, reference, stats))
@@ -528,9 +547,7 @@ def _guard_candidates():
     # oracle product (which keeps the pairing failures)
     for n, point_count, bound in ((1, 2, 8), (2, 3, 8), (3, 2, 6)):
         for profile in _profiles(n, point_count, False):
-            for ws in _staged_candidates(
-                n, point_count, bound, profile, False, True, SearchStats()
-            ):
+            for ws in _staged_candidates(n, bound, profile, False, True, SearchStats()):
                 yield FixedPointSystem.from_weights(n, ws)
     values = (-3, -2, -1, 1, 2, 3)
     for ws in product(combinations_with_replacement(values, 3), repeat=2):
@@ -760,7 +777,7 @@ def test_localization_cut_keeps_every_pool():
         kept = {}
         for profile in _profiles(n, point_count, False):
             for chern_on in {False, point_count == 3 and n >= 4}:
-                args = (n, point_count, bound, profile, chern_on, True)
+                args = (n, bound, profile, chern_on, True)
                 uncut = [
                     ws
                     for ws in _staged_candidates(*args, SearchStats())
@@ -808,7 +825,7 @@ def test_grouped_localize_walk_matches_the_per_head_walk():
         symmetric = (n, point_count, bound) == (4, 3, 5)
         for profile in _profiles(n, point_count, symmetric):
             args = (n, point_count, bound, profile)
-            grouped = _staged_candidates(*args, False, True, SearchStats(), True)
+            grouped = _staged_candidates(n, bound, profile, False, True, SearchStats(), True)
             assert Counter(grouped) == Counter(_per_head_candidates(*args)), args
 
 
@@ -822,7 +839,7 @@ def test_odd_three_point_pools_list_no_head(monkeypatch):
     # generation keeps nothing at W = 3 ...
     for n in (1, 3):
         candidates = chain.from_iterable(
-            _staged_candidates(n, 3, 3, profile, False, True, SearchStats())
+            _staged_candidates(n, 3, profile, False, True, SearchStats())
             for profile in _profiles(n, 3, False)
         )
         plan = _filter_plan(False, ("pairing",))
