@@ -47,8 +47,10 @@ class FixedPointSystem:
     points holds each multiset as the ascending tuple of its nonzero ints
     (the shape the search works on) and labels the distinct label of each
     point, in the same order.  Every point must carry exactly n
-    weights.  Point order is whatever the caller chose; canonicalize() is
-    the one place that imposes an order.
+    weights, each an int and not a bool.  Point order is whatever the
+    caller chose; canonicalize() is the one place that imposes an order.
+    These are all the validity rules of a system; a ValueError names the
+    first point that breaks one, in the wording parse_system reports.
     """
 
     n: int
@@ -56,7 +58,7 @@ class FixedPointSystem:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        points = tuple([tuple(sorted(map(int, ws))) for ws in self.points])
+        points = tuple([tuple(ws) for ws in self.points])
         labels = tuple(self.labels)
         if self.n < 1:
             raise ValueError("half-dimension n must be >= 1")
@@ -66,17 +68,22 @@ class FixedPointSystem:
             raise ValueError(
                 "%d labels for %d points" % (len(labels), len(points))
             )
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate point labels: %r" % (list(labels),))
+        seen = set()
         for label, ws in zip(labels, points):
-            if 0 in ws:
-                raise ValueError("weight 0 is not allowed")
+            if label in seen:
+                raise ValueError("duplicate label: %s" % (label,))
+            seen.add(label)
+            for w in ws:
+                if isinstance(w, bool) or not isinstance(w, int):
+                    raise ValueError("non-integer weight at %s" % (label,))
+                if w == 0:
+                    raise ValueError("zero weight at %s" % (label,))
             if len(ws) != self.n:
                 raise ValueError(
-                    "point %r has %d weights, expected n=%d"
+                    "point %s has %d weights, expected %d"
                     % (label, len(ws), self.n)
                 )
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", tuple([tuple(sorted(ws)) for ws in points]))
         object.__setattr__(self, "labels", labels)
 
     @classmethod

@@ -10,7 +10,9 @@ A system document looks like
 dim is the manifold dimension 2n, so each point carries dim/2 weights.
 parse_system is strict: every malformed input gets its own diagnostic
 (wrong type, odd dimension, duplicate label, zero weight, wrong weight
-count) rather than a generic failure.  Booleans are rejected where
+count) rather than a generic failure.  It checks the JSON shape itself
+and leaves the rules of a valid system to FixedPointSystem, whose
+ValueError it reports as a DocumentError.  Booleans are rejected where
 integers are required; JSON has a separate boolean type and a weight of
 `true` is a bug in the producer, not a 1.
 
@@ -79,7 +81,6 @@ def parse_system(document) -> FixedPointSystem:
 
     labels = []
     rows = []
-    seen = set()
     for idx, entry in enumerate(raw_points):
         where = "points[%d]" % idx
         if not isinstance(entry, dict):
@@ -90,25 +91,16 @@ def parse_system(document) -> FixedPointSystem:
         label = entry["label"]
         if not isinstance(label, str) or not label:
             raise DocumentError("label in %s must be a non-empty string" % where)
-        if label in seen:
-            raise DocumentError("duplicate label: %s" % label)
-        seen.add(label)
         weights = entry["weights"]
         if not isinstance(weights, list):
             raise DocumentError("weights at %s must be an array" % label)
-        for w in weights:
-            if isinstance(w, bool) or not isinstance(w, int):
-                raise DocumentError("non-integer weight at %s" % label)
-            if w == 0:
-                raise DocumentError("zero weight at %s" % label)
-        if len(weights) != n:
-            raise DocumentError(
-                "point %s has %d weights, expected %d" % (label, len(weights), n)
-            )
         labels.append(label)
         rows.append(weights)
 
-    return FixedPointSystem.from_weights(n, rows, labels=labels)
+    try:
+        return FixedPointSystem.from_weights(n, rows, labels=labels)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def emit_system(system: FixedPointSystem) -> dict:

@@ -20,7 +20,9 @@ points is one of four shapes:
 The patterns are exact: a point's k-divisible sub-multiset must be wholly
 consumed by its component's shape, so no stray multiples of k may appear.
 classify_isotropy searches the (at most five) set partitions of the
-points for a shape assignment satisfying all of this.
+points for a shape assignment satisfying all of this.  The three joined
+shapes are matched from one table, _SHAPES, keyed by the sizes of the
+k-divisible parts.
 
 On top of the classification sit three relations tied to the largest
 weight d of the system (all stated with un-doubled negative-weight
@@ -46,7 +48,7 @@ the search and by check_system alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import isqrt
 
 from .constraints import (
@@ -174,15 +176,6 @@ def residues_match(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
     return sorted(w % k for w in a) == sorted(w % k for w in b)
 
 
-def _match_sphere(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
-    if len(sub_a) != 1 or len(sub_b) != 1:
-        return None
-    x, y = sub_a[0], sub_b[0]
-    if x != -y:
-        return None
-    return (abs(x),)
-
-
 def _cp2_points(a: int, b: int):
     """The CP2 triple {a, a+b}, {-a, b}, {-a-b, -b} as ascending tuples in
     canonical order, for positive a and b."""
@@ -195,26 +188,29 @@ def _dim6_points(a: int, b: int):
     return ((-a - b, a, b), (-b, -a, a + b))
 
 
-def _match_dim6(sub_a: tuple[int, ...], sub_b: tuple[int, ...]):
-    for first, second in ((sub_a, sub_b), (sub_b, sub_a)):
-        if len(first) != 3 or not first[0] < 0 < first[1]:
-            continue
-        if (first, second) == _dim6_points(first[1], first[2]):
-            return (first[1], first[2])
-    return None
+# The joined shapes by the sizes of their k-divisible parts: the kind, the
+# parameters read off the parts in ascending order, and the parts those
+# parameters build.  The sign patterns of a shape's parts differ, so at
+# most one order of a block's parts takes the shape's roles.
+_SHAPES = {
+    (1, 1): (SPHERE_PAIR, lambda parts: (parts[1][0],), lambda m: ((m,), (-m,))),
+    (3, 3): (DIM6_PAIR, lambda parts: parts[0][1:], _dim6_points),
+    (2, 2, 2): (CP2_TRIPLE, lambda parts: (-parts[1][0], parts[1][1]), _cp2_points),
+}
 
 
-def _match_cp2(subs: dict[str, tuple[int, ...]]):
-    # the roles of _cp2_points(a', b') over the three points; their sign
-    # patterns differ, so at most one assignment of roles matches
-    for lab1, lab2, lab3 in permutations(subs):
-        top = subs[lab1]
-        if len(top) != 2 or not 0 < top[0] < top[1]:
-            continue
-        a, b = top[0], top[1] - top[0]
-        if (top, subs[lab2], subs[lab3]) == _cp2_points(a, b):
-            return a, b
-    return None
+def _match_shape(parts):
+    """(kind, params) of the joined shape whose parts are the k-divisible
+    parts of a block's points, in any order, or None."""
+    shape = _SHAPES.get(tuple(map(len, parts)))
+    if shape is None:
+        return None
+    kind, read, build = shape
+    parts = sorted(parts)
+    params = read(parts)
+    if min(params) <= 0 or parts != sorted(build(*params)):
+        return None
+    return kind, params
 
 
 def _partition_repr(blocks) -> str:
@@ -245,24 +241,15 @@ def _try_block(block, points, subs, k):
             return "point %s carries weights divisible by %d" % (lab, k)
         return IsotropyComponent(ISOLATED, block, ())
 
-    if len(block) == 2:
-        la, lb = block
-        params = _match_sphere(subs[la], subs[lb])
-        kind = SPHERE_PAIR
-        if params is None:
-            params = _match_dim6(subs[la], subs[lb])
-            kind = DIM6_PAIR
-        if params is None:
-            return "divisible weights at %s,%s match no two-point shape" % (la, lb)
-    else:
-        params = _match_cp2({lab: subs[lab] for lab in block})
-        kind = CP2_TRIPLE
-        if params is None:
-            return "divisible weights match no three-point shape"
+    matched = _match_shape([subs[lab] for lab in block])
+    if matched is None:
+        if len(block) == 2:
+            return "divisible weights at %s,%s match no two-point shape" % block
+        return "divisible weights match no three-point shape"
     for la, lb in combinations(block, 2):
         if not residues_match(points[la], points[lb], k):
             return "residues mod %d differ between %s and %s" % (k, la, lb)
-    return IsotropyComponent(kind, block, params)
+    return IsotropyComponent(matched[0], block, matched[1])
 
 
 def classify_isotropy(system: FixedPointSystem, k: int):
@@ -287,18 +274,18 @@ def classify_isotropy(system: FixedPointSystem, k: int):
     failures = []
     for blocks in _set_partitions(labels):
         components = []
-        problem = None
         for block in blocks:
             got = _try_block(block, points, subs, k)
             if isinstance(got, str):
-                problem = got
+                failures.append((blocks, got))
                 break
             components.append(got)
-        if problem is None:
+        else:
             components.sort(key=lambda c: c.labels)
             return IsotropyDecomposition(k, tuple(components))
-        failures.append((_partition_repr(blocks), problem))
-    return IsotropyRejection(k, tuple(failures))
+    return IsotropyRejection(
+        k, tuple((_partition_repr(blocks), why) for blocks, why in failures)
+    )
 
 
 def largest_weight_structure(system: FixedPointSystem) -> CheckResult:

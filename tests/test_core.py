@@ -30,6 +30,13 @@ def test_multiset_rejects_zero():
         FixedPointSystem(3, ((1, 0, -1),), ("p",))
 
 
+def test_system_rejects_non_integer_weights():
+    # int() would quietly turn each into another weight
+    for bad in (1.5, "2", True):
+        with pytest.raises(ValueError, match="non-integer weight at q"):
+            _system(2, (1, 2), (-1, bad), (-2, -1))
+
+
 def test_multiset_negate():
     system = FixedPointSystem(3, ((-2, 1, 1),), ("p",))
     assert reverse_action(system).points[0] == (-1, -1, 2)

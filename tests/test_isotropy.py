@@ -40,7 +40,8 @@ from weightsys.isotropy import (
     structure_relation_checks,
     sub_multiset_mod_k,
     _cp2_points,
-    _match_cp2,
+    _dim6_points,
+    _match_shape,
 )
 from weightsys.search import cp2_family, dim6_pair_family
 
@@ -125,10 +126,51 @@ def test_cp2_match_is_the_one_matching_role_assignment():
             if 0 < a < top and roles == _cp2_points(a, top - a):
                 matches.append((a, top - a))
         assert len(matches) <= 1, subs
-        assert _match_cp2(by_label) == (matches[0] if matches else None), subs
+        assert _match_shape(list(subs)) == (
+            (CP2_TRIPLE, matches[0]) if matches else None
+        ), subs
         matched += len(matches)
     # the six (a, b) with a + b <= 4, each in six label orders
     assert matched == 36
+
+
+def test_two_point_match_is_the_one_matching_role_order():
+    # every pair of one- or three-weight parts in [-4, 4]: at most one
+    # order of the two parts is (m,), (-m,) or _dim6_points(a, b) with
+    # positive parameters, and its kind and parameters are returned
+    values = [w for w in range(-4, 5) if w]
+    parts = [p for size in (1, 3) for p in combinations_with_replacement(values, size)]
+    shapes = [(SPHERE_PAIR, (m,), ((m,), (-m,))) for m in range(1, 5)]
+    shapes += [
+        (DIM6_PAIR, (a, b), _dim6_points(a, b))
+        for a, b in product(range(1, 5), repeat=2)
+    ]
+    matched = 0
+    for pair in product(parts, repeat=2):
+        matches = [
+            (kind, params)
+            for order in (pair, pair[::-1])
+            for kind, params, roles in shapes
+            if order == roles
+        ]
+        assert len(matches) <= 1, pair
+        assert _match_shape(list(pair)) == (matches[0] if matches else None), pair
+        matched += len(matches)
+    # m = 1..4 and the four 0 < a <= b with a + b <= 4, each in two orders
+    assert matched == 16
+
+
+def test_successful_classification_formats_no_partition(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "weightsys.isotropy._partition_repr",
+        lambda blocks: calls.append(blocks) or "",
+    )
+    # four partitions fail before the CP2 triple matches
+    assert classify_isotropy(cp2_family(2, 4), 2)
+    assert calls == []
+    assert not classify_isotropy(_system(2, (1, 2), (-1, 2), (-2, -3)), 2)
+    assert len(calls) == 5
 
 
 def test_classify_dim6_pair():
