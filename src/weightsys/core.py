@@ -46,9 +46,10 @@ class FixedPointSystem:
 
     points holds each multiset as the ascending tuple of its nonzero ints
     (the shape the search works on) and labels the distinct label of each
-    point, in the same order.  Every point must carry exactly n
-    weights, each an int and not a bool.  Point order is whatever the
-    caller chose; canonicalize() is the one place that imposes an order.
+    point, in the same order, each a non-empty string.  Every point must
+    carry exactly n weights, each an int and not a bool.  Point order is
+    whatever the caller chose; canonicalize() is the one place that
+    imposes an order.
     These are all the validity rules of a system; a ValueError names the
     first point that breaks one, in the wording parse_system reports.
     """
@@ -69,7 +70,10 @@ class FixedPointSystem:
                 "%d labels for %d points" % (len(labels), len(points))
             )
         seen = set()
-        for label, ws in zip(labels, points):
+        for i, (label, ws) in enumerate(zip(labels, points)):
+            # before the set: an unhashable label would raise TypeError
+            if not isinstance(label, str) or not label:
+                raise ValueError("label in points[%d] must be a non-empty string" % i)
             if label in seen:
                 raise ValueError("duplicate label: %s" % (label,))
             seen.add(label)

@@ -89,11 +89,9 @@ def parse_system(document) -> FixedPointSystem:
             if field not in entry:
                 raise DocumentError("missing field: %s in %s" % (field, where))
         label = entry["label"]
-        if not isinstance(label, str) or not label:
-            raise DocumentError("label in %s must be a non-empty string" % where)
         weights = entry["weights"]
         if not isinstance(weights, list):
-            raise DocumentError("weights at %s must be an array" % label)
+            raise DocumentError("weights at %s must be an array" % (label,))
         labels.append(label)
         rows.append(weights)
 

@@ -58,13 +58,14 @@ subset of the checks over staged generation (a pool drops the counts).  A
 d-branch and an oracle level tell the sieve their largest |weight|,
 which buckets their failures; the staged paths leave the sieve to take
 it per failure.  sum_p 1/P_p = 0 fixes the last point's weight product
-from the others' (-P1 for two points, -P1 P2 / (P1 + P2) for three).
-Both generators close the last point with _last_points: given the other
-points' products, it lists only the closures with that product and
-counts the rest.  A pool whose checks include localization drops the
-count (each cut candidate fails the check its sieve runs); a three-point
-d-branch counts each as a node killed at localization, as the sieve
-would.  The enumerator's staged path makes no cut.
+from the others' (-P1 for two points, -P1 P2 / (P1 + P2) for three): the
+target (_last_product; 0, which no closure reaches, when no integer
+fits).  Both generators close the last point with _last_points: given
+the target, it lists only the closures with that product and counts the
+rest.  A pool whose checks include localization drops the count (each
+cut candidate fails the check its sieve runs); a three-point d-branch
+counts each as a node killed at localization, as the sieve would.  The
+enumerator's staged path makes no cut.
 
 The sieve decides on the candidate's ascending weight tuples: pairing,
 lambda symmetry, parity, localization (integer cross-multiplication)
@@ -287,49 +288,6 @@ def _excess(points, top):
     return excess
 
 
-def _imbalance(excess, n, lam, stats):
-    """(forced, pairs): the weights the pairing excess of the other points
-    (_excess) forces on an n-weight point with lam negatives, and how many
-    {l, -l} pairs fill the rest; None (a pairing_completion prune) if none do.
-
-    Every generator bounds the other points by the completion's max_val
-    (in a d-branch, +-d sits at v and w and cancels), so the forced
-    values need no bound check; and when c_1 is cut, every other point
-    already has c_1 = 0, so sum(forced) = 0.
-    """
-    negs, poss = [], []
-    for x, e in enumerate(excess):
-        # each x in excess of -x needs a -x at the last point, and back
-        if e > 0:
-            negs += [-x] * e
-        elif e < 0:
-            poss += [x] * -e
-    rest = n - len(negs) - len(poss)
-    if rest < 0 or rest % 2 == 1 or lam != len(negs) + rest // 2:
-        stats.pruned["pairing_completion"] += 1
-        return None
-    return negs + poss, rest // 2
-
-
-def _pair_values(forced, pairs, max_val, products):
-    """Ascending `pairs`-tuples in [1, max_val] completing `forced`: all,
-    or, given the other points' weight products, those giving the last
-    point the product sum_p 1/P_p = 0 forces (_last_product).  That
-    product is prod(forced) * (-1)^pairs * r^2, r the tuple's product, so
-    r is fixed and the tuples are its factorizations.
-    """
-    if products is None:
-        return combinations_with_replacement(range(1, max_val + 1), pairs)
-    target = _last_product(products)
-    if target is None:
-        return ()
-    square, left = divmod(target, math.prod(forced))
-    square *= (-1) ** pairs
-    if left or square <= 0 or math.isqrt(square) ** 2 != square:
-        return ()
-    return _factorizations(math.isqrt(square), pairs, max_val)
-
-
 def _factorizations(r, k, hi, lo=1):
     """Ascending k-tuples of factors in [lo, hi] whose product is r, in
     lexicographic order."""
@@ -386,27 +344,46 @@ def _free_points(neg_count, pos_count, max_abs, total, chern_on, stats):
         yield from (negs + ws for ws in fits)
 
 
-def _last_points(excess, n, lam, max_val, chern_on, pairing_complete, stats, products=None):
+def _last_points(excess, n, lam, max_val, chern_on, pairing_complete, stats, target=None):
     """(points, missed): the last point's multisets given the pairing
     excess of the other points (_excess), and how many went unlisted.
 
     The points are every free multiset, or the closures of the excess:
-    the forced weights and `pairs` {l, -l} pairs, l in [1, max_val].
-    Given the other points' weight products, only the closures with the
-    product sum_p 1/P_p = 0 forces are listed, and missed counts the rest
-    of the C(max_val - 1 + pairs, pairs).
+    the weights it forces on an n-weight point with lam negatives and
+    `pairs` {l, -l} pairs, l in [1, max_val]; a pairing_completion prune
+    if none close.  Given the last point's weight product target
+    (_last_product), only the closures with that product are listed, and
+    missed counts the rest of the C(max_val - 1 + pairs, pairs).
     """
     if not pairing_complete:
         return _free_points(lam, n - lam, max_val, 0, chern_on, stats), 0
-    closing = _imbalance(excess, n, lam, stats)
-    if closing is None:
+    negs, poss = [], []
+    for x, e in enumerate(excess):
+        # each x in excess of -x needs a -x at the last point, and back
+        if e > 0:
+            negs += [-x] * e
+        elif e < 0:
+            poss += [x] * -e
+    rest = n - len(negs) - len(poss)
+    if rest < 0 or rest % 2 == 1 or lam != len(negs) + rest // 2:
+        stats.pruned["pairing_completion"] += 1
         return (), 0
-    forced, pairs = closing
-    points = [
-        tuple(sorted(forced + list(pvals) + [-v for v in pvals]))
-        for pvals in _pair_values(forced, pairs, max_val, products)
-    ]
-    if products is None:
+    # every generator bounds the other points by max_val (in a d-branch,
+    # +-d sits at v and w and cancels), so the forced weights need no
+    # bound check; and when c_1 is cut, every other point already has
+    # c_1 = 0, so sum(forced) = 0
+    forced, pairs = negs + poss, rest // 2
+    if target is None:
+        pvals = combinations_with_replacement(range(1, max_val + 1), pairs)
+    else:
+        # the closure's product is prod(forced) * (-1)^pairs * r^2, r the
+        # product of its pair values, so r is fixed and they factorize it
+        square, left = divmod(target, math.prod(forced))
+        square *= (-1) ** pairs
+        exact = not left and square > 0 and math.isqrt(square) ** 2 == square
+        pvals = _factorizations(math.isqrt(square), pairs, max_val) if exact else ()
+    points = [tuple(sorted(forced + list(p) + [-v for v in p])) for p in pvals]
+    if target is None:
         return points, 0
     return points, math.comb(max_val - 1 + pairs, pairs) - len(points)
 
@@ -417,7 +394,8 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
     A three-point branch that closes its third point from the pairing
     imbalance under a count-symmetric profile (so n is even and d >= 2)
     lists only the third points hitting the localization target of v and
-    w (_last_points).  Each one it leaves out would pass pairing, lambda
+    w (_last_product of their products, v's taken once per v; then
+    _last_points).  Each one it leaves out would pass pairing, lambda
     symmetry and parity, have largest |weight| d, and fail localization,
     so it is counted as a node the sieve killed there, in d's bucket.
     """
@@ -441,6 +419,7 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
         # v's weights beside -d, summing to d when c_1 is cut
         for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
             ws_a = (-d,) + others
+            p_a = math.prod(ws_a)
             for ws_b, excess in _lifts(others, lam_b, d):
                 slots = [None] * point_count
                 slots[ia], slots[ib] = ws_a, ws_b
@@ -450,7 +429,7 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
                 ic = 3 - ia - ib
                 thirds, missed = _last_points(
                     excess, n, profile[ic], d - 1, chern_on, pairing_complete, stats,
-                    (math.prod(ws_a), math.prod(ws_b)) if counted else None,
+                    _last_product((p_a, math.prod(ws_b))) if counted else None,
                 )
                 if missed:
                     stats.nodes += missed
@@ -466,12 +445,12 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
 
     The heads (the points before the last) are walked grouped by weight
     product.  With localize, sum_p 1/P_p = 0 fixes the last point's
-    product (_last_product), decided once per product pair (per first
-    product for two points).  A pair is skipped whole when no integer
-    fits, when the sign is not (-1)^lam (the last point's lam negative
-    weights), or when |target| > bound^n; otherwise only the last points
-    hitting it are listed (_last_points; the count of the others is
-    dropped).  Only candidates failing the localization check are left
+    product, the target (_last_product), decided once per product pair
+    (per first product for two points).  A pair is skipped whole when no
+    integer fits, when the sign is not (-1)^lam (the last point's lam
+    negative weights), or when |target| > bound^n; otherwise its heads
+    hand the target to _last_points, which lists only the last points
+    hitting it (the count of the others is dropped).  Only candidates failing the localization check are left
     out, so a sieve running it keeps the same survivors.
     """
     # the second point's multisets are listed once: their c_1 cuts count
@@ -488,14 +467,14 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
     lam = profile[-1]
     for pairs in product(*(g.items() for g in groups)):
         products, points = zip(*pairs)
+        target = None
         if localize:
             target = _last_product(products)
-            if target is None or not 0 < target * (-1) ** lam <= bound**n:
+            if not 0 < target * (-1) ** lam <= bound**n:
                 continue
         for head in product(*points):
             lasts, _ = _last_points(
-                _excess(head, bound), n, lam, bound, chern_on, pairing_complete, stats,
-                products if localize else None,
+                _excess(head, bound), n, lam, bound, chern_on, pairing_complete, stats, target
             )
             for ws_last in lasts:
                 yield head + (ws_last,)
@@ -504,15 +483,16 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
 def _last_product(products):
     """The last point's weight product that sum_p 1/P_p = 0 forces, given
     the other points' products: -P1 after one point, -P1 P2 / (P1 + P2)
-    after two.  None when no integer fits (P1 + P2 = 0 leaves 1/P3 = 0;
-    an inexact quotient is no weight product)."""
+    after two.  0 when no integer fits (P1 + P2 = 0 leaves 1/P3 = 0;
+    an inexact quotient is no weight product): 0 is no weight product
+    either, so no closure has it."""
     if len(products) == 1:
         return -products[0]
     p1, p2 = products
     if p1 + p2 == 0:
-        return None
+        return 0
     q, left = divmod(-p1 * p2, p1 + p2)
-    return None if left else q
+    return 0 if left else q
 
 
 def _sieve(candidates, n, plan, stats, largest=None):

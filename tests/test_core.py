@@ -37,6 +37,13 @@ def test_system_rejects_non_integer_weights():
             _system(2, (1, 2), (-1, bad), (-2, -1))
 
 
+def test_system_rejects_labels_that_are_not_non_empty_strings():
+    # each would reach graph.emit_dot, which reads labels as strings
+    for bad in (1, "", ["p"]):
+        with pytest.raises(ValueError, match=r"label in points\[1\] must be a non-empty string"):
+            FixedPointSystem.from_weights(1, [(1,), (-1,)], labels=["p", bad])
+
+
 def test_multiset_negate():
     system = FixedPointSystem(3, ((-2, 1, 1),), ("p",))
     assert reverse_action(system).points[0] == (-1, -1, 2)

@@ -455,7 +455,8 @@ def test_dbranch_localization_cut_counts_what_it_drops():
     stats = SearchStats()
     head = ((-2, -1), (1, 2))
     excess = _excess(head, 2)
-    assert _last_points(excess, 2, 1, 1, False, True, stats, (2, 2)) == ([(-1, 1)], 0)
+    target = _last_product((prod(head[0]), prod(head[1])))
+    assert _last_points(excess, 2, 1, 1, False, True, stats, target) == ([(-1, 1)], 0)
     assert (stats.nodes, stats.eliminated) == (0, {"odd": {}, "even": {}})
 
 
@@ -809,11 +810,11 @@ def _per_head_candidates(n, point_count, bound, profile):
     stats = SearchStats()
     points = [list(_signed_multisets(lam, n - lam, bound)) for lam in profile[:-1]]
     for head in product(*points):
-        products = tuple(prod(ws) for ws in head)
-        if _last_product(products) is None:
+        target = _last_product(tuple(prod(ws) for ws in head))
+        if target == 0:
             continue
         excess = _excess(head, bound)
-        lasts, _ = _last_points(excess, n, profile[-1], bound, False, True, stats, products)
+        lasts, _ = _last_points(excess, n, profile[-1], bound, False, True, stats, target)
         for ws_last in lasts:
             yield head + (ws_last,)
 
@@ -827,6 +828,47 @@ def test_grouped_localize_walk_matches_the_per_head_walk():
             args = (n, point_count, bound, profile)
             grouped = _staged_candidates(n, bound, profile, False, True, SearchStats(), True)
             assert Counter(grouped) == Counter(_per_head_candidates(*args)), args
+
+
+def test_localize_walk_takes_one_target_per_product_pair(monkeypatch):
+    # the target is decided once per tuple of head products, never again
+    # per head: the pairwise-premise pool's (4, 3, 5) profiles and a
+    # two-point scope
+    calls = []
+    last_product = search._last_product
+
+    def counted(products):
+        calls.append(products)
+        return last_product(products)
+
+    monkeypatch.setattr(search, "_last_product", counted)
+    for n, point_count, bound in ((4, 3, 5), (3, 2, 4)):
+        for profile in _profiles(n, point_count, True):
+            calls.clear()
+            for _ in _staged_candidates(n, bound, profile, False, True, SearchStats(), True):
+                pass
+            pairs = prod(
+                len({prod(ws) for ws in _signed_multisets(lam, n - lam, bound)})
+                for lam in profile[:-1]
+            )
+            assert len(calls) == len(set(calls)) == pairs, (n, profile)
+
+
+def test_target_zero_misses_every_closure():
+    # 0 is no weight product: a head whose pairing closes lists nothing
+    # and counts all C(max_val - 1 + pairs, pairs) closures as missed
+    closing = 0
+    for head in product(_signed_multisets(1, 3, 3), _signed_multisets(3, 1, 3)):
+        excess = _excess(head, 3)
+        closures, _ = _last_points(excess, 4, 2, 3, False, True, SearchStats())
+        if not closures:
+            continue
+        closing += 1
+        pairs = (4 - sum(map(abs, excess))) // 2
+        assert len(closures) == comb(2 + pairs, pairs)
+        got = _last_points(excess, 4, 2, 3, False, True, SearchStats(), 0)
+        assert got == ([], comb(2 + pairs, pairs)), head
+    assert closing
 
 
 def test_partial_pool_requires_pairing():
