@@ -42,7 +42,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .core import FixedPointSystem, effectivity_gcd, lambda_count
 
@@ -138,10 +137,11 @@ class ConstraintReport:
 
 def _pairing_holds(n: int, points) -> bool:
     """The sorted union of the weights equals its own negation."""
-    if sum(map(sum, points)):
+    union = sum(points, ())
+    if sum(union):
         # a union equal to its negation sums to 0: the cheap test first
         return False
-    union = sorted(chain.from_iterable(points))
+    union = sorted(union)
     return union == [-w for w in reversed(union)]
 
 

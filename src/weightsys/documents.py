@@ -88,10 +88,10 @@ def parse_system(document) -> FixedPointSystem:
         for field in ("label", "weights"):
             if field not in entry:
                 raise DocumentError("missing field: %s in %s" % (field, where))
-        label = entry["label"]
-        weights = entry["weights"]
+        label, weights = entry["label"], entry["weights"]
         if not isinstance(weights, list):
-            raise DocumentError("weights at %s must be an array" % (label,))
+            named = label if isinstance(label, str) and label else where
+            raise DocumentError("weights at %s must be an array" % named)
         labels.append(label)
         rows.append(weights)
 

@@ -54,13 +54,11 @@ The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: run a plan of checks, count nodes and failures, keep survivors'
 canonical point tuples), each building its _filter_plan once: the full
 filter over d-branches or staged generation, over the raw product, and a
-subset of the checks over staged generation (a pool drops the counts).  A
-d-branch and an oracle level tell the sieve their largest |weight|,
-which buckets their failures; the staged paths leave the sieve to take
-it per failure.  sum_p 1/P_p = 0 fixes the last point's weight product
-from the others' (-P1 for two points, -P1 P2 / (P1 + P2) for three): the
-target (_last_product; 0, which no closure reaches, when no integer
-fits).  Both generators close the last point with _last_points: given
+subset of the checks over staged generation (a pool drops the counts).
+sum_p 1/P_p = 0 fixes the last point's weight product from the others'
+(-P1 for two points, -P1 P2 / (P1 + P2) for three): the target
+(_last_product; 0, which no closure reaches, when no integer fits).
+Both generators close the last point with _last_points: given
 the target, it lists only the closures with that product and counts the
 rest.  A pool whose checks include localization drops the count (each
 cut candidate fails the check its sieve runs); a three-point d-branch
@@ -71,9 +69,12 @@ The sieve decides on the candidate's ascending weight tuples: pairing,
 lambda symmetry, parity, localization (integer cross-multiplication)
 and c_1 vanishing are predicates on the tuples, and a FixedPointSystem
 is built only past them, for the largest-weight, isotropy and
-effectivity checks.  Survivors stay canonical tuples until they leave
-the search, where one FixedPointSystem is built per distinct survivor.
-first_failure runs the same loop on a system's points.
+effectivity checks.  The loop tests pairing itself, the other predicates
+inline and _first_failing past them, and adds a d-branch's or an oracle
+level's failures to the bucket of its largest |weight| once per call (a
+staged path's go one by one).  Survivors stay canonical tuples until
+they leave the search, where one FixedPointSystem is built per distinct
+survivor.  first_failure runs the same checks on a system's points.
 
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
@@ -497,30 +498,44 @@ def _last_product(products):
 
 def _sieve(candidates, n, plan, stats, largest=None):
     """Canonical point tuples of the candidates that pass every check in
-    plan (a _filter_plan).
+    plan (a _filter_plan), the one loop the search and the pools share.
 
-    The one loop the enumerator, the oracle and the replay pools share.
-    Each candidate is a tuple of ascending weight tuples and is decided on
-    them: a system is built only once it passes the tuple predicates
-    (pairing, lambda symmetry, parity, localization, c_1), for the checks
-    that need it.  A survivor is kept as its canonical tuples; the callers
-    build the systems where survivors leave the search.  Every candidate
-    counts as a node in stats and every failure is bucketed by the parity
-    of its largest |weight|.  A generator whose candidates all share one
-    largest |weight| (a d-branch, a level of the oracle's walk) passes it
-    as largest; otherwise each failure's is computed.
+    The plan opens with tuple predicates (pairing on every plan): the
+    first is tested in the loop, the others inline, and _first_failing
+    builds a system only for the checks past them.  Every candidate is a
+    node in stats and every failure goes to the parity bucket of its
+    largest |weight|: given as largest (a d-branch, an oracle level), the
+    call's failures are tallied and added once; else each one's is taken.
     """
-    survivors = set()
-    nodes = 0
+    prefix = [entry for entry in plan if entry[2] is not None]
+    deep = plan[len(prefix):]
+    (first_id, _, first), *prefix = prefix
+    survivors, tally, first_failed, passed = set(), Counter(), 0, 0
     for points in candidates:
-        nodes += 1
-        failed = _first_failing(n, points, plan)
-        if failed is None:
-            survivors.add(_canonical_points(points))
+        if not first(n, points):
+            first_failed += 1
+            if largest:
+                continue
+            failed = first_id
         else:
-            top = largest or max(map(abs, chain.from_iterable(points)))
-            stats.eliminated["odd" if top % 2 == 1 else "even"][failed] += 1
-    stats.nodes += nodes
+            passed += 1
+            for failed, _, holds in prefix:
+                if not holds(n, points):
+                    break
+            else:
+                failed = _first_failing(n, points, deep)
+                if failed is None:
+                    survivors.add(_canonical_points(points))
+                    continue
+            if largest:
+                tally[failed] += 1
+                continue
+        top = max(map(abs, chain.from_iterable(points)))
+        stats.eliminated["odd" if top % 2 == 1 else "even"][failed] += 1
+    stats.nodes += first_failed + passed
+    if largest:
+        tally[first_id] += first_failed
+        stats.eliminated["odd" if largest % 2 == 1 else "even"].update(+tally)  # no zero count
     return survivors
 
 

@@ -76,6 +76,21 @@ def test_parse_diagnostics_are_specific():
         {"dim": 4, "points": [{"label": "p", "weights": "12"}]},
         "weights at p must be an array",
     )
+    # a label that is no non-empty string names no point: the index does
+    _rejects(
+        {"dim": 4, "points": [{"label": "", "weights": "x"}]},
+        "weights at points[0] must be an array",
+    )
+    _rejects(
+        {
+            "dim": 4,
+            "points": [
+                {"label": "q", "weights": [1, 2]},
+                {"label": ["p"], "weights": 7},
+            ],
+        },
+        "weights at points[1] must be an array",
+    )
     _rejects(
         {"dim": 4, "points": [{"label": "p", "weights": [1, 1.5]}]},
         "non-integer weight at p",

@@ -24,7 +24,7 @@ from weightsys.constraints import (
     _pairing_holds,
     check_system,
 )
-from weightsys.core import FixedPointSystem, canonicalize, reverse_action
+from weightsys.core import FixedPointSystem, _canonical_points, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
 from weightsys.isotropy import FILTER_CHECKS
 from weightsys.search import (
@@ -653,6 +653,103 @@ def test_sieve_builds_no_object_for_a_cheap_failure(monkeypatch):
     assert Counter(witnessed) == Counter(
         {check_id: killed[check_id] for check_id, _, holds in FILTER_CHECKS if not holds}
     )
+
+
+def _reference_sieve(candidates, n, plan, stats):
+    """_sieve as a plain loop: _first_failing on every candidate, every
+    failure bucketed by its own largest |weight|."""
+    survivors = set()
+    for points in candidates:
+        stats.nodes += 1
+        failed = search._first_failing(n, points, plan)
+        if failed is None:
+            survivors.add(_canonical_points(points))
+        else:
+            top = max(abs(w) for ws in points for w in ws)
+            stats.eliminated["odd" if top % 2 else "even"][failed] += 1
+    return survivors
+
+
+def _sieve_streams():
+    """(label, n, plan, [(candidates, largest)]): each stream of calls is
+    run through one SearchStats, so later calls add to earlier buckets."""
+    # oracle levels: every candidate of the product, one call per largest t
+    for n, point_count, bound, profile, effective in (
+        (4, 3, 2, None, False),
+        (3, 2, 4, None, False),
+        (4, 3, 3, (1, 2, 3), True),
+        (3, 2, 3, (1, 2), True),
+    ):
+        if profile is None:
+            values = [w for w in range(-bound, bound + 1) if w]
+            pools = [list(combinations_with_replacement(values, n))] * point_count
+        else:
+            pools = [list(_signed_multisets(lam, n - lam, bound)) for lam in profile]
+        calls = [
+            ([c for c in product(*pools) if max(abs(w) for ws in c for w in ws) == t], t)
+            for t in range(1, bound + 1)
+        ]
+        yield ("oracle", n, point_count, bound, profile), n, _filter_plan(effective), calls
+    # d-branches, a third point closed from the pairing excess or free
+    for n, point_count, bound, complete in ((2, 3, 6, True), (2, 3, 3, False), (3, 2, 5, True)):
+        calls = [
+            (list(_dbranch_candidates(n, d, profile, False, complete, SearchStats())), d)
+            for profile in _profiles(n, point_count, False)
+            for d in range(1, bound + 1)
+        ]
+        yield ("dbranch", n, point_count, bound, complete), n, _filter_plan(False), calls
+    # staged streams with their last point free, under the full plan, a
+    # replay pool's plan and a plan with no system checks
+    for n, point_count, bound in ((2, 3, 3), (3, 2, 4)):
+        staged = [
+            (list(_staged_candidates(n, bound, profile, False, False, SearchStats())), None)
+            for profile in _profiles(n, point_count, False)
+        ]
+        for checks in (None, _L32_PREMISES, _PAIRWISE_PREMISES):
+            plan = _filter_plan(True) if checks is None else _filter_plan(False, checks)
+            yield ("staged", n, point_count, bound, checks), n, plan, staged
+
+
+def _counts(stats):
+    """nodes and eliminated as plain dicts: a zero count would show."""
+    return stats.nodes, {b: dict(c) for b, c in stats.eliminated.items()}
+
+
+def test_sieve_matches_the_plain_reference_loop():
+    deep_kinds = set()
+    for label, n, plan, calls in _sieve_streams():
+        got, want = SearchStats(), SearchStats()
+        for candidates, largest in calls:
+            survivors = _sieve(iter(candidates), n, plan, got, largest)
+            assert survivors == _reference_sieve(candidates, n, plan, want), label
+        assert _counts(got) == _counts(want), label
+        assert got.nodes == sum(len(c) for c, _ in calls), label
+        for killed in want.eliminated.values():
+            deep_kinds.update(killed)
+    # every check kills something but parity, which nothing past pairing
+    # fails, and the largest-weight structure, rare at these scopes
+    assert deep_kinds == {entry[0] for entry in FILTER_CHECKS} - {
+        "parity", "largest_weight_structure"
+    }
+
+
+def test_sieve_over_an_empty_stream_changes_no_count():
+    stats = SearchStats(nodes=7)
+    stats.eliminated["odd"]["pairing"] = 3
+    stats.eliminated["even"]["isotropy"] = 2
+    for checks in (None, _PAIRWISE_PREMISES):
+        plan = _filter_plan(False, checks)
+        for largest in (None, 1, 2):
+            assert _sieve(iter(()), 3, plan, stats, largest) == set()
+            assert _counts(stats) == (7, {"odd": {"pairing": 3}, "even": {"isotropy": 2}})
+
+
+def test_tuple_predicates_lead_the_filter_table():
+    # the sieve runs the entries with a tuple predicate first, inline, and
+    # builds a system for the rest: no entry with one may follow one without
+    has_holds = [holds is not None for _, _, holds in FILTER_CHECKS]
+    assert has_holds == sorted(has_holds, reverse=True)
+    assert has_holds[0] and not has_holds[-1]
 
 
 def test_classify_dim4_frozen_values():
