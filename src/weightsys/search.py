@@ -47,8 +47,11 @@ negative counts allowed at each point: a lambda profile's one per point,
 or, unrestricted, every lambda in 0..n at every point.  The 1e8 guard on
 the number of candidates so walked is counted from the same counts.  The
 walk goes by largest |weight| t, one sub-product per t and per first
-point reaching t, so each candidate is listed exactly once and nothing
-is cut or counted unlisted; t is only the bucket its failures go to.
+point reaching t, so each candidate falls in exactly one; t is only the
+bucket its failures go to.  Inside a sub-product the candidates go by
+weight-sum class, and only those summing to 0 are listed: every other
+one fails pairing (a union equal to its negation sums to 0), so it is
+counted as a node killed there, as the sieve would, without being built.
 
 The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: run a plan of checks, count nodes and failures, keep survivors'
@@ -600,16 +603,20 @@ _ORACLE_GUARD = 10**8
 def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     """Brute force: the full product of per-point weight multisets.
 
-    No structural pruning at all - every candidate is built and pushed
-    through the same filter the enumerator uses.  Weight order inside a
-    point is meaningless (points carry multisets), so the walk is over
-    per-point multisets; the 1e8 guard caps their product, which is
-    counted with math.comb before any multiset is listed.  The product is
-    walked as the disjoint sub-products of largest |weight| t = 1..W:
-    with i the first point whose largest |weight| is t, the points before
-    it take the multisets below t, point i those at t, and the points
-    after it those at most t.  Every candidate still reaches the sieve,
-    which is told t for the parity bucket of its failures.  An optional
+    No structural pruning at all - every candidate is counted, and every
+    one whose weights sum to 0 is built and pushed through the same
+    filter the enumerator uses.  Weight order inside a point is
+    meaningless (points carry multisets), so the walk is over per-point
+    multisets; the 1e8 guard caps their product, which is counted with
+    math.comb before any multiset is listed.  The product is walked as
+    the disjoint sub-products of largest |weight| t = 1..W: with i the
+    first point whose largest |weight| is t, the points before it take
+    the multisets below t, point i those at t, and the points after it
+    those at most t.  Each sub-product groups every point's multisets by
+    weight sum and hands the sieve, told t for the parity bucket of its
+    failures, only the products whose last point's class is at minus the
+    others' sum; every other candidate fails pairing, and is added to the
+    nodes and to t's pairing failures without being built.  An optional
     lambda_profile (one negative count per point, in point order) narrows
     each point's counts from 0..n to its own, which is how scopes
     otherwise past the guard get spot-checked.  Single-threaded on purpose.
@@ -651,7 +658,21 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
                 ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
                 for j, (ranked, ends) in enumerate(pools)
             ]
-            survivors |= _sieve(product(*factors), n, plan, stats, largest=t)
+            # a candidate sums to 0 only with its last point in the class at
+            # minus the others' sum; every other one fails pairing
+            *heads, last = (
+                {s: list(g) for s, g in groupby(sorted(f, key=sum), sum)} for f in factors
+            )
+            listed, missed = [], math.prod(map(len, factors))
+            for classes in product(*(head.items() for head in heads)):
+                sums, groups = zip(*classes)
+                closing = last.get(-sum(sums), ())
+                listed.append(product(*groups, closing))
+                missed -= math.prod(map(len, groups)) * len(closing)
+            survivors |= _sieve(chain.from_iterable(listed), n, plan, stats, largest=t)
+            if missed:
+                stats.nodes += missed
+                stats.eliminated["odd" if t % 2 else "even"]["pairing"] += missed
     return SearchOutcome(_systems(n, survivors), stats)
 
 

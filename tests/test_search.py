@@ -94,17 +94,22 @@ def test_oracle_equivalence_spot_checks():
     assert (oracle.stats.nodes, oracle.survivors) == (511225, ())
 
 
-def _reference_oracle(config, lambda_profile=None):
-    """The oracle as one plain product walk: every candidate through the
-    sieve, each failure bucketed by its own largest |weight|."""
+def _plain_pools(config, lambda_profile=None):
+    """Each point's multisets, listed without the oracle's walk."""
     n, bound = config.n, config.weight_bound
     if lambda_profile is None:
         values = [w for w in range(-bound, bound + 1) if w]
-        pools = [list(combinations_with_replacement(values, n))] * config.point_count
-    else:
-        pools = [list(_signed_multisets(lam, n - lam, bound)) for lam in lambda_profile]
+        return [list(combinations_with_replacement(values, n))] * config.point_count
+    return [list(_signed_multisets(lam, n - lam, bound)) for lam in lambda_profile]
+
+
+def _reference_oracle(config, lambda_profile=None):
+    """The oracle as one plain product walk: every candidate through the
+    sieve, each failure bucketed by its own largest |weight|."""
+    pools = _plain_pools(config, lambda_profile)
     stats = SearchStats()
-    survivors = _sieve(product(*pools), n, _filter_plan(config.require_effective), stats)
+    plan = _filter_plan(config.require_effective)
+    survivors = _sieve(product(*pools), config.n, plan, stats)
     return stats, tuple(sorted(survivors))
 
 
@@ -171,6 +176,59 @@ def test_oracle_spot_check_three_points_n8():
         "odd": {"pairing": 447440, "localization": 6161},
         "even": {"pairing": 1840, "localization": 184},
     }
+
+
+def test_oracle_spot_check_three_points_n10():
+    # the smallest count-symmetric profile at W=3: 66 * 441 * 66 candidates
+    config = SearchConfig(n=10, point_count=3, weight_bound=3, require_effective=False)
+    oracle = naive_oracle(config, lambda_profile=(0, 5, 10))
+    assert oracle.survivors == enumerate_systems(config).survivors == ()
+    assert oracle.stats.nodes == 1920996
+    assert oracle.stats.eliminated == {
+        "odd": {"pairing": 1898696, "localization": 17873, "chern1_vanishing": 72},
+        "even": {"pairing": 4030, "localization": 320, "chern1_vanishing": 5},
+    }
+
+
+def _sieve_inputs(monkeypatch):
+    """The list of how many candidates each later _sieve call receives."""
+    received = []
+    sieve = search._sieve
+
+    def counting(candidates, *args, **kwargs):
+        candidates = list(candidates)
+        received.append(len(candidates))
+        return sieve(candidates, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_sieve", counting)
+    return received
+
+
+def test_oracle_sieves_exactly_the_sum_zero_candidates(monkeypatch):
+    # a candidate whose weights do not sum to 0 fails pairing, so the
+    # oracle counts those by sum class: the sieve must see every sum-zero
+    # candidate of the plain product and no other, with nodes unchanged
+    received = _sieve_inputs(monkeypatch)
+    for config, profile in _oracle_reference_scopes():
+        candidates = list(product(*_plain_pools(config, profile)))
+        received.clear()
+        outcome = naive_oracle(config, profile)
+        assert sum(received) == sum(sum(map(sum, c)) == 0 for c in candidates), config
+        assert outcome.stats.nodes == len(candidates), config
+
+
+def test_oracle_sieve_inputs_at_the_benchmark_scopes(monkeypatch):
+    # the oracle scopes of perfbench's oracle_crosscheck: (nodes, sum-zero)
+    received = _sieve_inputs(monkeypatch)
+    scopes = {
+        (4, 3, 4, (0, 2, 4)): (122500, 10190),
+        (3, 2, 6, None): (132496, 4998),
+        (5, 2, 3, None): (63504, 2874),
+    }
+    for (n, points, bound, profile), (nodes, sieved) in scopes.items():
+        received.clear()
+        outcome = naive_oracle(SearchConfig(n, points, bound), profile)
+        assert (outcome.stats.nodes, sum(received)) == (nodes, sieved), n
 
 
 def _guard_message(space):
@@ -504,16 +562,18 @@ def test_frontier_counts_frozen():
 
 
 def test_frontier_counts_frozen_at_n10_w6(monkeypatch):
-    # the sieve sees only the 412 candidates that hit their localization
-    # target; every other node is a completion counted without being listed
+    # the d-branches list only the 412 candidates that hit their
+    # localization target; every other node is a completion counted
+    # without being listed
     listed = []
-    first_failing = search._first_failing
+    dbranch_candidates = search._dbranch_candidates
 
-    def counting(n, points, plan):
-        listed.append(points)
-        return first_failing(n, points, plan)
+    def counting(*args):
+        for candidate in dbranch_candidates(*args):
+            listed.append(candidate)
+            yield candidate
 
-    monkeypatch.setattr(search, "_first_failing", counting)
+    monkeypatch.setattr(search, "_dbranch_candidates", counting)
     config = SearchConfig(n=10, point_count=3, weight_bound=6)
     outcome = enumerate_systems(config)
     assert len(listed) == 412
