@@ -22,12 +22,14 @@ here is approximate and nothing uses floats.  The individual checks:
   a fixed point is the i-th elementary symmetric polynomial of its
   weights; c_1 is the plain weight sum.  For three fixed points and
   n >= 4 the c_1 values must all vanish.
+* effectivity: the gcd of all weights is 1 (checked only on request).
 
-Each of these five verdicts is written once, as a predicate
-holds(n, points) on the ascending weight tuples that builds nothing.
-The search decides candidates with the predicates alone; the report
-functions (pairing_check, ...) take their verdict from the same
-predicate and build a witness and a CheckResult only on failure.
+Each of these verdicts is written once, as a predicate holds(n, points)
+on the ascending weight tuples that builds nothing; so are the two
+modular checks of the isotropy module.  The search decides candidates
+with the predicates alone; the report functions (pairing_check, ...)
+take their verdict from the same predicate and build a witness and a
+CheckResult only on failure.
 
 check_system() reads the filter table isotropy.FILTER_CHECKS (these
 checks plus the modular ones, in the order the search applies them),
@@ -42,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .core import FixedPointSystem, effectivity_gcd, lambda_count
 
@@ -264,11 +267,15 @@ def chern1_vanishing_check(system: FixedPointSystem) -> CheckResult:
     return _result("chern1_vanishing", FAIL, {"label": label, "c1": c1})
 
 
+def _effectivity_holds(n: int, points) -> bool:
+    """The weights have gcd 1: no subgroup acts trivially."""
+    return math.gcd(*chain.from_iterable(points)) == 1
+
+
 def _effectivity_check(system: FixedPointSystem) -> CheckResult:
-    g = effectivity_gcd(system)
-    if g != 1:
-        return _result("effectivity", FAIL, {"gcd": g})
-    return _result("effectivity", PASS)
+    if _effectivity_holds(system.n, system.points):
+        return _result("effectivity", PASS)
+    return _result("effectivity", FAIL, {"gcd": effectivity_gcd(system)})
 
 
 def check_system(

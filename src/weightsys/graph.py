@@ -59,15 +59,19 @@ def build_graph(system: FixedPointSystem) -> GraphDocument:
         )
     )
 
-    # isotropy_orders is ascending: the last k joining a pair is the largest
+    # from the largest k down, the first k joining a pair is its edge; once
+    # every pair has one, no smaller k can change the graph
+    pairs = len(system.points) * (len(system.points) - 1) // 2
     best = {}
-    for k in isotropy_orders(system.all_weights()):
+    for k in reversed(isotropy_orders(system.all_weights())):
+        if len(best) == pairs:
+            break
         decomposition = classify_isotropy(system, k)
         if not decomposition:
             continue
         for component in decomposition.components:
             for a, b in combinations(sorted(component.labels), 2):
-                best[(a, b)] = k
+                best.setdefault((a, b), k)
 
     edges = tuple(
         (a, b, best[(a, b)]) for a, b in sorted(best)

@@ -24,6 +24,16 @@ points for a shape assignment satisfying all of this.  The three joined
 shapes are matched from one table, _SHAPES, keyed by the sizes of the
 k-divisible parts.
 
+Only one partition can succeed: a point with no k-divisible weight can
+only be ISOLATED and one with some never can, so the points with
+k-divisible weights form the one joined block.  The filter's verdict
+(_isotropy_holds) tries that partition alone, and only at the closed
+orders: the gcds of sets of |w|.  For any k, with g the gcd of the |w|
+that k divides, the k-divisible and g-divisible weights are the same and
+residues equal mod g are equal mod k, so wherever Z_g classifies, Z_k
+does too.  The closed orders come from gcds, with no factoring; only a
+failing report's witness and the graph list the divisors of the weights.
+
 On top of the classification sit three relations tied to the largest
 weight d of the system (all stated with un-doubled negative-weight
 counts; the doubled-index versions carry a factor 2 and -2/d on the
@@ -48,8 +58,8 @@ the search and by check_system alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import isqrt
+from itertools import chain, combinations
+from math import gcd, isqrt
 
 from .constraints import (
     FAIL,
@@ -58,6 +68,7 @@ from .constraints import (
     CheckResult,
     _chern1_vanishing_holds,
     _effectivity_check,
+    _effectivity_holds,
     _lambda_symmetry_holds,
     _localization_holds,
     _pairing_holds,
@@ -144,7 +155,8 @@ def isotropy_orders(weights) -> list[int]:
     Only these Z_k can join fixed points: for any other k no weight is
     divisible by k, every point is ISOLATED and the classification
     succeeds.  The divisors come from trial division up to isqrt(|w|),
-    so the cost grows with the square root of the largest weight.
+    so the cost grows with the square root of the largest weight; the
+    filter's verdict needs only the _closed_orders among them.
     """
     orders = set()
     for m in {abs(w) for w in weights}:
@@ -153,6 +165,17 @@ def isotropy_orders(weights) -> list[int]:
                 orders.update((i, m // i))
     orders.discard(1)
     return sorted(orders)
+
+
+def _closed_orders(weights) -> set[int]:
+    """The gcds >= 2 of the non-empty sets of |w|: the k at which Z_k
+    can fail first (see the module docstring), found without factoring."""
+    closed = set()
+    for m in {abs(w) for w in weights}:
+        closed |= {gcd(m, g) for g in closed}
+        closed.add(m)
+    closed.discard(1)
+    return closed
 
 
 def sub_multiset_mod_k(ws: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -288,6 +311,46 @@ def classify_isotropy(system: FixedPointSystem, k: int):
     )
 
 
+def _isotropy_holds(n: int, points) -> bool:
+    """Z_k classifies for every k >= 2; not applicable past three points.
+
+    Tries, at each closed order k, the one partition that can succeed:
+    the points with k-divisible weights as one block, the rest isolated.
+    """
+    if len(points) > 3:
+        return True
+    for k in _closed_orders(chain.from_iterable(points)):
+        parts, residues = [], set()
+        for ws in points:
+            part = tuple(w for w in ws if w % k == 0)
+            if part:
+                parts.append(part)
+                residues.add(tuple(sorted(w % k for w in ws)))
+        # one part alone matches no shape
+        if len(residues) > 1 or _match_shape(parts) is None:
+            return False
+    return True
+
+
+def _largest_weight_structure_holds(n: int, points) -> bool:
+    """d and -d once each, at two points whose weights agree mod d; not
+    applicable unless three points pass pairing.
+
+    The structure is read as pairing leaves it (every |w| <= d, -d as
+    often as d), and pairing is tested only when the structure fails.
+    The third point is then clean: a multiple of d there would be +-d.
+    """
+    if len(points) != 3:
+        return True
+    d = max(ws[-1] for ws in points)
+    ends = [ws for ws in points if ws[0] == -d or ws[-1] == d]
+    return (
+        len(ends) == 2
+        and sum(ws.count(d) for ws in points) == 1
+        and _residues_match_loose(*ends, d)
+    ) or not _pairing_holds(n, points)
+
+
 def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
     """d and -d once each at two distinct residue-matched points, third clean.
 
@@ -296,6 +359,8 @@ def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
     """
     if len(system.points) != 3 or not _pairing_holds(system.n, system.points):
         return _result("largest_weight_structure", NOT_APPLICABLE)
+    if _largest_weight_structure_holds(system.n, system.points):
+        return _result("largest_weight_structure", PASS)
 
     d, sv, sw = _largest_weight_holders(system)
     n_pos = sum(ws.count(d) for ws in system.points)
@@ -313,15 +378,7 @@ def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
             FAIL,
             {"d": d, "reason": "same-point", "label": label},
         )
-    # the third point is clean: with pairing every |w| <= d, so a multiple
-    # of d there is +-d, which the multiplicity count already placed
-    if not _residues_match_loose(sv, sw, d):
-        return _result(
-            "largest_weight_structure",
-            FAIL,
-            {"d": d, "reason": "residues"},
-        )
-    return _result("largest_weight_structure", PASS)
+    return _result("largest_weight_structure", FAIL, {"d": d, "reason": "residues"})
 
 
 def _residues_match_loose(a, b, k: int) -> bool:
@@ -430,27 +487,26 @@ def even_count_relation_check(sv, sw, d: int, system: FixedPointSystem) -> Check
 def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
     """Aggregate verdict: classify_isotropy succeeds for every k >= 2.
 
-    Only the k in isotropy_orders are tried: any other k divides no
-    weight, so every point is ISOLATED and the classification succeeds.
-    A failure names the smallest failing k.
+    The verdict is _isotropy_holds'.  A failure walks isotropy_orders
+    upward (any other k divides no weight, so every point is ISOLATED and
+    the classification succeeds) and names the smallest failing k.
     """
     if len(system.points) > 3:
         return _result("isotropy", NOT_APPLICABLE)
-    for k in isotropy_orders(system.all_weights()):
-        got = classify_isotropy(system, k)
-        if not got:
-            return _result(
-                "isotropy",
-                FAIL,
-                {
-                    "k": k,
-                    "failures": [
-                        {"partition": part, "violation": why}
-                        for part, why in got.failures
-                    ],
-                },
-            )
-    return _result("isotropy", PASS)
+    if _isotropy_holds(system.n, system.points):
+        return _result("isotropy", PASS)
+    results = (classify_isotropy(system, k) for k in isotropy_orders(system.all_weights()))
+    got = next(got for got in results if not got)
+    return _result(
+        "isotropy",
+        FAIL,
+        {
+            "k": got.k,
+            "failures": [
+                {"partition": part, "violation": why} for part, why in got.failures
+            ],
+        },
+    )
 
 
 def _largest_weight_holders(system: FixedPointSystem):
@@ -487,16 +543,15 @@ def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
 # pools and check_system apply, as (check_id, check, holds) in the order they
 # are tried.  A failing system is attributed to the first check it fails.
 # check(system) is the report; holds(n, points) is the same verdict on the
-# ascending weight tuples alone, building nothing, and None where the
-# verdict needs the whole system.  The checks with a holds come first, so
-# most candidates are decided before a system is built.
+# ascending weight tuples alone, building nothing, so the search builds a
+# system only for a survivor.
 FILTER_CHECKS = (
     ("pairing", pairing_check, _pairing_holds),
     ("lambda_symmetry", lambda_symmetry_check, _lambda_symmetry_holds),
     ("parity", parity_check, _parity_holds),
     ("localization", localization_check, _localization_holds),
     ("chern1_vanishing", chern1_vanishing_check, _chern1_vanishing_holds),
-    ("largest_weight_structure", largest_weight_structure, None),
-    ("isotropy", isotropy_consistency_check, None),
-    ("effectivity", _effectivity_check, None),
+    ("largest_weight_structure", largest_weight_structure, _largest_weight_structure_holds),
+    ("isotropy", isotropy_consistency_check, _isotropy_holds),
+    ("effectivity", _effectivity_check, _effectivity_holds),
 )

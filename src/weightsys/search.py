@@ -68,16 +68,16 @@ cut candidate fails the check its sieve runs); a three-point d-branch
 counts each as a node killed at localization, as the sieve would.  The
 enumerator's staged path makes no cut.
 
-The sieve decides on the candidate's ascending weight tuples: pairing,
-lambda symmetry, parity, localization (integer cross-multiplication)
-and c_1 vanishing are predicates on the tuples, and a FixedPointSystem
-is built only past them, for the largest-weight, isotropy and
-effectivity checks.  The loop tests pairing itself, the other predicates
-inline and _first_failing past them, and adds a d-branch's or an oracle
-level's failures to the bucket of its largest |weight| once per call (a
-staged path's go one by one).  Survivors stay canonical tuples until
-they leave the search, where one FixedPointSystem is built per distinct
-survivor.  first_failure runs the same checks on a system's points.
+The sieve decides on the candidate's ascending weight tuples: every
+check of the filter table is a predicate on the tuples (localization by
+integer cross-multiplication, isotropy at the closed orders, the gcds of
+sets of |w|), so no candidate is built to be rejected.  The loop tests
+pairing itself and the other predicates inline, and adds a d-branch's or
+an oracle level's failures to the bucket of its largest |weight| once
+per call (a staged path's go one by one).  Survivors stay canonical
+tuples until they leave the search, where one FixedPointSystem is built
+per distinct survivor.  first_failure runs the same predicates on a
+system's points.
 
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
@@ -241,20 +241,10 @@ def _filter_plan(require_effective: bool, check_ids=None):
 
 def _first_failing(n, points, plan):
     """Id of the first check in plan that the ascending weight tuples
-    points fail, or None.
-
-    A check with a tuple predicate is decided on the tuples; a system is
-    built only when a check that needs it is reached.
-    """
-    system = None
-    for check_id, check, holds in plan:
-        if holds is not None:
-            if not holds(n, points):
-                return check_id
-            continue
-        if system is None:
-            system = FixedPointSystem.from_weights(n, points)
-        if check(system).verdict == FAIL:
+    points fail, or None: each check decided by its tuple predicate,
+    building nothing."""
+    for check_id, _, holds in plan:
+        if not holds(n, points):
             return check_id
     return None
 
@@ -503,16 +493,14 @@ def _sieve(candidates, n, plan, stats, largest=None):
     """Canonical point tuples of the candidates that pass every check in
     plan (a _filter_plan), the one loop the search and the pools share.
 
-    The plan opens with tuple predicates (pairing on every plan): the
-    first is tested in the loop, the others inline, and _first_failing
-    builds a system only for the checks past them.  Every candidate is a
-    node in stats and every failure goes to the parity bucket of its
-    largest |weight|: given as largest (a d-branch, an oracle level), the
-    call's failures are tallied and added once; else each one's is taken.
+    Every check is decided by its tuple predicate: the first (pairing on
+    every plan) is tested in the loop, the others inline, and nothing is
+    built.  Every candidate is a node in stats and every failure goes to
+    the parity bucket of its largest |weight|: given as largest (a
+    d-branch, an oracle level), the call's failures are tallied and added
+    once; else each one's is taken.
     """
-    prefix = [entry for entry in plan if entry[2] is not None]
-    deep = plan[len(prefix):]
-    (first_id, _, first), *prefix = prefix
+    (first_id, _, first), *rest = plan
     survivors, tally, first_failed, passed = set(), Counter(), 0, 0
     for points in candidates:
         if not first(n, points):
@@ -522,14 +510,12 @@ def _sieve(candidates, n, plan, stats, largest=None):
             failed = first_id
         else:
             passed += 1
-            for failed, _, holds in prefix:
+            for failed, _, holds in rest:
                 if not holds(n, points):
                     break
             else:
-                failed = _first_failing(n, points, deep)
-                if failed is None:
-                    survivors.add(_canonical_points(points))
-                    continue
+                survivors.add(_canonical_points(points))
+                continue
             if largest:
                 tally[failed] += 1
                 continue

@@ -4,6 +4,7 @@ residues_match is checked against a direct bijection search so the
 sorted-residue shortcut never drifts from the definition.
 """
 
+from collections import Counter
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -13,6 +14,7 @@ from itertools import (
 
 import pytest
 
+from weightsys import isotropy
 from weightsys.constraints import (
     ANCHORS,
     FAIL,
@@ -27,6 +29,7 @@ from weightsys.graph import build_graph
 from weightsys.isotropy import (
     CP2_TRIPLE,
     DIM6_PAIR,
+    FILTER_CHECKS,
     ISOLATED,
     SPHERE_PAIR,
     classify_isotropy,
@@ -43,7 +46,13 @@ from weightsys.isotropy import (
     _dim6_points,
     _match_shape,
 )
-from weightsys.search import cp2_family, dim6_pair_family
+from weightsys.search import (
+    SearchStats,
+    _profiles,
+    _staged_candidates,
+    cp2_family,
+    dim6_pair_family,
+)
 
 
 def _system(n, *weight_lists):
@@ -427,6 +436,8 @@ def test_divisor_orders_match_the_full_k_range():
     for a in range(1, 31):
         for b in range(1, 31):
             systems += [cp2_family(a, b), dim6_pair_family(a, b)]
+    # Z_3 joins p and q and Z_6 does not: the edge is k=3, the witness k=2
+    systems.append(_system(2, (6, 1), (-6, 4), (-1, -4)))
 
     witness_ks, edge_ks = set(), set()
     for system in systems:
@@ -439,3 +450,49 @@ def test_divisor_orders_match_the_full_k_range():
             edge_ks.update(k for _, _, k in edges)
     # failures past the first k and edges labelled by a large k occur
     assert max(witness_ks) >= 3 and max(edge_ks) >= 4
+
+
+def _predicate_sweep():
+    """Systems of 1 to 4 points, every weight tuple in small ranges (most
+    fail pairing), then the pairing-complete three-point candidates and
+    scaled families, which reach the modular checks."""
+    for n, count, bound in (
+        (1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 5), (1, 3, 8), (2, 3, 3), (1, 4, 3)
+    ):
+        values = [v for v in range(-bound, bound + 1) if v]
+        for ws in product(combinations_with_replacement(values, n), repeat=count):
+            yield _system(n, *ws)
+    for n, bound in ((2, 6), (3, 4)):
+        for profile in _profiles(n, 3, False):
+            for ws in _staged_candidates(n, bound, profile, False, True, SearchStats()):
+                yield _system(n, *ws)
+    for a, b, c in product(range(1, 5), repeat=3):
+        yield cp2_family(a * c, b * c)
+        yield dim6_pair_family(a * c, b * c)
+
+
+def test_tuple_predicates_match_their_reports():
+    # every filter check's holds(n, points) is its report's verdict != FAIL
+    seen = Counter()
+    for system in _predicate_sweep():
+        for check_id, check, holds in FILTER_CHECKS:
+            got = check(system)
+            assert holds(system.n, system.points) == (got.verdict != FAIL), (check_id, system)
+            seen[check_id, got.verdict, (got.witness or {}).get("reason")] += 1
+    for check_id in ("largest_weight_structure", "isotropy"):
+        assert seen[check_id, PASS, None] and seen[check_id, NOT_APPLICABLE, None]
+    for reason in ("multiplicity", "same-point", "residues"):
+        assert seen["largest_weight_structure", FAIL, reason], reason
+    assert seen["isotropy", FAIL, None] and seen["effectivity", FAIL, None]
+
+
+def test_a_passing_check_factors_no_weight(monkeypatch):
+    # the verdict comes from gcds of the weights; only a failing isotropy
+    # witness lists the divisors, which would take trial division to 10^9
+    def no_factoring(weights):
+        raise AssertionError("isotropy_orders ran on a passing system")
+
+    monkeypatch.setattr(isotropy, "isotropy_orders", no_factoring)
+    report = check_system(cp2_family(10**18 + 1, 10**18 + 3), require_effective=True)
+    assert report.overall
+    assert report.by_id("isotropy").verdict == PASS

@@ -653,8 +653,7 @@ def test_first_failure_agrees_with_check_system():
 
 
 def test_first_failure_names_the_reported_failure_on_raw_oracle_candidates():
-    # every raw oracle candidate of the 3-point scopes n <= 2, W <= 3: the
-    # failures pairing and the tuple predicates let through reach the rest
+    # every raw oracle candidate of the 3-point scopes n <= 2, W <= 3
     killed = Counter()
     for n in (1, 2):
         values = (-3, -2, -1, 1, 2, 3)
@@ -681,11 +680,9 @@ def test_unknown_check_ids_raise():
 
 
 def test_sieve_builds_no_object_for_a_cheap_failure(monkeypatch):
-    # a candidate failing a tuple predicate gets no system, no witnessed
-    # CheckResult and no Fraction: a system is built once for each candidate
-    # that reaches the deeper checks and once for each distinct survivor as
-    # it leaves the search, and a witness for each candidate the deeper
-    # checks kill
+    # every check is decided by its tuple predicate, so no candidate gets a
+    # system, a witnessed CheckResult or a Fraction: a system is built once
+    # for each distinct survivor as it leaves the search, and nothing else
     systems, witnessed = [], []
     from_weights = FixedPointSystem.__dict__["from_weights"].__func__
 
@@ -706,13 +703,11 @@ def test_sieve_builds_no_object_for_a_cheap_failure(monkeypatch):
     monkeypatch.setattr(constraints, "Fraction", no_fraction)
     outcome = naive_oracle(SearchConfig(n=3, point_count=2, weight_bound=4))
     killed = outcome.stats.eliminated["odd"] + outcome.stats.eliminated["even"]
-    cheap = sum(killed[check_id] for check_id, _, holds in FILTER_CHECKS if holds)
-    deep = sum(killed.values()) - cheap
-    assert (outcome.stats.nodes, cheap, deep) == (14400, 14280, 100)
-    assert len(systems) == outcome.stats.nodes - cheap + len(outcome.survivors) == 130
-    assert Counter(witnessed) == Counter(
-        {check_id: killed[check_id] for check_id, _, holds in FILTER_CHECKS if not holds}
-    )
+    assert (outcome.stats.nodes, sum(killed.values())) == (14400, 14380)
+    # the 20 candidates that pass are 10 systems, each in both point orders
+    assert outcome.stats.nodes - 14380 == 2 * len(outcome.survivors) == 20
+    assert len(systems) == len(outcome.survivors)
+    assert witnessed == []
 
 
 def _reference_sieve(candidates, n, plan, stats):
@@ -759,7 +754,7 @@ def _sieve_streams():
         ]
         yield ("dbranch", n, point_count, bound, complete), n, _filter_plan(False), calls
     # staged streams with their last point free, under the full plan, a
-    # replay pool's plan and a plan with no system checks
+    # replay pool's plan and the pairwise premises' plan
     for n, point_count, bound in ((2, 3, 3), (3, 2, 4)):
         staged = [
             (list(_staged_candidates(n, bound, profile, False, False, SearchStats())), None)
@@ -805,11 +800,19 @@ def test_sieve_over_an_empty_stream_changes_no_count():
 
 
 def test_tuple_predicates_lead_the_filter_table():
-    # the sieve runs the entries with a tuple predicate first, inline, and
-    # builds a system for the rest: no entry with one may follow one without
-    has_holds = [holds is not None for _, _, holds in FILTER_CHECKS]
-    assert has_holds == sorted(has_holds, reverse=True)
-    assert has_holds[0] and not has_holds[-1]
+    # every entry has a tuple predicate, so the sieve builds no system to
+    # reject a candidate; the order, which attributes the eliminations, stays
+    assert all(callable(holds) for _, _, holds in FILTER_CHECKS)
+    assert [check_id for check_id, _, _ in FILTER_CHECKS] == [
+        "pairing",
+        "lambda_symmetry",
+        "parity",
+        "localization",
+        "chern1_vanishing",
+        "largest_weight_structure",
+        "isotropy",
+        "effectivity",
+    ]
 
 
 def test_classify_dim4_frozen_values():
