@@ -132,10 +132,11 @@ def _open_output(path):
 
 
 def _write_output(handle, text):
-    # only a regular file has old bytes to drop; a device or a pipe
-    # refuses truncate
+    # only a non-empty regular file has old bytes to drop; a device or a
+    # pipe refuses truncate
     try:
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        info = os.fstat(handle.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
             handle.truncate(0)
         handle.write(text)
         handle.flush()

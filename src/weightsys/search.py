@@ -49,9 +49,9 @@ the number of candidates so walked is counted from the same counts.  The
 walk goes by largest |weight| t, one sub-product per t and per first
 point reaching t, so each candidate falls in exactly one; t is only the
 bucket its failures go to.  Inside a sub-product the candidates go by
-weight-sum class, and only those summing to 0 are listed: every other
-one fails pairing (a union equal to its negation sums to 0), so it is
-counted as a node killed there, as the sieve would, without being built.
+pairing-excess class, and only those whose excess vectors add to 0 are
+listed: every other one fails pairing, so it is counted as a node killed
+there, as the sieve would, without being built.
 
 The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: run a plan of checks, count nodes and failures, keep survivors'
@@ -95,6 +95,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
+from operator import itemgetter
 
 from .constraints import (
     FAIL,
@@ -590,8 +591,8 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     """Brute force: the full product of per-point weight multisets.
 
     No structural pruning at all - every candidate is counted, and every
-    one whose weights sum to 0 is built and pushed through the same
-    filter the enumerator uses.  Weight order inside a point is
+    pairing-complete one is pushed through the same filter the
+    enumerator uses, pairing first.  Weight order inside a point is
     meaningless (points carry multisets), so the walk is over per-point
     multisets; the 1e8 guard caps their product, which is counted with
     math.comb before any multiset is listed.  The product is walked as
@@ -599,13 +600,14 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     first point whose largest |weight| is t, the points before it take
     the multisets below t, point i those at t, and the points after it
     those at most t.  Each sub-product groups every point's multisets by
-    weight sum and hands the sieve, told t for the parity bucket of its
-    failures, only the products whose last point's class is at minus the
-    others' sum; every other candidate fails pairing, and is added to the
-    nodes and to t's pairing failures without being built.  An optional
-    lambda_profile (one negative count per point, in point order) narrows
-    each point's counts from 0..n to its own, which is how scopes
-    otherwise past the guard get spot-checked.  Single-threaded on purpose.
+    excess key (_by_largest) and hands the sieve, told t for the parity
+    bucket of its failures, only the products whose last point's key is
+    minus the others' sum; every other candidate fails pairing, and is
+    added to the nodes and to t's pairing failures without being built.
+    An optional lambda_profile (one negative count per point, in point
+    order) narrows each point's counts from 0..n to its own, which is how
+    scopes otherwise past the guard get spot-checked.  Single-threaded on
+    purpose.
     """
     n, bound = config.n, config.weight_bound
     if lambda_profile is None:
@@ -631,7 +633,8 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
         )
 
     # one pool per distinct set, shared by the points that use it
-    by_set = {lams: _by_largest(n, lams, bound) for lams in set(lam_sets)}
+    base = n * config.point_count + 1
+    by_set = {lams: _by_largest(n, lams, bound, base) for lams in set(lam_sets)}
     pools = [by_set[lams] for lams in lam_sets]
     plan = _filter_plan(config.require_effective)
     stats = SearchStats()
@@ -644,15 +647,16 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
                 ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
                 for j, (ranked, ends) in enumerate(pools)
             ]
-            # a candidate sums to 0 only with its last point in the class at
-            # minus the others' sum; every other one fails pairing
+            # a candidate passes pairing only with its last point in the
+            # excess class at minus the others'; every other one fails it
             *heads, last = (
-                {s: list(g) for s, g in groupby(sorted(f, key=sum), sum)} for f in factors
+                {e: [ws for _, ws in g] for e, g in groupby(sorted(f), itemgetter(0))}
+                for f in factors
             )
             listed, missed = [], math.prod(map(len, factors))
             for classes in product(*(head.items() for head in heads)):
-                sums, groups = zip(*classes)
-                closing = last.get(-sum(sums), ())
+                keys, groups = zip(*classes)
+                closing = last.get(-sum(keys), ())
                 listed.append(product(*groups, closing))
                 missed -= math.prod(map(len, groups)) * len(closing)
             survivors |= _sieve(chain.from_iterable(listed), n, plan, stats, largest=t)
@@ -662,15 +666,19 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     return SearchOutcome(_systems(n, survivors), stats)
 
 
-def _by_largest(n, lams, bound):
+def _by_largest(n, lams, bound, base):
     """(ranked, ends): the ascending multisets of n weights from +-[1, bound]
-    with a negative count in lams, sorted by largest |weight|, and
-    ends[t] = how many have largest |weight| <= t, for t in 0..bound."""
-    def largest(ws):
-        return max(-ws[0], ws[-1])
+    with a negative count in lams, each after its excess key
+    sum_x e[x] * base**x (_excess), sorted by largest |weight|, and
+    ends[t] = how many have largest |weight| <= t, for t in 0..bound.
+    Keys add as excess vectors do, and a base past a candidate's sum of
+    |e[x]| lets no lower entry cancel the top one: 0 iff pairing holds."""
+    def largest(pair):
+        return max(-pair[1][0], pair[1][-1])
 
     multisets = chain.from_iterable(_signed_multisets(lam, n - lam, bound) for lam in lams)
-    ranked = sorted(multisets, key=largest)
+    keyed = ((sum(base**w if w > 0 else -base**-w for w in ws), ws) for ws in multisets)
+    ranked = sorted(keyed, key=largest)
     return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)]
 
 

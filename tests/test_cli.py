@@ -375,6 +375,21 @@ def test_output_to_a_device_is_written_without_truncating(capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command", ["enumerate", "graph"])
+def test_output_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, capsys, command):
+    # a fresh file is written as it is; an existing one is emptied first
+    args = {
+        "enumerate": ["enumerate", "--n", "2", "--points", "3", "--bound", "3", "--out"],
+        "graph": ["graph", str(DATA / "cp2_12.json"), "--dot"],
+    }[command]
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert run_cli(args + [str(fresh)]) == 0
+    old.write_bytes(b"x" * (2 * fresh.stat().st_size))
+    assert run_cli(args + [str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 # runs the command with the file size limit lowered below its output: the
 # write then fails with EFBIG (the signal that would end the process is
 # ignored), and the close that flushes the same bytes again fails too

@@ -190,45 +190,77 @@ def test_oracle_spot_check_three_points_n10():
     }
 
 
+def test_oracle_spot_check_three_points_n12():
+    # the smallest count-symmetric profile at W=3: 91 * 784 * 91 candidates
+    config = SearchConfig(n=12, point_count=3, weight_bound=3, require_effective=False)
+    oracle = naive_oracle(config, lambda_profile=(0, 6, 12))
+    assert oracle.survivors == enumerate_systems(config).survivors == ()
+    assert oracle.stats.nodes == 6492304
+    assert oracle.stats.eliminated == {
+        "odd": {"pairing": 6439664, "localization": 44360},
+        "even": {"pairing": 7756, "localization": 524},
+    }
+
+
+@pytest.mark.slow
+def test_oracle_spot_check_three_points_n14():
+    # the smallest count-symmetric profile at W=3: 120 * 1296 * 120 candidates
+    config = SearchConfig(n=14, point_count=3, weight_bound=3, require_effective=False)
+    oracle = naive_oracle(config, lambda_profile=(0, 7, 14))
+    assert oracle.survivors == enumerate_systems(config).survivors == ()
+    assert oracle.stats.nodes == 18662400
+    assert oracle.stats.eliminated == {
+        "odd": {"pairing": 18550728, "localization": 97124, "chern1_vanishing": 149},
+        "even": {"pairing": 13608, "localization": 784, "chern1_vanishing": 7},
+    }
+
+
 def _sieve_inputs(monkeypatch):
-    """The list of how many candidates each later _sieve call receives."""
+    """The list of the candidate lists each later _sieve call receives."""
     received = []
     sieve = search._sieve
 
-    def counting(candidates, *args, **kwargs):
+    def recording(candidates, *args, **kwargs):
         candidates = list(candidates)
-        received.append(len(candidates))
+        received.append(candidates)
         return sieve(candidates, *args, **kwargs)
 
-    monkeypatch.setattr(search, "_sieve", counting)
+    monkeypatch.setattr(search, "_sieve", recording)
     return received
 
 
-def test_oracle_sieves_exactly_the_sum_zero_candidates(monkeypatch):
-    # a candidate whose weights do not sum to 0 fails pairing, so the
-    # oracle counts those by sum class: the sieve must see every sum-zero
-    # candidate of the plain product and no other, with nodes unchanged
+def _pairing_complete(candidate):
+    union = sorted(chain.from_iterable(candidate))
+    return union == [-w for w in reversed(union)]
+
+
+def test_oracle_sieves_exactly_the_pairing_complete_candidates(monkeypatch):
+    # a candidate whose union is not its own negation fails pairing, so the
+    # oracle counts those by excess class: the sieve must see every
+    # pairing-complete candidate of the plain product once and no other,
+    # with nodes unchanged
     received = _sieve_inputs(monkeypatch)
     for config, profile in _oracle_reference_scopes():
         candidates = list(product(*_plain_pools(config, profile)))
         received.clear()
         outcome = naive_oracle(config, profile)
-        assert sum(received) == sum(sum(map(sum, c)) == 0 for c in candidates), config
+        complete = Counter(filter(_pairing_complete, candidates))
+        assert Counter(chain.from_iterable(received)) == complete, config
         assert outcome.stats.nodes == len(candidates), config
 
 
 def test_oracle_sieve_inputs_at_the_benchmark_scopes(monkeypatch):
-    # the oracle scopes of perfbench's oracle_crosscheck: (nodes, sum-zero)
+    # the oracle scopes of perfbench's oracle_crosscheck: (nodes, sieved)
     received = _sieve_inputs(monkeypatch)
     scopes = {
-        (4, 3, 4, (0, 2, 4)): (122500, 10190),
-        (3, 2, 6, None): (132496, 4998),
-        (5, 2, 3, None): (63504, 2874),
+        (4, 3, 4, (0, 2, 4)): (122500, 1730),
+        (3, 2, 6, None): (132496, 724),
+        (5, 2, 3, None): (63504, 660),
     }
     for (n, points, bound, profile), (nodes, sieved) in scopes.items():
         received.clear()
         outcome = naive_oracle(SearchConfig(n, points, bound), profile)
-        assert (outcome.stats.nodes, sum(received)) == (nodes, sieved), n
+        assert (outcome.stats.nodes, sum(map(len, received))) == (nodes, sieved), n
 
 
 def _guard_message(space):
