@@ -19,20 +19,18 @@ points is one of four shapes:
 
 The patterns are exact: a point's k-divisible sub-multiset must be wholly
 consumed by its component's shape, so no stray multiples of k may appear.
-classify_isotropy searches the (at most five) set partitions of the
-points for a shape assignment satisfying all of this.  The three joined
-shapes are matched from one table, _SHAPES, keyed by the sizes of the
-k-divisible parts.
-
-Only one partition can succeed: a point with no k-divisible weight can
-only be ISOLATED and one with some never can, so the points with
-k-divisible weights form the one joined block.  The filter's verdict
-(_isotropy_holds) tries that partition alone, and only at the closed
-orders: the gcds of sets of |w|.  For any k, with g the gcd of the |w|
-that k divides, the k-divisible and g-divisible weights are the same and
-residues equal mod g are equal mod k, so wherever Z_g classifies, Z_k
-does too.  The closed orders come from gcds, with no factoring; only a
-failing report's witness and the graph list the divisors of the weights.
+Only one partition of the points can succeed: a point with no k-divisible
+weight can only be ISOLATED and one with some never can, so the points
+with k-divisible weights form the one joined block.  _read_zk reads that
+forced partition alone, matching the block against one table of the three
+joined shapes, _SHAPES, keyed by the sizes of the k-divisible parts;
+classify_isotropy and the filter's verdict (_isotropy_holds) both decide
+through it.  The verdict reads only the closed orders: the gcds of sets
+of |w|.  For any k, with g the gcd of the |w| that k divides, the
+k-divisible and g-divisible weights are the same and residues equal mod g
+are equal mod k, so wherever Z_g classifies, Z_k does too.  The closed
+orders come from gcds, with no factoring; only a failing report's witness
+and the graph list the divisors of the weights.
 
 On top of the classification sit three relations tied to the largest
 weight d of the system (all stated with un-doubled negative-weight
@@ -58,7 +56,7 @@ the search and by check_system alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, isqrt
 
 from .constraints import (
@@ -140,7 +138,7 @@ class IsotropyDecomposition:
 
 @dataclass(frozen=True)
 class IsotropyRejection:
-    """Why every partition failed: (partition, first violated invariant)."""
+    """Why Z_k fails: one (forced partition, first violated invariant)."""
 
     k: int
     failures: tuple[tuple[str, str], ...]
@@ -236,98 +234,81 @@ def _match_shape(parts):
     return kind, params
 
 
-def _partition_repr(blocks) -> str:
-    return " | ".join(",".join(block) for block in blocks)
+def _read_zk(points, k):
+    """The one Z_k partition that can succeed, read off the ascending
+    weight tuples as (block, shape, broken): block the indices of the
+    points with k-divisible weights, the one joined block; shape its
+    (kind, params) and broken None when Z_k classifies, else the first
+    invariant broken: "lone" (one point), "shape" (no shape matches) or
+    (i, j), i the block's first point and j the first whose residues mod
+    k differ from i's.  Builds no text: most readings of the filter fail."""
+    block, parts = [], []
+    for i, ws in enumerate(points):
+        part = tuple(w for w in ws if w % k == 0)
+        if part:
+            block.append(i)
+            parts.append(part)
+    if len(block) < 2:
+        return block, None, "lone" if block else None
+    shape = _match_shape(parts)
+    if shape is None:
+        return block, None, "shape"
+    first = sorted(w % k for w in points[block[0]])
+    for j in block[1:]:
+        if sorted(w % k for w in points[j]) != first:
+            return block, None, (block[0], j)
+    return block, shape, None
 
 
-def _set_partitions(labels: tuple[str, ...]):
-    if len(labels) == 1:
-        yield ((labels[0],),)
-    elif len(labels) == 2:
-        a, b = labels
-        yield ((a,), (b,))
-        yield ((a, b),)
-    else:
-        a, b, c = labels
-        yield ((a,), (b,), (c,))
-        yield ((a, b), (c,))
-        yield ((a, c), (b,))
-        yield ((b, c), (a,))
-        yield ((a, b, c),)
-
-
-def _try_block(block, points, subs, k):
-    """Component for one block, or a string saying what failed first."""
-    if len(block) == 1:
-        lab = block[0]
-        if len(subs[lab]) != 0:
-            return "point %s carries weights divisible by %d" % (lab, k)
-        return IsotropyComponent(ISOLATED, block, ())
-
-    matched = _match_shape([subs[lab] for lab in block])
-    if matched is None:
-        if len(block) == 2:
-            return "divisible weights at %s,%s match no two-point shape" % block
-        return "divisible weights match no three-point shape"
-    for la, lb in combinations(block, 2):
-        if not residues_match(points[la], points[lb], k):
-            return "residues mod %d differ between %s and %s" % (k, la, lb)
-    return IsotropyComponent(matched[0], block, matched[1])
+def _partition_repr(labels, joined) -> str:
+    """The forced partition, joined block first: "p,r | q"."""
+    if len(joined) < 2:
+        return " | ".join(labels)
+    return " | ".join([",".join(joined)] + [lab for lab in labels if lab not in joined])
 
 
 def classify_isotropy(system: FixedPointSystem, k: int):
-    """Search all point partitions for a valid Z_k component assignment.
+    """The Z_k components, read from the one partition that can succeed.
 
     Returns an IsotropyDecomposition (truthy) on success, else an
-    IsotropyRejection (falsy) recording, per partition, the first
-    invariant that failed.  Ambiguities cannot really arise - a point
-    with no k-divisible weight can only be ISOLATED and one with some
-    can never be - but the partition order is fixed anyway so the result
-    is deterministic.
+    IsotropyRejection (falsy) holding that partition and the first
+    invariant it breaks.  Labels are read in sorted order.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if len(system.points) > 3:
         raise ValueError("classification handles at most 3 fixed points")
 
-    points = dict(zip(system.labels, system.points))
-    labels = tuple(sorted(points))
-    subs = {lab: sub_multiset_mod_k(points[lab], k) for lab in labels}
-
-    failures = []
-    for blocks in _set_partitions(labels):
-        components = []
-        for block in blocks:
-            got = _try_block(block, points, subs, k)
-            if isinstance(got, str):
-                failures.append((blocks, got))
-                break
-            components.append(got)
-        else:
-            components.sort(key=lambda c: c.labels)
-            return IsotropyDecomposition(k, tuple(components))
-    return IsotropyRejection(
-        k, tuple((_partition_repr(blocks), why) for blocks, why in failures)
-    )
+    labels, points = zip(*sorted(zip(system.labels, system.points)))
+    block, shape, broken = _read_zk(points, k)
+    joined = tuple(labels[i] for i in block)
+    if broken is None:
+        components = [
+            IsotropyComponent(ISOLATED, (lab,), ()) for lab in labels if lab not in joined
+        ]
+        if shape is not None:
+            components.append(IsotropyComponent(shape[0], joined, shape[1]))
+        components.sort(key=lambda c: c.labels)
+        return IsotropyDecomposition(k, tuple(components))
+    if broken == "lone":
+        why = "point %s carries weights divisible by %d" % (joined[0], k)
+    elif broken == "shape" and len(joined) == 2:
+        why = "divisible weights at %s,%s match no two-point shape" % joined
+    elif broken == "shape":
+        why = "divisible weights match no three-point shape"
+    else:
+        i, j = broken
+        why = "residues mod %d differ between %s and %s" % (k, labels[i], labels[j])
+    return IsotropyRejection(k, ((_partition_repr(labels, joined), why),))
 
 
 def _isotropy_holds(n: int, points) -> bool:
-    """Z_k classifies for every k >= 2; not applicable past three points.
-
-    Tries, at each closed order k, the one partition that can succeed:
-    the points with k-divisible weights as one block, the rest isolated.
-    """
+    """Z_k classifies (_read_zk) at every closed order, so at every k >= 2;
+    not applicable past three points."""
     if len(points) > 3:
         return True
     for k in _closed_orders(chain.from_iterable(points)):
-        parts, residues = [], set()
-        for ws in points:
-            part = tuple(w for w in ws if w % k == 0)
-            if part:
-                parts.append(part)
-                residues.add(tuple(sorted(w % k for w in ws)))
-        # one part alone matches no shape
-        if len(residues) > 1 or _match_shape(parts) is None:
+        if _read_zk(points, k)[2] is not None:
             return False
     return True
 
@@ -489,7 +470,8 @@ def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
 
     The verdict is _isotropy_holds'.  A failure walks isotropy_orders
     upward (any other k divides no weight, so every point is ISOLATED and
-    the classification succeeds) and names the smallest failing k.
+    the classification succeeds) and names the smallest failing k, with
+    the forced partition and the first invariant it breaks.
     """
     if len(system.points) > 3:
         return _result("isotropy", NOT_APPLICABLE)

@@ -1,7 +1,9 @@
 """Z_k classification and the largest-weight relations.
 
 residues_match is checked against a direct bijection search so the
-sorted-residue shortcut never drifts from the definition.
+sorted-residue shortcut never drifts from the definition, and
+classify_isotropy, which reads only the forced partition, against a
+walk over every set partition of the points.
 """
 
 from collections import Counter
@@ -31,6 +33,8 @@ from weightsys.isotropy import (
     DIM6_PAIR,
     FILTER_CHECKS,
     ISOLATED,
+    IsotropyComponent,
+    IsotropyDecomposition,
     SPHERE_PAIR,
     classify_isotropy,
     component_lambda_relation,
@@ -170,16 +174,18 @@ def test_two_point_match_is_the_one_matching_role_order():
 
 
 def test_successful_classification_formats_no_partition(monkeypatch):
+    # the rejection text is built only once the forced partition has failed
     calls = []
     monkeypatch.setattr(
         "weightsys.isotropy._partition_repr",
-        lambda blocks: calls.append(blocks) or "",
+        lambda labels, joined: calls.append(joined) or "",
     )
-    # four partitions fail before the CP2 triple matches
-    assert classify_isotropy(cp2_family(2, 4), 2)
+    for k in (2, 3, 4, 6):
+        assert classify_isotropy(cp2_family(2, 4), k)
+    assert classify_isotropy(_system(2, (1, 3), (-1, 2), (-3, -2)), 2)
     assert calls == []
     assert not classify_isotropy(_system(2, (1, 2), (-1, 2), (-2, -3)), 2)
-    assert len(calls) == 5
+    assert calls == [("p", "q", "r")]
 
 
 def test_classify_dim6_pair():
@@ -190,13 +196,17 @@ def test_classify_dim6_pair():
     assert got.components[0].params == (2, 2)
 
 
-def test_classify_rejection_lists_every_partition():
+def test_classify_rejection_names_the_forced_partition():
+    # every point carries an even weight, so Z_2 can only join all three
     got = classify_isotropy(_system(2, (1, 2), (-1, 2), (-2, -3)), 2)
     assert not got
-    assert len(got.failures) == 5
-    partitions = [part for part, _ in got.failures]
-    assert "p | q | r" in partitions
-    assert "p,q,r" in partitions
+    assert got.failures == (("p,q,r", "divisible weights match no three-point shape"),)
+    # the joined block comes first, the isolated points after it
+    got = classify_isotropy(_system(2, (1, 2), (-2, 3), (-3, -1)), 3)
+    assert got.failures == (("q,r | p", "residues mod 3 differ between q and r"),)
+    # a lone point with a divisible weight leaves every point on its own
+    got = classify_isotropy(_system(2, (1, 3), (1, 1), (-3, -2)), 2)
+    assert got.failures == (("p | q | r", "point r carries weights divisible by 2"),)
 
 
 def test_three_point_block_failures():
@@ -363,10 +373,9 @@ def test_isotropy_consistency_witness():
     got = isotropy_consistency_check(_system(2, (1, 2), (-1, 2), (-2, -3)))
     assert got.verdict == FAIL
     assert got.witness["k"] == 2
-    assert all(
-        set(entry) == {"partition", "violation"}
-        for entry in got.witness["failures"]
-    )
+    assert got.witness["failures"] == [
+        {"partition": "p,q,r", "violation": "divisible weights match no three-point shape"}
+    ]
     four = FixedPointSystem.from_weights(1, [(1,), (-1,), (2,), (-2,)])
     assert isotropy_consistency_check(four).verdict == NOT_APPLICABLE
 
@@ -399,14 +408,92 @@ def test_isotropy_orders_are_the_divisors_above_one():
     assert isotropy_orders((2**20,)) == [2**e for e in range(1, 21)]
 
 
+def _set_partitions(labels):
+    """Every set partition of one to three labels, in a fixed order."""
+    if len(labels) == 1:
+        yield ((labels[0],),)
+    elif len(labels) == 2:
+        a, b = labels
+        yield ((a,), (b,))
+        yield ((a, b),)
+    else:
+        a, b, c = labels
+        yield ((a,), (b,), (c,))
+        yield ((a, b), (c,))
+        yield ((a, c), (b,))
+        yield ((b, c), (a,))
+        yield ((a, b, c),)
+
+
+def _try_block(block, points, subs, k):
+    """Component for one block, or a string saying what failed first."""
+    if len(block) == 1:
+        lab = block[0]
+        if len(subs[lab]) != 0:
+            return "point %s carries weights divisible by %d" % (lab, k)
+        return IsotropyComponent(ISOLATED, block, ())
+
+    matched = _match_shape([subs[lab] for lab in block])
+    if matched is None:
+        if len(block) == 2:
+            return "divisible weights at %s,%s match no two-point shape" % block
+        return "divisible weights match no three-point shape"
+    for la, lb in combinations(block, 2):
+        if not residues_match(points[la], points[lb], k):
+            return "residues mod %d differ between %s and %s" % (k, la, lb)
+    return IsotropyComponent(matched[0], block, matched[1])
+
+
+def _every_partition(system, k):
+    """The reference reading of Z_k: every set partition of the sorted
+    labels tried in turn, each block matched on its own.  The first
+    partition to classify gives the decomposition; otherwise a dict from
+    each partition, as a set of blocks, to its (text, first violation)."""
+    points = dict(zip(system.labels, system.points))
+    labels = tuple(sorted(points))
+    subs = {lab: sub_multiset_mod_k(points[lab], k) for lab in labels}
+    failures = {}
+    for blocks in _set_partitions(labels):
+        components = []
+        for block in blocks:
+            got = _try_block(block, points, subs, k)
+            if isinstance(got, str):
+                text = " | ".join(",".join(b) for b in blocks)
+                failures[frozenset(blocks)] = (text, got)
+                break
+            components.append(got)
+        else:
+            components.sort(key=lambda c: c.labels)
+            return IsotropyDecomposition(k, tuple(components))
+    return failures
+
+
+def _assert_forced_reading(system, k, got):
+    """got, the classification, is the reference's decomposition, or its
+    failure for the partition the divisible weights force."""
+    reference = _every_partition(system, k)
+    assert bool(got) == isinstance(reference, IsotropyDecomposition), (system, k)
+    if got:
+        assert got == reference, (system, k)
+        return
+    points = dict(zip(system.labels, system.points))
+    joined = tuple(sorted(lab for lab in points if sub_multiset_mod_k(points[lab], k)))
+    forced = {(lab,) for lab in points}
+    if len(joined) > 1:
+        forced = {joined} | {(lab,) for lab in points if lab not in joined}
+    assert got.failures == (reference[frozenset(forced)],), (system, k)
+
+
 def _full_range(system):
     """The isotropy result and, when pairing passes, the graph edges over
-    every k in [2, max |w|]: the Z_k range before isotropy_orders."""
+    every k in [2, max |w|]: the Z_k range before isotropy_orders.  Each
+    classification is held to the reference walk over every partition."""
     with_edges = pairing_check(system).verdict == PASS
     result = CheckResult("isotropy", PASS, ANCHORS["isotropy"])
     best = {}
     for k in range(2, max(abs(w) for w in system.all_weights()) + 1):
         got = classify_isotropy(system, k)
+        _assert_forced_reading(system, k, got)
         if got:
             for component in got.components:
                 for a, b in combinations(sorted(component.labels), 2):
@@ -438,6 +525,9 @@ def test_divisor_orders_match_the_full_k_range():
             systems += [cp2_family(a, b), dim6_pair_family(a, b)]
     # Z_3 joins p and q and Z_6 does not: the edge is k=3, the witness k=2
     systems.append(_system(2, (6, 1), (-6, 4), (-1, -4)))
+    # a CP2 triple at multiples of 3 whose residues clash at q, then at r
+    for y, z in ((-1, -5), (1, -1)):
+        systems.append(_system(3, (3, 6, -5), (-3, 3, y), (-6, -3, z)))
 
     witness_ks, edge_ks = set(), set()
     for system in systems:

@@ -1,9 +1,12 @@
 """Package-wide rules read off the source: exact arithmetic only, standard
-library only.
+library only, no dead private code.
 
 Every verdict is exact, so no module may produce a float: no float
 literal, no use of the name float and no true division.  Imports
-resolve to the standard library or to the package itself.
+resolve to the standard library or to the package itself.  Every
+private module-level function or class is named somewhere in the
+package besides its own definition, so a helper left behind when its
+callers go is caught.
 """
 
 import ast
@@ -59,3 +62,51 @@ def test_rule_violations_names_each_breach():
     assert sorted(line for line, _ in rule_violations(source)) == [
         1, 2, 3, 4, 5, 6, 7, 8, 8
     ]
+
+
+def unreferenced_private(sources):
+    """(module, name) of every private module-level function or class in
+    sources, a {module: source} dict, that no other top-level statement
+    names: as a name, an attribute or an import."""
+    private, statements = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            statements.append((stmt, names))
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                private.append((module, stmt))
+    return [
+        (module, own.name)
+        for module, own in private
+        if not any(own.name in names for stmt, names in statements if stmt is not own)
+    ]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_private(sources) == []
+
+
+def test_unreferenced_private_names_each_leftover():
+    sources = {
+        "a": (
+            "def _used():\n    pass\n\n"
+            "def _recursive(x):\n    return _recursive(x - 1) if x else 0\n\n"
+            "class _Gone:\n    pass\n\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+            "def public():\n    return _used()\n"
+        ),
+        "b": "def _imported():\n    pass\n\ndef _read_as_attribute():\n    pass\n",
+        "c": "from . import b\nfrom .b import _imported\n\n_TABLE = (b._read_as_attribute,)\n",
+    }
+    # a helper that calls only itself is as dead as one nothing calls
+    assert unreferenced_private(sources) == [("a", "_recursive"), ("a", "_Gone")]
