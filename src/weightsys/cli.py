@@ -144,10 +144,25 @@ def _write_output(handle, text):
         raise _cannot_write(handle.name, exc) from None
 
 
+def _write_stdout(text):
+    # a failed write exits 2, as a failed --out write does; fd 1 then points at
+    # os.devnull, so the flush at exit has nothing to fail on (signal docs, SIGPIPE)
+    if sys.stdout is None:  # fd 1 was closed at start-up
+        raise DocumentError("cannot write stdout: Bad file descriptor")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _cannot_write("stdout", exc) from None
+
+
 def _cmd_check(args) -> int:
     system = parse_system(_load_document(args.file))
     report = check_system(system)
-    sys.stdout.write(render_json(emit_report(report)))
+    _write_stdout(render_json(emit_report(report)))
     return 0 if report.overall else 1
 
 
@@ -167,8 +182,8 @@ def _cmd_enumerate(args) -> int:
         except SearchSpaceError as exc:
             raise DocumentError(str(exc)) from None
         _write_output(out, render_json(emit_search_document(config, outcome)))
-    print(
-        "%d survivor(s), %d candidate(s) examined, results in %s"
+    _write_stdout(
+        "%d survivor(s), %d candidate(s) examined, results in %s\n"
         % (len(outcome.survivors), outcome.stats.nodes, args.out)
     )
     return 0
@@ -189,16 +204,16 @@ def _cmd_replay(args) -> int:
             report = replay_lemma(args.lemma, scope)
         except LemmaCounterexample as exc:
             report = exc.report
-            print(
-                "%s: FAILED over %d points (n=%d, bound=%d)"
+            _write_stdout(
+                "%s: FAILED over %d points (n=%d, bound=%d)\n"
                 % (args.lemma, point_count, args.n, args.bound)
             )
             for failure in report.failures:
-                print("  counterexample: %s" % json.dumps(failure, default=str))
+                _write_stdout("  counterexample: %s\n" % json.dumps(failure, default=str))
             return 1
-        print(
+        _write_stdout(
             "%s: ok over %d points (n=%d, bound=%d): "
-            "%d candidate(s), %d assertion(s)"
+            "%d candidate(s), %d assertion(s)\n"
             % (
                 args.lemma,
                 point_count,
@@ -223,7 +238,7 @@ def _cmd_graph(args) -> int:
         raise DocumentError(str(exc)) from None
     with _open_output(args.dot) as out:
         _write_output(out, dot)
-    sys.stdout.write(render_json(document.as_dict()))
+    _write_stdout(render_json(document.as_dict()))
     return 0
 
 

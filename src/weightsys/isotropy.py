@@ -313,23 +313,33 @@ def _isotropy_holds(n: int, points) -> bool:
     return True
 
 
-def _largest_weight_structure_holds(n: int, points) -> bool:
-    """d and -d once each, at two points whose weights agree mod d; not
-    applicable unless three points pass pairing.
+def _read_structure(points):
+    """(d, v, w, broken) off the ascending weight tuples, read as pairing
+    leaves them (every |w| <= d, -d as often as d): d the largest weight,
+    v and w the first points holding -d (None if none does) and +d, and
+    broken None if +-d occur once each at two points whose weights agree
+    mod d, else "multiplicity", "same-point" or "residues", the first
+    that fails.  The third point is then clean: a multiple of d there
+    would be +-d."""
+    heads, tails = [ws[0] for ws in points], [ws[-1] for ws in points]
+    d = max(tails)
+    v = points[heads.index(-d)] if -d in heads else None
+    w = points[tails.index(d)]
+    if v is None or sum(ws.count(d) for ws in points) != 1:
+        return d, v, w, "multiplicity"
+    if v == w:  # with d once, equal tuples are one point
+        return d, v, w, "same-point"
+    if not _residues_match_loose(v, w, d):
+        return d, v, w, "residues"
+    return d, v, w, None
 
-    The structure is read as pairing leaves it (every |w| <= d, -d as
-    often as d), and pairing is tested only when the structure fails.
-    The third point is then clean: a multiple of d there would be +-d.
-    """
+
+def _largest_weight_structure_holds(n: int, points) -> bool:
+    """_read_structure finds no break; not applicable unless three points
+    pass pairing, which is tested only when the structure fails."""
     if len(points) != 3:
         return True
-    d = max(ws[-1] for ws in points)
-    ends = [ws for ws in points if ws[0] == -d or ws[-1] == d]
-    return (
-        len(ends) == 2
-        and sum(ws.count(d) for ws in points) == 1
-        and _residues_match_loose(*ends, d)
-    ) or not _pairing_holds(n, points)
+    return _read_structure(points)[3] is None or not _pairing_holds(n, points)
 
 
 def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
@@ -340,26 +350,16 @@ def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
     """
     if len(system.points) != 3 or not _pairing_holds(system.n, system.points):
         return _result("largest_weight_structure", NOT_APPLICABLE)
-    if _largest_weight_structure_holds(system.n, system.points):
+    d, _, sw, broken = _read_structure(system.points)
+    if broken is None:
         return _result("largest_weight_structure", PASS)
-
-    d, sv, sw = _largest_weight_holders(system)
-    n_pos = sum(ws.count(d) for ws in system.points)
-    n_neg = sum(ws.count(-d) for ws in system.points)
-    if n_pos != 1 or n_neg != 1:
-        return _result(
-            "largest_weight_structure",
-            FAIL,
-            {"d": d, "reason": "multiplicity", "count_pos": n_pos, "count_neg": n_neg},
-        )
-    if sv == sw:
-        label = system.labels[system.points.index(sw)]
-        return _result(
-            "largest_weight_structure",
-            FAIL,
-            {"d": d, "reason": "same-point", "label": label},
-        )
-    return _result("largest_weight_structure", FAIL, {"d": d, "reason": "residues"})
+    witness = {"d": d, "reason": broken}
+    if broken == "multiplicity":
+        witness["count_pos"] = sum(ws.count(d) for ws in system.points)
+        witness["count_neg"] = sum(ws.count(-d) for ws in system.points)
+    elif broken == "same-point":
+        witness["label"] = system.labels[system.points.index(sw)]
+    return _result("largest_weight_structure", FAIL, witness)
 
 
 def _residues_match_loose(a, b, k: int) -> bool:
@@ -491,15 +491,6 @@ def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
     )
 
 
-def _largest_weight_holders(system: FixedPointSystem):
-    """(d, sv, sw): the largest weight d and the weight tuples sv of the
-    first point holding -d and sw of the first point holding +d."""
-    d = largest_weight(system)
-    sv = next(ws for ws in system.points if -d in ws)
-    sw = next(ws for ws in system.points if d in ws)
-    return d, sv, sw
-
-
 def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
     """The three largest-weight relations, wired to the +-d holders.
 
@@ -513,7 +504,7 @@ def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
             _result("component_lambda_relation", NOT_APPLICABLE),
             _result("even_count_relation", NOT_APPLICABLE),
         ]
-    d, sv, sw = _largest_weight_holders(system)
+    d, sv, sw, _ = _read_structure(system.points)
     return [
         lambda_step_check(sv, sw, d, system),
         component_lambda_relation(sv, sw, d),

@@ -71,13 +71,14 @@ enumerator's staged path makes no cut.
 The sieve decides on the candidate's ascending weight tuples: every
 check of the filter table is a predicate on the tuples (localization by
 integer cross-multiplication, isotropy at the closed orders, the gcds of
-sets of |w|), so no candidate is built to be rejected.  The loop tests
-pairing itself and the other predicates inline, and adds a d-branch's or
-an oracle level's failures to the bucket of its largest |weight| once
-per call (a staged path's go one by one).  Survivors stay canonical
-tuples until they leave the search, where one FixedPointSystem is built
-per distinct survivor.  first_failure runs the same predicates on a
-system's points.
+sets of |w|), so no candidate is built to be rejected.  It is one loop
+over the plan, pairing first, though under the default flags nothing it
+receives fails pairing: a two-point d-branch counts its unpaired lifts
+itself.  A call tallies its failures by check and largest |weight| (a
+d-branch's d, an oracle level's t, else the candidate's own).  Survivors
+stay canonical tuples until they leave the search, where one
+FixedPointSystem is built per distinct survivor.  first_failure runs the
+same predicates on a system's points.
 
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
@@ -111,7 +112,7 @@ from .isotropy import (
     FILTER_CHECKS,
     _cp2_points,
     _dim6_points,
-    _largest_weight_holders,
+    _read_structure,
     even_count_relation_check,
     component_lambda_relation,
     lambda_step_check,
@@ -386,13 +387,14 @@ def _last_points(excess, n, lam, max_val, chern_on, pairing_complete, stats, tar
 def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
     """Candidates whose largest weight is exactly d, via the +-d structure.
 
-    A three-point branch that closes its third point from the pairing
+    Each one left out is counted as a node the sieve killed, in d's
+    bucket.  A two-point lift whose joint excess (from _lifts) is not all
+    zero dies at pairing: +-d cancel and every other |w| is below d.  A
+    three-point branch that closes its third point from the pairing
     imbalance under a count-symmetric profile (so n is even and d >= 2)
     lists only the third points hitting the localization target of v and
     w (_last_product of their products, v's taken once per v; then
-    _last_points).  Each one it leaves out would pass pairing, lambda
-    symmetry and parity, have largest |weight| d, and fail localization,
-    so it is counted as a node the sieve killed there, in d's bucket.
+    _last_points); the others die at localization.
     """
     point_count = len(profile)
     if point_count == 2 and d == 1:
@@ -402,6 +404,7 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
 
     symmetric = _count_symmetric(n, sorted(profile))
     counted = point_count == 3 and pairing_complete and symmetric
+    killed, unpaired = stats.eliminated["odd" if d % 2 else "even"], 0
     for ia, ib in permutations(range(point_count), 2):
         lam_a, lam_b = profile[ia], profile[ib]
         if lam_a < 1 or lam_b > n - 1:
@@ -416,6 +419,9 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
             ws_a = (-d,) + others
             p_a = math.prod(ws_a)
             for ws_b, excess in _lifts(others, lam_b, d):
+                if point_count == 2 and any(excess):
+                    unpaired += 1
+                    continue
                 slots = [None] * point_count
                 slots[ia], slots[ib] = ws_a, ws_b
                 if point_count == 2:
@@ -428,10 +434,13 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
                 )
                 if missed:
                     stats.nodes += missed
-                    stats.eliminated["odd" if d % 2 else "even"]["localization"] += missed
+                    killed["localization"] += missed
                 for ws_c in thirds:
                     slots[ic] = ws_c
                     yield tuple(slots)
+    if unpaired:
+        stats.nodes += unpaired
+        killed["pairing"] += unpaired
 
 
 def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, localize=False):
@@ -494,38 +503,24 @@ def _sieve(candidates, n, plan, stats, largest=None):
     """Canonical point tuples of the candidates that pass every check in
     plan (a _filter_plan), the one loop the search and the pools share.
 
-    Every check is decided by its tuple predicate: the first (pairing on
-    every plan) is tested in the loop, the others inline, and nothing is
-    built.  Every candidate is a node in stats and every failure goes to
-    the parity bucket of its largest |weight|: given as largest (a
-    d-branch, an oracle level), the call's failures are tallied and added
-    once; else each one's is taken.
+    Each check is decided by its tuple predicate, in plan order, building
+    nothing.  Every candidate is a node in stats.  The call tallies its
+    failures by check and largest |weight| (largest when given: a
+    d-branch, an oracle level) and adds each count to that bucket once.
     """
-    (first_id, _, first), *rest = plan
-    survivors, tally, first_failed, passed = set(), Counter(), 0, 0
+    survivors, tally, nodes = set(), Counter(), 0
     for points in candidates:
-        if not first(n, points):
-            first_failed += 1
-            if largest:
-                continue
-            failed = first_id
+        nodes += 1
+        for failed, _, holds in plan:
+            if not holds(n, points):
+                break
         else:
-            passed += 1
-            for failed, _, holds in rest:
-                if not holds(n, points):
-                    break
-            else:
-                survivors.add(_canonical_points(points))
-                continue
-            if largest:
-                tally[failed] += 1
-                continue
-        top = max(map(abs, chain.from_iterable(points)))
-        stats.eliminated["odd" if top % 2 == 1 else "even"][failed] += 1
-    stats.nodes += first_failed + passed
-    if largest:
-        tally[first_id] += first_failed
-        stats.eliminated["odd" if largest % 2 == 1 else "even"].update(+tally)  # no zero count
+            survivors.add(_canonical_points(points))
+            continue
+        tally[failed, largest or max(map(abs, chain.from_iterable(points)))] += 1
+    stats.nodes += nodes
+    for (failed, top), count in tally.items():
+        stats.eliminated["odd" if top % 2 else "even"][failed] += count
     return survivors
 
 
@@ -874,7 +869,7 @@ def _l36(system, scope):
 
 
 def _r35(system, scope):
-    d, sv, sw = _largest_weight_holders(system)
+    d, sv, sw, _ = _read_structure(system.points)
     got = component_lambda_relation(sv, sw, d)
     yield got.verdict == PASS, {"d": d, "verdict": got.verdict}
     # the equal-c1 case must agree with the one-step statement

@@ -7,6 +7,7 @@ r), all checks passing, the c_1 and relation entries not-applicable in
 dimension four.
 """
 
+import errno
 import json
 import os
 import re
@@ -424,6 +425,52 @@ def test_failed_write_to_a_regular_file_exits_2(tmp_path, command):
     assert proc.stdout == ""
     assert proc.stderr == "error: cannot write %s: File too large\n" % path
     assert not path.exists()
+
+
+# runs the command with stdout closed, as `weightsys ... >&-` does: the
+# interpreter then starts with sys.stdout None
+_STDOUT_CLOSED = """
+import os, sys
+os.close(1)
+os.execv(sys.executable, [sys.executable, "-m", "weightsys", *sys.argv[1:]])
+"""
+
+
+@pytest.mark.parametrize("case", ["closed pipe", "full device", "closed descriptor"])
+@pytest.mark.parametrize("command", ["check", "replay", "graph", "enumerate"])
+def test_failed_write_to_stdout_exits_2(tmp_path, command, case):
+    # one error line and exit 2, like a failed --out write; no traceback, and
+    # nothing left for the interpreter's own flush at exit to report
+    argv = {
+        "check": ["check", str(DATA / "cp2_12.json")],
+        "replay": ["replay", "--lemma", "l22", "--n", "2", "--bound", "3"],
+        "graph": ["graph", str(DATA / "cp2_12.json"), "--dot", str(tmp_path / "g.dot")],
+        "enumerate": ["enumerate", "--n", "2", "--points", "3", "--bound", "3",
+                      "--out", str(tmp_path / "out.json")],
+    }[command]
+    args = [sys.executable, "-m", "weightsys", *argv]
+    if case == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        reason = errno.EPIPE
+    elif case == "full device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        reason = errno.ENOSPC
+    else:
+        args = [sys.executable, "-c", _STDOUT_CLOSED, *argv]
+        stdout = os.open(os.devnull, os.O_WRONLY)
+        reason = errno.EBADF
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            args, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write stdout: %s\n" % os.strerror(reason)
 
 
 def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):

@@ -263,6 +263,20 @@ def test_oracle_sieve_inputs_at_the_benchmark_scopes(monkeypatch):
         assert (outcome.stats.nodes, sum(map(len, received))) == (nodes, sieved), n
 
 
+def test_enumerator_sieves_only_pairing_complete_candidates(monkeypatch):
+    # under the default flags every generator settles pairing before the
+    # sieve: a two-point d-branch counts its unpaired lifts itself, so the
+    # sieve sees fewer candidates and nodes stay; (nodes, sieved) per scope
+    received = _sieve_inputs(monkeypatch)
+    scopes = {(3, 2, 6): (167, 47), (5, 2, 3): (65, 27), (2, 3, 6): (177, 15)}
+    for (n, points, bound), (nodes, sieved) in scopes.items():
+        received.clear()
+        outcome = enumerate_systems(SearchConfig(n, points, bound, require_effective=False))
+        candidates = list(chain.from_iterable(received))
+        assert all(map(_pairing_complete, candidates)), n
+        assert (outcome.stats.nodes, len(candidates)) == (nodes, sieved), n
+
+
 def _guard_message(space):
     return re.escape("oracle space has %d candidates (> 100000000)" % space)
 
@@ -505,9 +519,12 @@ def _dbranch_walk():
 
 
 def _kept(args, cut, reference):
+    n, point_count, d = args[:3]
+    if point_count == 2 and d >= 2:
+        return [ws for ws in reference if _pairing_holds(n, ws)]
     if not cut:
         return reference
-    return [ws for ws in reference if _localization_holds(args[0], ws)]
+    return [ws for ws in reference if _localization_holds(n, ws)]
 
 
 def test_dbranch_lifts_match_the_full_lift_walk():
@@ -525,21 +542,25 @@ def test_dbranch_lifts_match_the_full_lift_walk():
 
 def test_dbranch_localization_cut_counts_what_it_drops():
     # the lift-walk test's branches again: each candidate a cut branch drops
-    # is one node killed at localization, in the bucket of d's parity, and
-    # no zero count is recorded; an uncut branch records nothing
-    cut_branches = dropped_total = kept_total = 0
+    # is one node killed at localization, and each a two-point branch with
+    # d >= 2 drops one killed at pairing, in the bucket of d's parity; no
+    # zero count is recorded, and any other branch records nothing
+    cut_branches = kept_total = 0
+    dropped_total = Counter()
     for args, cut, _, reference, stats in _dbranch_walk():
         kept = _kept(args, cut, reference)
         dropped = len(reference) - len(kept)
         assert stats.nodes == dropped, args
         bucket = "odd" if args[2] % 2 == 1 else "even"
+        check = "pairing" if args[1] == 2 else "localization"
         killed = {b: dict(c) for b, c in stats.eliminated.items() if c}
-        assert killed == ({bucket: {"localization": dropped}} if dropped else {}), args
+        assert killed == ({bucket: {check: dropped}} if dropped else {}), args
         if cut:
             cut_branches += 1
             kept_total += len(kept)
-        dropped_total += dropped
-    assert (cut_branches, dropped_total, kept_total) == (152, 1376, 63)
+        dropped_total[check] += dropped
+    assert (cut_branches, kept_total) == (152, 63)
+    assert dropped_total == {"localization": 1376, "pairing": 2776}
     # a (v, w) pair whose one completion hits the target misses nothing:
     # v and w of the cp2 family (1, 1), third point {-1, 1}
     stats = SearchStats()

@@ -6,7 +6,9 @@ literal, no use of the name float and no true division.  Imports
 resolve to the standard library or to the package itself.  Every
 private module-level function or class is named somewhere in the
 package besides its own definition, so a helper left behind when its
-callers go is caught.
+callers go is caught.  Only the cli module touches the standard streams,
+so a library call never writes to the terminal and every write to
+stdout goes through the command line's one helper.
 """
 
 import ast
@@ -110,3 +112,45 @@ def test_unreferenced_private_names_each_leftover():
     }
     # a helper that calls only itself is as dead as one nothing calls
     assert unreferenced_private(sources) == [("a", "_recursive"), ("a", "_Gone")]
+
+
+def stream_uses(sources):
+    """(module, line, what) for every print, sys.stdout or sys.stderr named
+    in sources, a {module: source} dict, outside the cli module."""
+    found = []
+    for module, source in sources.items():
+        if module == "cli":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and node.id == "print":
+                found.append((module, node.lineno, "print"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("stdout", "stderr")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ):
+                found.append((module, node.lineno, "sys." + node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                for alias in node.names:
+                    if alias.name in ("stdout", "stderr"):
+                        found.append((module, node.lineno, "sys." + alias.name))
+    return found
+
+
+def test_only_the_cli_touches_the_standard_streams():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert "cli" in sources
+    assert stream_uses(sources) == []
+
+
+def test_stream_uses_names_each_write_outside_the_cli():
+    sources = {
+        "cli": "import sys\nprint('ok')\nsys.stdout.write('ok')\n",
+        "a": "import sys\n\ndef f():\n    print('x', file=sys.stderr)\n",
+        "b": "from sys import stdout, argv\n\nstdout.write('y')\n",
+        "c": "def print_all(out):\n    out.stdout.write('z')\n",
+    }
+    assert sorted(stream_uses(sources)) == [
+        ("a", 4, "print"), ("a", 4, "sys.stderr"), ("b", 1, "sys.stdout")
+    ]
