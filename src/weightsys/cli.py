@@ -247,15 +247,22 @@ def run_cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        if exc.code:
+            return int(exc.code)
+        # --help went to stdout, where argparse drops a failed write: the
+        # flush below reports it as any failed stdout write is reported
+        args = None
 
-    handler = {
-        "check": _cmd_check,
-        "enumerate": _cmd_enumerate,
-        "replay": _cmd_replay,
-        "graph": _cmd_graph,
-    }[args.command]
     try:
+        if args is None:
+            _write_stdout("")
+            return 0
+        handler = {
+            "check": _cmd_check,
+            "enumerate": _cmd_enumerate,
+            "replay": _cmd_replay,
+            "graph": _cmd_graph,
+        }[args.command]
         return handler(args)
     except DocumentError as exc:
         print("error: %s" % exc, file=sys.stderr)

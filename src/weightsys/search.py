@@ -61,12 +61,14 @@ subset of the checks over staged generation (a pool drops the counts).
 sum_p 1/P_p = 0 fixes the last point's weight product from the others'
 (-P1 for two points, -P1 P2 / (P1 + P2) for three): the target
 (_last_product; 0, which no closure reaches, when no integer fits).
-Both generators close the last point with _last_points: given
-the target, it lists only the closures with that product and counts the
-rest.  A pool whose checks include localization drops the count (each
-cut candidate fails the check its sieve runs); a three-point d-branch
-counts each as a node killed at localization, as the sieve would.  The
-enumerator's staged path makes no cut.
+A three-point d-branch closes its third point with _last_points: given
+the target, it lists only the closures with that product and counts
+each of the rest as a node killed at localization, as the sieve would.
+A pool whose checks include localization closes its last point by
+lookup: the last point's multisets are listed once per profile, keyed by
+(weight product, excess key), and a head takes those at (target, minus
+its own key); every candidate so cut fails the check its sieve runs,
+and nothing is counted.  The enumerator's staged path makes no cut.
 
 The sieve decides on the candidate's ascending weight tuples: every
 check of the filter table is a predicate on the tuples (localization by
@@ -85,6 +87,10 @@ from weaker premise sets, over every candidate in a bounded scope, and
 treats any counterexample as an alarm worth crashing on.  A replay is a
 pool of systems and a statement yielding one (holds, detail) per
 assertion; replay_lemma alone counts them and records the failures.
+Each pool is built once per process and cached: a premise pool per
+scope and premise set, a survivor pool per scope with effectivity
+dropped (l22, l24 and l46 share its one enumeration; an effective scope
+keeps its effective members), the family tuple per bound.
 """
 
 from __future__ import annotations
@@ -104,6 +110,7 @@ from .constraints import (
     PASS,
     _chern1_binds,
     _count_symmetric,
+    _effectivity_holds,
     lambda_symmetry_check,
     pairing_check,
 )
@@ -284,6 +291,16 @@ def _excess(points, top):
     return excess
 
 
+def _excess_key(ws, base):
+    """sum_x e[x] * base**x over the pairing excess e of the weights ws
+    (_excess), as one integer.  Keys add as excess vectors do, and a base
+    past the sum of |e[x]| over the points whose keys are added (n times
+    the point count, for a candidate's points) lets no lower entry
+    cancel the top one: the sum is 0 iff their excess vectors cancel,
+    that is iff their weights pair."""
+    return sum(base**w if w > 0 else -(base**-w) for w in ws)
+
+
 def _factorizations(r, k, hi, lo=1):
     """Ascending k-tuples of factors in [lo, hi] whose product is r, in
     lexicographic order."""
@@ -448,14 +465,20 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
     free multisets for every point but the last, then the last point.
 
     The heads (the points before the last) are walked grouped by weight
-    product.  With localize, sum_p 1/P_p = 0 fixes the last point's
-    product, the target (_last_product), decided once per product pair
-    (per first product for two points).  A pair is skipped whole when no
-    integer fits, when the sign is not (-1)^lam (the last point's lam
-    negative weights), or when |target| > bound^n; otherwise its heads
-    hand the target to _last_points, which lists only the last points
-    hitting it (the count of the others is dropped).  Only candidates failing the localization check are left
-    out, so a sieve running it keeps the same survivors.
+    product.  Without localize each head hands its pairing excess to
+    _last_points.  With localize (the pools' path, which always closes
+    by pairing), sum_p 1/P_p = 0 fixes the last point's product, the
+    target (_last_product), decided once per product pair (per first
+    product for two points).  A pair is skipped whole when no integer
+    fits, when the sign is not (-1)^lam (the last point's lam negative
+    weights), or when |target| > bound^n.  At the first pair left, the
+    last point's multisets, cut by c_1 as the heads are, are listed once
+    and keyed by (weight product, excess key) (_excess_key), and each
+    head is keyed once.  A head then closes by one lookup, at the target
+    and minus its key: exactly the closures of its excess hitting the
+    target, so no head's excess is taken.  Only candidates failing the
+    localization check are left out, so a sieve running it keeps the
+    same survivors; the last point's counts are dropped.
     """
     # the second point's multisets are listed once: their c_1 cuts count
     # once per first point, as if listed under each
@@ -469,18 +492,29 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
         for key, count in cuts.pruned.items():
             stats.pruned[key] += count * sum(map(len, groups[0].values()))
     lam = profile[-1]
-    for pairs in product(*(g.items() for g in groups)):
-        products, points = zip(*pairs)
-        target = None
-        if localize:
-            target = _last_product(products)
-            if not 0 < target * (-1) ** lam <= bound**n:
-                continue
-        for head in product(*points):
-            lasts, _ = _last_points(
-                _excess(head, bound), n, lam, bound, chern_on, pairing_complete, stats, target
-            )
-            for ws_last in lasts:
+    if not localize:
+        for points in product(*(g.values() for g in groups)):
+            for head in product(*points):
+                lasts, _ = _last_points(
+                    _excess(head, bound), n, lam, bound, chern_on, pairing_complete, stats
+                )
+                for ws_last in lasts:
+                    yield head + (ws_last,)
+        return
+    # keyed at the first pair left: a profile with none lists no last point
+    lasts = None
+    for products in product(*groups):
+        target = _last_product(products)
+        if not 0 < target * (-1) ** lam <= bound**n:
+            continue
+        if lasts is None:
+            base = n * len(profile) + 1
+            key_of = {ws: _excess_key(ws, base) for g in groups for ws in chain(*g.values())}
+            lasts = {}
+            for ws in _free_points(lam, n - lam, bound, 0, chern_on, SearchStats()):
+                lasts.setdefault((math.prod(ws), _excess_key(ws, base)), []).append(ws)
+        for head in product(*(g[p] for g, p in zip(groups, products))):
+            for ws_last in lasts.get((target, -sum(map(key_of.__getitem__, head))), ()):
                 yield head + (ws_last,)
 
 
@@ -664,15 +698,13 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
 def _by_largest(n, lams, bound, base):
     """(ranked, ends): the ascending multisets of n weights from +-[1, bound]
     with a negative count in lams, each after its excess key
-    sum_x e[x] * base**x (_excess), sorted by largest |weight|, and
-    ends[t] = how many have largest |weight| <= t, for t in 0..bound.
-    Keys add as excess vectors do, and a base past a candidate's sum of
-    |e[x]| lets no lower entry cancel the top one: 0 iff pairing holds."""
+    (_excess_key), sorted by largest |weight|, and ends[t] = how many
+    have largest |weight| <= t, for t in 0..bound."""
     def largest(pair):
         return max(-pair[1][0], pair[1][-1])
 
     multisets = chain.from_iterable(_signed_multisets(lam, n - lam, bound) for lam in lams)
-    keyed = ((sum(base**w if w > 0 else -base**-w for w in ws), ws) for ws in multisets)
+    keyed = ((_excess_key(ws, base), ws) for ws in multisets)
     ranked = sorted(keyed, key=largest)
     return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)]
 
@@ -766,9 +798,11 @@ def _partial_pool(n, point_count, bound, checks):
     profiles are restricted only when lambda_symmetry is being assumed.
     When "localization" is in the set, the final point is also cut by its
     target, decided once per weight-product pair of the head, which skips
-    a pair's heads whole when the target has the wrong sign or size (see
+    a pair's heads whole when the target has the wrong sign or size, and
+    each head closes by (product, excess key) lookup (see
     _staged_candidates): the sieve below rejects every candidate so
-    dropped, so the pool is what the uncut generation gives.
+    dropped, so the pool is what the uncut generation gives.  Each pool
+    is built once per process.
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")
@@ -786,9 +820,13 @@ def _partial_pool(n, point_count, bound, checks):
     return _systems(n, _sieve(candidates, n, plan, stats))
 
 
+@lru_cache(maxsize=None)
 def _survivor_pool(scope):
-    """The enumerator's survivors, effective or not."""
-    return enumerate_systems(replace(scope, require_effective=False)).survivors
+    """The enumerator's survivors, effective or not: one enumeration per
+    scope and process, run with effectivity dropped."""
+    if scope.require_effective:
+        return _survivor_pool(replace(scope, require_effective=False))
+    return enumerate_systems(scope).survivors
 
 
 def _premise_pool(checks, scope):
@@ -797,8 +835,14 @@ def _premise_pool(checks, scope):
 
 
 def _family_pool(scope):
-    """Both families for every a + b <= W: two systems per (a, b)."""
-    bound = scope.weight_bound
+    """Both families for every a + b <= W (_families)."""
+    return _families(scope.weight_bound)
+
+
+@lru_cache(maxsize=None)
+def _families(bound):
+    """Both families for every a + b <= bound, two systems per (a, b),
+    built once per bound and process."""
     return tuple(
         system
         for a in range(1, bound)
@@ -808,8 +852,13 @@ def _family_pool(scope):
 
 
 def _scope_pool(scope):
-    """The scope's own survivors."""
-    return enumerate_systems(scope).survivors
+    """The scope's own survivors: its survivor pool, kept to the members
+    passing effectivity when the scope requires it (generation never
+    reads require_effective, so that is what enumerating it keeps)."""
+    pool = _survivor_pool(scope)
+    if scope.require_effective:
+        pool = tuple(system for system in pool if _effectivity_holds(system.n, system.points))
+    return pool
 
 
 _PAIRWISE_PREMISES = ("pairing", "lambda_symmetry", "parity", "localization")

@@ -538,3 +538,22 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert run_cli(["--help"]) == 0
     assert "check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_to_a_full_stdout_exits_2(argv):
+    # argparse drops a failed write of the help; the one error line and
+    # exit 2 of any failed stdout write report it
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightsys", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write stdout: %s\n" % os.strerror(errno.ENOSPC)

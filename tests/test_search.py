@@ -9,7 +9,7 @@ import hashlib
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cache
 from math import comb, prod
 from itertools import chain, combinations_with_replacement, permutations, product
@@ -52,6 +52,7 @@ from weightsys.search import (
     _REPLAYS,
     _dbranch_candidates,
     _excess,
+    _excess_key,
     _factorizations,
     _filter_plan,
     _free_points,
@@ -1017,17 +1018,21 @@ def test_localization_cut_keeps_every_pool():
             )
 
 
-def _per_head_candidates(n, point_count, bound, profile):
-    """The localize walk one head at a time: every head, its target
-    taken per head (_last_product), then the last points hitting it."""
+def _per_head_candidates(n, point_count, bound, profile, chern_on=False):
+    """The localize walk one head at a time: every head (with c_1 = 0 when
+    chern_on), its target taken per head (_last_product), then the
+    closures of its excess hitting it (_last_points)."""
     stats = SearchStats()
-    points = [list(_signed_multisets(lam, n - lam, bound)) for lam in profile[:-1]]
+    points = [
+        [ws for ws in _signed_multisets(lam, n - lam, bound) if not chern_on or sum(ws) == 0]
+        for lam in profile[:-1]
+    ]
     for head in product(*points):
         target = _last_product(tuple(prod(ws) for ws in head))
         if target == 0:
             continue
         excess = _excess(head, bound)
-        lasts, _ = _last_points(excess, n, profile[-1], bound, False, True, stats, target)
+        lasts, _ = _last_points(excess, n, profile[-1], bound, chern_on, True, stats, target)
         for ws_last in lasts:
             yield head + (ws_last,)
 
@@ -1041,6 +1046,40 @@ def test_grouped_localize_walk_matches_the_per_head_walk():
             args = (n, point_count, bound, profile)
             grouped = _staged_candidates(n, bound, profile, False, True, SearchStats(), True)
             assert Counter(grouped) == Counter(_per_head_candidates(*args)), args
+
+
+def test_lookup_walk_matches_the_closure_walk_with_c1_cut():
+    # the last points listed once, cut by c_1 like the heads, are exactly
+    # the closures the per-head walk takes, with c_1 binding or not
+    kept = Counter()
+    for bound, chern_on in product((5, 6), (False, True)):
+        for profile in _profiles(4, 3, True):
+            args = (4, 3, bound, profile, chern_on)
+            lookup = Counter(
+                _staged_candidates(4, bound, profile, chern_on, True, SearchStats(), True)
+            )
+            assert lookup == Counter(_per_head_candidates(*args)), args
+            kept[chern_on] += sum(lookup.values())
+    assert kept[True] and kept[False] > kept[True]
+
+
+def test_pool_walk_takes_no_excess_per_head(monkeypatch):
+    # the pools close the last point by (product, excess key) lookup: no
+    # head's excess is taken and no closure is listed per head
+    def per_head(*args):
+        raise AssertionError("the pool walk closed a head point by point")
+
+    monkeypatch.setattr(search, "_last_points", per_head)
+    monkeypatch.setattr(search, "_excess", per_head)
+    assert len(_partial_pool.__wrapped__(4, 3, 5, _PAIRWISE_PREMISES)) == 234
+
+
+def test_excess_key_is_the_excess_read_in_base():
+    for ws in chain.from_iterable(_signed_multisets(lam, 4 - lam, 5) for lam in range(5)):
+        for base in (9, 13):
+            excess = _excess((ws,), 5)
+            want = sum(e * base**x for x, e in enumerate(excess))
+            assert _excess_key(ws, base) == want, (ws, base)
 
 
 def test_localize_walk_takes_one_target_per_product_pair(monkeypatch):
@@ -1109,6 +1148,32 @@ def test_odd_three_point_pools_list_no_head(monkeypatch):
     for n in (1, 3, 5):
         for checks in _CUT_PREMISES + (("pairing",),):
             assert build(n, 3, 3, checks) == (), (n, checks)
+
+
+def test_survivor_pools_enumerate_each_scope_once(monkeypatch):
+    # l22, l24 and l46 read one enumeration per scope, run with
+    # effectivity dropped
+    calls = Counter()
+    enumerate_all = search.enumerate_systems
+
+    def counted(config, workers=1):
+        calls[config] += 1
+        return enumerate_all(config, workers)
+
+    monkeypatch.setattr(search, "enumerate_systems", counted)
+    search._survivor_pool.cache_clear()
+    scopes = [SearchConfig(n=n, point_count=3, weight_bound=5) for n in (1, 2, 3, 4)]
+    for lemma in ("l22", "l24", "l46"):
+        for scope in scopes:
+            replay_lemma(lemma, scope)
+    assert calls == Counter(replace(scope, require_effective=False) for scope in scopes)
+
+
+def test_scope_pool_is_the_enumerated_survivors():
+    for n, point_count, bound in product(range(1, 5), (2, 3), range(1, 7)):
+        for effective in (False, True):
+            scope = SearchConfig(n, point_count, bound, require_effective=effective)
+            assert search._scope_pool(scope) == enumerate_systems(scope).survivors, scope
 
 
 def test_replay_rejects_unknown_lemma_and_scope():
