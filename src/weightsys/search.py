@@ -23,12 +23,17 @@ profile and per candidate largest weight d:
     3. the point w holding +d is completed from v's residues mod d: a
        weight congruent to rho in (0, d) and bounded by d-1 is rho or
        rho-d, and only rho-d is negative, so lambda(w) downs are spread
-       over the residue classes: one iterative walk over the classes'
-       down counts makes each distinct lift once;
+       over the residue classes.  The joint pairing excess of v and w
+       at x and d-x depends only on the total down count s of the pair
+       of classes {x, d-x}, so the lifts are walked by class, one s per
+       pair (lifts._classes), and counted per class;
     4. the remaining point is completed from the pairing imbalance: the
        excess of -l over +l across the other points forces l's
-       multiplicity, and what is left splits into {l, -l} padding pairs;
-       v's excess is taken once, and each lift adds w's to it;
+       multiplicity, and what is left splits into {l, -l} padding pairs.
+       That is settled once per class: a class is cut, its lifts counted
+       and not listed, as soon as its pairs force more than n weights
+       (two points: leave any excess), and under a count-symmetric
+       profile every class left closes;
     5. when n >= 4 and there are three points, v's positives are listed
        by the sum c_1(v) = 0 leaves them (the rest are counted); then
        every lift has c_1(w) = d * (1 + lambda(v) - lambda(w)), an O(1)
@@ -61,9 +66,10 @@ subset of the checks over staged generation (a pool drops the counts).
 sum_p 1/P_p = 0 fixes the last point's weight product from the others'
 (-P1 for two points, -P1 P2 / (P1 + P2) for three): the target
 (_last_product; 0, which no closure reaches, when no integer fits).
-A three-point d-branch closes its third point with _last_points: given
-the target, it lists only the closures with that product and counts
-each of the rest as a node killed at localization, as the sieve would.
+A three-point d-branch takes a closing lift's target from the products
+of v and w, lists only the closures with that product and counts each
+of the rest as a node killed at localization, as the sieve would; w and
+the third point are built only for a listed candidate.
 A pool whose checks include localization closes its last point by
 lookup: the last point's multisets are listed once per profile, keyed by
 (weight product, excess key), and a head takes those at (target, minus
@@ -125,6 +131,7 @@ from .isotropy import (
     lambda_step_check,
     largest_weight_structure,
 )
+from .lifts import _classes
 
 __all__ = [
     "PruneFlags",
@@ -282,22 +289,13 @@ def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
             yield negs + poss
 
 
-def _excess(points, top):
-    """The pairing excess of the weights of points, all |weights| <= top:
-    e[x] = count(x) - count(-x) for x in 0..top (e[0] = 0)."""
-    excess = [0] * (top + 1)
-    for x in chain.from_iterable(points):
-        excess[abs(x)] += 1 if x > 0 else -1
-    return excess
-
-
 def _excess_key(ws, base):
-    """sum_x e[x] * base**x over the pairing excess e of the weights ws
-    (_excess), as one integer.  Keys add as excess vectors do, and a base
-    past the sum of |e[x]| over the points whose keys are added (n times
-    the point count, for a candidate's points) lets no lower entry
-    cancel the top one: the sum is 0 iff their excess vectors cancel,
-    that is iff their weights pair."""
+    """sum_x e[x] * base**x over the pairing excess e[x] = count(x) -
+    count(-x) of the weights ws, x >= 1, as one integer.  Keys add as
+    excess vectors do, and a base past the sum of |e[x]| over the points
+    whose keys are added (n times the point count, for a candidate's
+    points) lets no lower entry cancel the top one: the sum is 0 iff
+    their excess vectors cancel, that is iff their weights pair."""
     return sum(base**w if w > 0 else -(base**-w) for w in ws)
 
 
@@ -317,29 +315,6 @@ def _factorizations(r, k, hi, lo=1):
         f += 1
 
 
-def _lifts(others, down_count, d):
-    """Every distinct w over v's weights beside -d: class r mod d sends
-    j_r of its m_r members to r - d and keeps the rest at r, sum j_r =
-    down_count.  Yields (w, excess): w ascending, ending in d, and the
-    pairing excess of v and w (_excess; +-d cancel)."""
-    classes = sorted(Counter(x % d for x in others).items())
-    # the product of the classes' j_r; the last class takes what is left
-    *free, top = [m for _, m in classes] or [0]
-    excess = _excess((others,), d - 1)
-    for js in product(*(range(min(m, down_count) + 1) for m in free)):
-        last = down_count - sum(js)
-        if not 0 <= last <= top:
-            continue
-        joint = excess.copy()
-        downs, ups = [], []
-        for (r, m), j in zip(classes, js + (last,)):
-            joint[r] += m - j  # m - j members stay at r
-            joint[d - r] -= j  # j members go to r - d = -(d - r)
-            downs += [r - d] * j
-            ups += [r] * (m - j)
-        yield tuple(downs + ups) + (d,), joint
-
-
 def _free_points(neg_count, pos_count, max_abs, total, chern_on, stats):
     """neg_count weights from [-max_abs, -1], then pos_count from [1,
     max_abs], ascending (_signed_multisets).  With chern_on only those
@@ -357,61 +332,48 @@ def _free_points(neg_count, pos_count, max_abs, total, chern_on, stats):
         yield from (negs + ws for ws in fits)
 
 
-def _last_points(excess, n, lam, max_val, chern_on, pairing_complete, stats, target=None):
-    """(points, missed): the last point's multisets given the pairing
-    excess of the other points (_excess), and how many went unlisted.
+def _closures(forced, pvals):
+    """The points holding forced and a pair {l, -l} per l of each tuple
+    of pvals."""
+    return [tuple(sorted(forced + list(p) + [-v for v in p])) for p in pvals]
 
-    The points are every free multiset, or the closures of the excess:
-    the weights it forces on an n-weight point with lam negatives and
-    `pairs` {l, -l} pairs, l in [1, max_val]; a pairing_completion prune
-    if none close.  Given the last point's weight product target
-    (_last_product), only the closures with that product are listed, and
-    missed counts the rest of the C(max_val - 1 + pairs, pairs).
-    """
+
+def _last_points(points, n, lam, max_val, chern_on, pairing_complete, stats):
+    """The last point's multisets given the other points: every free
+    multiset, or the closures of their pairing excess, the weights it
+    forces on an n-weight point with lam negatives and `pairs` {l, -l}
+    pairs, l in [1, max_val]; a pairing_completion prune if none close."""
     if not pairing_complete:
-        return _free_points(lam, n - lam, max_val, 0, chern_on, stats), 0
-    negs, poss = [], []
-    for x, e in enumerate(excess):
-        # each x in excess of -x needs a -x at the last point, and back
-        if e > 0:
-            negs += [-x] * e
-        elif e < 0:
-            poss += [x] * -e
-    rest = n - len(negs) - len(poss)
-    if rest < 0 or rest % 2 == 1 or lam != len(negs) + rest // 2:
+        return _free_points(lam, n - lam, max_val, 0, chern_on, stats)
+    # each x in excess of -x needs a -x at the last point
+    weights = sum(points, ())
+    forced = [-x for x in set(weights) for _ in range(weights.count(x) - weights.count(-x))]
+    pairs, odd = divmod(n - len(forced), 2)
+    if pairs < 0 or odd or lam != pairs + sum(x < 0 for x in forced):
         stats.pruned["pairing_completion"] += 1
-        return (), 0
+        return ()
     # every generator bounds the other points by max_val (in a d-branch,
     # +-d sits at v and w and cancels), so the forced weights need no
     # bound check; and when c_1 is cut, every other point already has
     # c_1 = 0, so sum(forced) = 0
-    forced, pairs = negs + poss, rest // 2
-    if target is None:
-        pvals = combinations_with_replacement(range(1, max_val + 1), pairs)
-    else:
-        # the closure's product is prod(forced) * (-1)^pairs * r^2, r the
-        # product of its pair values, so r is fixed and they factorize it
-        square, left = divmod(target, math.prod(forced))
-        square *= (-1) ** pairs
-        exact = not left and square > 0 and math.isqrt(square) ** 2 == square
-        pvals = _factorizations(math.isqrt(square), pairs, max_val) if exact else ()
-    points = [tuple(sorted(forced + list(p) + [-v for v in p])) for p in pvals]
-    if target is None:
-        return points, 0
-    return points, math.comb(max_val - 1 + pairs, pairs) - len(points)
+    return _closures(forced, combinations_with_replacement(range(1, max_val + 1), pairs))
 
 
 def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
     """Candidates whose largest weight is exactly d, via the +-d structure.
 
-    Each one left out is counted as a node the sieve killed, in d's
-    bucket.  A two-point lift whose joint excess (from _lifts) is not all
-    zero dies at pairing: +-d cancel and every other |w| is below d.  A
-    three-point branch that closes its third point from the pairing
-    imbalance under a count-symmetric profile (so n is even and d >= 2)
-    lists only the third points hitting the localization target of v and
-    w (_last_product of their products, v's taken once per v; then
-    _last_points); the others die at localization.
+    v's lifts are walked by class (lifts._classes), and each candidate
+    left out is counted as the sieve or generation would, in d's bucket.
+    Two points pair only in the class with no excess left (+-d cancel,
+    every other |w| is below d); the other lifts die at pairing.  Three
+    points closing the third point from the excess cut every class
+    forcing more than n weights, whose lifts are pairing_completion
+    prunes.  Under a count-symmetric profile (so n is even and d >= 2)
+    every other class closes, and each of its lifts takes the
+    localization target of v and w (_last_product of their products) and
+    lists only the closures with that product, building w only then; the
+    others die at localization.  Any other three-point lift takes its
+    third points from _last_points.
     """
     point_count = len(profile)
     if point_count == 2 and d == 1:
@@ -419,9 +381,11 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
         yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
         return
 
-    symmetric = _count_symmetric(n, sorted(profile))
-    counted = point_count == 3 and pairing_complete and symmetric
-    killed, unpaired = stats.eliminated["odd" if d % 2 else "even"], 0
+    counted = point_count == 3 and pairing_complete and _count_symmetric(n, sorted(profile))
+    # two points pair only with no excess left, and a third point closes
+    # at most n forced weights (no lift forces more than 2n - 2)
+    budget = 0 if point_count == 2 else n if pairing_complete else 2 * n
+    dropped = missed = 0
     for ia, ib in permutations(range(point_count), 2):
         lam_a, lam_b = profile[ia], profile[ib]
         if lam_a < 1 or lam_b > n - 1:
@@ -431,33 +395,63 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
         if chern_on and lam_b != lam_a + 1:
             stats.pruned["chern_linear"] += 1
             continue
+        slots, ic = [None] * point_count, 3 - ia - ib
         # v's weights beside -d, summing to d when c_1 is cut
         for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
-            ws_a = (-d,) + others
-            p_a = math.prod(ws_a)
-            for ws_b, excess in _lifts(others, lam_b, d):
-                if point_count == 2 and any(excess):
-                    unpaired += 1
-                    continue
-                slots = [None] * point_count
-                slots[ia], slots[ib] = ws_a, ws_b
-                if point_count == 2:
-                    yield tuple(slots)
-                    continue
-                ic = 3 - ia - ib
-                thirds, missed = _last_points(
-                    excess, n, profile[ic], d - 1, chern_on, pairing_complete, stats,
-                    _last_product((p_a, math.prod(ws_b))) if counted else None,
-                )
-                if missed:
-                    stats.nodes += missed
-                    killed["localization"] += missed
-                for ws_c in thirds:
-                    slots[ic] = ws_c
-                    yield tuple(slots)
-    if unpaired:
-        stats.nodes += unpaired
-        killed["pairing"] += unpaired
+            slots[ia] = (-d,) + others
+            p_a = math.prod(slots[ia])
+            lifts, classes = _classes(others, d, lam_b, budget)
+            dropped += lifts
+            for _, forced, picks in classes:
+                # each pair's weights in w: j of class x at x - d = -y,
+                # s - j of class y at -x, the rest kept
+                parts = [
+                    [
+                        (-y,) * j + (x,) * (mx - j) + (-x,) * (s - j) + (y,) * (my - s + j)
+                        for j in range(max(0, s - my), min(s, mx) + 1)
+                    ]
+                    for x, y, mx, my, s in picks
+                ]
+                count = math.prod(map(len, parts))
+                dropped -= count
+                if counted:
+                    # the profile (i, n/2, n - i) has 3n/2 negatives and n
+                    # is even, so the class closes, with pad pairs; a
+                    # closure's product is prod(forced) (-1)^pad r^2, r the
+                    # product of the pair values
+                    pad = (n - len(forced)) // 2
+                    base = math.prod(forced) * (-1) ** pad
+                    missed += math.comb(d - 2 + pad, pad) * count
+                for ps in product(*parts):
+                    if counted:
+                        target = _last_product((p_a, d * math.prod(chain(*ps))))
+                        square, left = divmod(target, base)
+                        root = math.isqrt(max(square, 0))
+                        if left or square <= 0 or root * root != square:
+                            continue
+                        thirds = _closures(forced, _factorizations(root, pad, d - 1))
+                        missed -= len(thirds)
+                    slots[ib] = tuple(sorted(chain(*ps))) + (d,)
+                    if point_count == 2:
+                        yield tuple(slots)
+                        continue
+                    if not counted:
+                        thirds = _last_points(
+                            (slots[ia], slots[ib]), n, profile[ic], d - 1,
+                            chern_on, pairing_complete, stats,
+                        )
+                    for ws_c in thirds:
+                        slots[ic] = ws_c
+                        yield tuple(slots)
+    killed = stats.eliminated["odd" if d % 2 else "even"]
+    if dropped and point_count == 2:
+        stats.nodes += dropped
+        killed["pairing"] += dropped
+    elif dropped:
+        stats.pruned["pairing_completion"] += dropped
+    if missed:
+        stats.nodes += missed
+        killed["localization"] += missed
 
 
 def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, localize=False):
@@ -465,20 +459,22 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
     free multisets for every point but the last, then the last point.
 
     The heads (the points before the last) are walked grouped by weight
-    product.  Without localize each head hands its pairing excess to
+    product.  Without localize each head's last points come from
     _last_points.  With localize (the pools' path, which always closes
-    by pairing), sum_p 1/P_p = 0 fixes the last point's product, the
-    target (_last_product), decided once per product pair (per first
-    product for two points).  A pair is skipped whole when no integer
-    fits, when the sign is not (-1)^lam (the last point's lam negative
-    weights), or when |target| > bound^n.  At the first pair left, the
-    last point's multisets, cut by c_1 as the heads are, are listed once
-    and keyed by (weight product, excess key) (_excess_key), and each
-    head is keyed once.  A head then closes by one lookup, at the target
-    and minus its key: exactly the closures of its excess hitting the
-    target, so no head's excess is taken.  Only candidates failing the
-    localization check are left out, so a sieve running it keeps the
-    same survivors; the last point's counts are dropped.
+    by pairing), a profile whose lambdas share one parity lists nothing:
+    each product has the sign (-1)^lam, so sum_p 1/P_p != 0.  Otherwise
+    sum_p 1/P_p = 0 fixes the last point's product, the target
+    (_last_product), decided once per product pair (per first product
+    for two points).  A pair is skipped whole when no integer fits, when
+    the sign is not (-1)^lam (the last point's lam negative weights), or
+    when |target| > bound^n.  At the first pair left, the last point's
+    multisets, cut by c_1 as the heads are, are listed once and keyed by
+    (weight product, excess key) (_excess_key), and each head is keyed
+    once.  A head then closes by one lookup, at the target and minus its
+    key: exactly the closures of its excess hitting the target, so no
+    head's excess is taken.  Only candidates failing the localization
+    check are left out, so a sieve running it keeps the same survivors;
+    the last point's counts are dropped.
     """
     # the second point's multisets are listed once: their c_1 cuts count
     # once per first point, as if listed under each
@@ -495,11 +491,11 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
     if not localize:
         for points in product(*(g.values() for g in groups)):
             for head in product(*points):
-                lasts, _ = _last_points(
-                    _excess(head, bound), n, lam, bound, chern_on, pairing_complete, stats
-                )
+                lasts = _last_points(head, n, lam, bound, chern_on, pairing_complete, stats)
                 for ws_last in lasts:
                     yield head + (ws_last,)
+        return
+    if len({x % 2 for x in profile}) == 1:
         return
     # keyed at the first pair left: a profile with none lists no last point
     lasts = None

@@ -13,13 +13,15 @@ labelled x, y, z, so that witness labels are pinned too.  The
 scaled_shapes documents did not move when the CP2 and dim-6 shapes were
 each given one definition in the isotropy module, and the oracle digests
 at (n, points, W) = (3, 2, 4) and (4, 2, 3) were computed before the
-oracle walked its product by largest |weight|.  The pairwise-premise
-pool digests (each pool system's document, in pool order) were computed
-before the pools walked their heads grouped by weight product.  The
-n1_triples, n2_pairs, n2_triples and scaled_shapes groups hold isotropy
-failures; their digests (and those of their _xyz forms) were recomputed
-when the isotropy witness was cut to the one forced partition, and no
-other byte of theirs moved.
+oracle walked its product by largest |weight|.  The enumerate digests at
+(6, 3, 12) and (8, 2, 5), and the slow tier's frontier digests, were
+computed before the d-branches walked v's lifts by residue-class pair.
+The pairwise-premise pool digests (each pool system's document, in pool
+order) were computed before the pools walked their heads grouped by
+weight product.  The n1_triples, n2_pairs, n2_triples and scaled_shapes
+groups hold isotropy failures; their digests (and those of their _xyz
+forms) were recomputed when the isotropy witness was cut to the one
+forced partition, and no other byte of theirs moved.
 """
 
 import hashlib
@@ -186,6 +188,8 @@ SEARCH_DIGESTS = {
     ("enumerate", 6, 2, 6): "3c0443fb217114da29250ef2eb7a2be8d514424d195e45d6e55294201d1c93bf",
     ("enumerate", 6, 3, 6): "69398e3169feffbf7d2d590e722d3b81799dce5c4127e8ee5f4eeecb9fc664d9",
     ("enumerate", 6, 3, 10): "d846e53e2f718311aca13d9d99ab9005b0d4323607711e7f68b0f1bcc4ae44ca",
+    ("enumerate", 6, 3, 12): "9e2e2a02071fc44f1f0ad846b9fffcf715702b911c70d54730d2484b7ef7ae27",
+    ("enumerate", 8, 2, 5): "9dc24301e1462abe3814eb3252e6f7e6f2a1d7361f3eb9ede642786491f4b91c",
     ("enumerate", 10, 3, 5): "f36dbc600cb5a322b9140aa062cd207a4b2f3b626477cf9bfcacc3fdb7e9c945",
     ("oracle", 2, 3, 3): "6a00c938e2ad31400d20ac366a86d8f1c8902e0a8862dc376aba4f2fe022067c",
     ("oracle", 3, 2, 4): "60efab40a3bd49773f29798f69a9a8f4dc68544bc8a34dceb058b763e9cf4128",
@@ -204,6 +208,25 @@ def test_search_documents_frozen(scope):
         )
         digest.update(render_json(emit_search_document(config, run(config))).encode())
     assert digest.hexdigest() == SEARCH_DIGESTS[scope], scope
+
+
+# (n, points, W, effective) -> digest of the one results document, at
+# frontier scopes too slow for Tier-1 (a few seconds each)
+FRONTIER_DIGESTS = {
+    (6, 3, 20, False): "52be05c193ce039cb42fb70f5760cea8a5174523c47b62247fef2254794b4772",
+    (10, 2, 6, True): "c4a333e6346a7b56f15064bbc215357fc20b4cff63cd9ff15fca19b743c94407",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scope", sorted(FRONTIER_DIGESTS))
+def test_frontier_documents_frozen(scope):
+    n, points, bound, effective = scope
+    config = SearchConfig(
+        n=n, point_count=points, weight_bound=bound, require_effective=effective
+    )
+    document = render_json(emit_search_document(config, enumerate_systems(config)))
+    assert hashlib.sha256(document.encode()).hexdigest() == FRONTIER_DIGESTS[scope], scope
 
 
 # (n, points, W) -> (system count, digest) of the pairwise-premise pool

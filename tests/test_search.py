@@ -51,7 +51,6 @@ from weightsys.search import (
     _PAIRWISE_PREMISES,
     _REPLAYS,
     _dbranch_candidates,
-    _excess,
     _excess_key,
     _factorizations,
     _filter_plan,
@@ -562,14 +561,19 @@ def test_dbranch_localization_cut_counts_what_it_drops():
         dropped_total[check] += dropped
     assert (cut_branches, kept_total) == (152, 63)
     assert dropped_total == {"localization": 1376, "pairing": 2776}
-    # a (v, w) pair whose one completion hits the target misses nothing:
-    # v and w of the cp2 family (1, 1), third point {-1, 1}
+
+
+def test_dbranch_single_hit_misses_nothing():
+    # n = 2, d = 2, profile (0, 1, 2): three (v, w) lifts close, each with
+    # the one closure C(0 + 1, 1) allows.  v = (-2, -1), w = (1, 2) is the
+    # cp2 family (1, 1), whose closure {-1, 1} hits the target and misses
+    # nothing; the other two have P_v + P_w = 0, so their target is 0 and
+    # each misses its one closure
     stats = SearchStats()
-    head = ((-2, -1), (1, 2))
-    excess = _excess(head, 2)
-    target = _last_product((prod(head[0]), prod(head[1])))
-    assert _last_points(excess, 2, 1, 1, False, True, stats, target) == ([(-1, 1)], 0)
-    assert (stats.nodes, stats.eliminated) == (0, {"odd": {}, "even": {}})
+    listed = list(_dbranch_candidates(2, 2, (0, 1, 2), False, True, stats))
+    assert listed == [((1, 2), (-1, 1), (-2, -1))]
+    assert stats.nodes == 2
+    assert stats.eliminated == {"odd": {}, "even": {"localization": 2}}
 
 
 def test_dbranch_pruned_counts_frozen():
@@ -581,6 +585,28 @@ def test_dbranch_pruned_counts_frozen():
     assert digest.hexdigest() == (
         "a771329e2f6b6a221736d5791f828b835a49e6ba98ba11d8248d7bfc87d093e5"
     )
+
+
+def test_dbranch_class_walk_matches_the_reference_up_to_n_d_24():
+    # the lift-walk test again past n d <= 16, up to n d <= 24, for the
+    # branches closing by pairing under the count-symmetric profiles: d
+    # reaches 12, v's weights fall in up to three residue pairs (n = 4,
+    # d = 6), and a class is cut before its last pair once it forces more
+    # than n weights (three points) or leaves any excess (two points)
+    branches = 0
+    for point_count, n in product((2, 3), range(1, 25)):
+        profiles = _profiles(n, point_count, True)
+        for d, profile in product(range(16 // n + 1, 24 // n + 1), profiles):
+            for chern_on in (False, True):
+                args = (n, point_count, d, profile, chern_on, True)
+                stats = SearchStats()
+                listed = Counter(_dbranch_candidates(n, d, profile, chern_on, True, stats))
+                reference = list(_reference_dbranch(*args))
+                kept = _kept(args, point_count == 3, reference)
+                assert listed == Counter(kept), args
+                assert stats.nodes == len(reference) - len(kept), args
+                branches += 1
+    assert branches == 492
 
 
 def test_free_points_by_target_sum_match_the_filtered_multisets():
@@ -1021,7 +1047,7 @@ def test_localization_cut_keeps_every_pool():
 def _per_head_candidates(n, point_count, bound, profile, chern_on=False):
     """The localize walk one head at a time: every head (with c_1 = 0 when
     chern_on), its target taken per head (_last_product), then the
-    closures of its excess hitting it (_last_points)."""
+    closures of its pairing excess (_last_points) with that product."""
     stats = SearchStats()
     points = [
         [ws for ws in _signed_multisets(lam, n - lam, bound) if not chern_on or sum(ws) == 0]
@@ -1031,10 +1057,9 @@ def _per_head_candidates(n, point_count, bound, profile, chern_on=False):
         target = _last_product(tuple(prod(ws) for ws in head))
         if target == 0:
             continue
-        excess = _excess(head, bound)
-        lasts, _ = _last_points(excess, n, profile[-1], bound, chern_on, True, stats, target)
-        for ws_last in lasts:
-            yield head + (ws_last,)
+        for ws_last in _last_points(head, n, profile[-1], bound, chern_on, True, stats):
+            if prod(ws_last) == target:
+                yield head + (ws_last,)
 
 
 def test_grouped_localize_walk_matches_the_per_head_walk():
@@ -1070,14 +1095,13 @@ def test_pool_walk_takes_no_excess_per_head(monkeypatch):
         raise AssertionError("the pool walk closed a head point by point")
 
     monkeypatch.setattr(search, "_last_points", per_head)
-    monkeypatch.setattr(search, "_excess", per_head)
     assert len(_partial_pool.__wrapped__(4, 3, 5, _PAIRWISE_PREMISES)) == 234
 
 
 def test_excess_key_is_the_excess_read_in_base():
     for ws in chain.from_iterable(_signed_multisets(lam, 4 - lam, 5) for lam in range(5)):
         for base in (9, 13):
-            excess = _excess((ws,), 5)
+            excess = [ws.count(x) - ws.count(-x) for x in range(6)]
             want = sum(e * base**x for x, e in enumerate(excess))
             assert _excess_key(ws, base) == want, (ws, base)
 
@@ -1085,7 +1109,8 @@ def test_excess_key_is_the_excess_read_in_base():
 def test_localize_walk_takes_one_target_per_product_pair(monkeypatch):
     # the target is decided once per tuple of head products, never again
     # per head: the pairwise-premise pool's (4, 3, 5) profiles and a
-    # two-point scope
+    # two-point scope.  A profile whose lambdas share one parity takes
+    # none: every product then has one sign, so no candidate localizes
     calls = []
     last_product = search._last_product
 
@@ -1094,6 +1119,7 @@ def test_localize_walk_takes_one_target_per_product_pair(monkeypatch):
         return last_product(products)
 
     monkeypatch.setattr(search, "_last_product", counted)
+    targets = 0
     for n, point_count, bound in ((4, 3, 5), (3, 2, 4)):
         for profile in _profiles(n, point_count, True):
             calls.clear()
@@ -1103,24 +1129,33 @@ def test_localize_walk_takes_one_target_per_product_pair(monkeypatch):
                 len({prod(ws) for ws in _signed_multisets(lam, n - lam, bound)})
                 for lam in profile[:-1]
             )
+            if len({lam % 2 for lam in profile}) == 1:
+                pairs = 0
             assert len(calls) == len(set(calls)) == pairs, (n, profile)
+            targets += len(calls)
+    # (4, 3, 5): 9,075 targets before the parity skip, 6,050 of them at
+    # (0, 2, 4) and (2, 2, 2); (3, 2, 4): 16 per profile
+    assert targets == 9075 - 6050 + 32
 
 
-def test_target_zero_misses_every_closure():
-    # 0 is no weight product: a head whose pairing closes lists nothing
-    # and counts all C(max_val - 1 + pairs, pairs) closures as missed
-    closing = 0
-    for head in product(_signed_multisets(1, 3, 3), _signed_multisets(3, 1, 3)):
-        excess = _excess(head, 3)
-        closures, _ = _last_points(excess, 4, 2, 3, False, True, SearchStats())
-        if not closures:
+def test_target_zero_misses_every_closure(monkeypatch):
+    # 0 is no weight product: with every target 0, a cut d-branch lists
+    # nothing and counts each closure of each closing lift (the reference
+    # walk's candidates, all of which pair) as killed at localization
+    monkeypatch.setattr(search, "_last_product", lambda products: 0)
+    missed = 0
+    for args, cut, _, reference, _ in _dbranch_walk():
+        if not cut:
             continue
-        closing += 1
-        pairs = (4 - sum(map(abs, excess))) // 2
-        assert len(closures) == comb(2 + pairs, pairs)
-        got = _last_points(excess, 4, 2, 3, False, True, SearchStats(), 0)
-        assert got == ([], comb(2 + pairs, pairs)), head
-    assert closing
+        n, _, d, profile, chern_on, _ = args
+        stats = SearchStats()
+        assert list(_dbranch_candidates(n, d, profile, chern_on, True, stats)) == [], args
+        bucket = "odd" if d % 2 == 1 else "even"
+        want = {bucket: {"localization": len(reference)}} if reference else {}
+        assert stats.nodes == len(reference), args
+        assert {b: dict(c) for b, c in stats.eliminated.items() if c} == want, args
+        missed += len(reference)
+    assert missed == 1376 + 63
 
 
 def test_partial_pool_requires_pairing():
