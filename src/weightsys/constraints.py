@@ -16,20 +16,20 @@ here is approximate and nothing uses floats.  The individual checks:
   of positive dimension.  The verdict is integer: with P_i the product
   at point i, the sum vanishes exactly when sum_i prod_{j != i} P_j
   does.  Exact rationals (fractions.Fraction) appear only in
-  localization_sum, which gives the value of a failing sum for its
-  witness.
+  localization_sum, from which the report takes a failing sum's witness.
 * Chern values: the restriction of the i-th equivariant Chern class to
   a fixed point is the i-th elementary symmetric polynomial of its
   weights; c_1 is the plain weight sum.  For three fixed points and
   n >= 4 the c_1 values must all vanish.
 * effectivity: the gcd of all weights is 1 (checked only on request).
 
-Each of these verdicts is written once, as a predicate holds(n, points)
-on the ascending weight tuples that builds nothing; so are the two
-modular checks of the isotropy module.  The search decides candidates
-with the predicates alone; the report functions (pairing_check, ...)
-take their verdict from the same predicate and build a witness and a
-CheckResult only on failure.
+Each check is read once, by a reader read(n, points) on the ascending
+weight tuples that builds nothing: None when the check holds or does
+not bind, else the facts it decided on (the union, the negative counts,
+the point count, the cross-multiplied sum, the first point with c_1 != 0,
+the gcd); so are the two modular checks of the isotropy module.  The
+search decides candidates with the readers alone; each report function
+(pairing_check, ...) takes its verdict and its witness from one reading.
 
 check_system() reads the filter table isotropy.FILTER_CHECKS (these
 checks plus the modular ones, in the order the search applies them),
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .core import FixedPointSystem, effectivity_gcd, lambda_count
+from .core import FixedPointSystem, _all_digits
 
 __all__ = [
     "PASS",
@@ -138,28 +138,26 @@ class ConstraintReport:
         raise KeyError(check_id)
 
 
-def _pairing_holds(n: int, points) -> bool:
-    """The sorted union of the weights equals its own negation."""
+def _read_pairing(n: int, points):
+    """None when the sorted union of the weights equals its own negation,
+    else the union."""
     union = sum(points, ())
     if sum(union):
         # a union equal to its negation sums to 0: the cheap test first
-        return False
+        return union
     union = sorted(union)
-    return union == [-w for w in reversed(union)]
+    return None if union == [-w for w in reversed(union)] else union
 
 
 def pairing_check(system: FixedPointSystem) -> CheckResult:
     """Union multiset of all weights must equal its own negation."""
-    if _pairing_holds(system.n, system.points):
+    union = _read_pairing(system.n, system.points)
+    if union is None:
         return _result("pairing", PASS)
-    counts = Counter(system.all_weights())
+    counts = Counter(union)
     # smallest |l| witness, so fixtures stay stable
     l = min(abs(w) for w in counts if counts[w] != counts[-w])
-    return _result(
-        "pairing",
-        FAIL,
-        {"l": l, "count_pos": counts[l], "count_neg": counts[-l]},
-    )
+    return _result("pairing", FAIL, {"l": l, "count_pos": counts[l], "count_neg": counts[-l]})
 
 
 def _count_symmetric(n: int, lams: list) -> bool:
@@ -167,58 +165,61 @@ def _count_symmetric(n: int, lams: list) -> bool:
     return lams == [n - lam for lam in reversed(lams)]
 
 
-def _lambda_symmetry_holds(n: int, points) -> bool:
-    """The negative counts of the ascending points are count-symmetric."""
-    return _count_symmetric(n, sorted([bisect_left(ws, 0) for ws in points]))
+def _read_lambda_symmetry(n: int, points):
+    """None when the negative counts of the ascending points are
+    count-symmetric, else their ascending list."""
+    lams = sorted([bisect_left(ws, 0) for ws in points])
+    return None if _count_symmetric(n, lams) else lams
 
 
 def lambda_symmetry_check(system: FixedPointSystem) -> CheckResult:
     """#{points with lambda = i} = #{points with lambda = n - i} for all i."""
     n = system.n
-    if _lambda_symmetry_holds(n, system.points):
+    lams = _read_lambda_symmetry(n, system.points)
+    if lams is None:
         return _result("lambda_symmetry", PASS)
-    counts = Counter(map(lambda_count, system.points))
+    counts = Counter(lams)
     i = next(i for i in range(n + 1) if counts[i] != counts[n - i])
-    return _result(
-        "lambda_symmetry",
-        FAIL,
-        {"i": i, "count_i": counts[i], "count_n_minus_i": counts[n - i]},
-    )
+    witness = {"i": i, "count_i": counts[i], "count_n_minus_i": counts[n - i]}
+    return _result("lambda_symmetry", FAIL, witness)
 
 
-def _parity_holds(n: int, points) -> bool:
+def _read_parity(n: int, points):
+    """None when the point count is possible in dimension 2n, else the count."""
     k = len(points)
-    return k != 1 and (k % 2 == 0 or n % 2 == 0)
+    return None if k != 1 and (k % 2 == 0 or n % 2 == 0) else k
 
 
 def parity_check(system: FixedPointSystem) -> CheckResult:
     """Odd point count forces n even; one fixed point is never possible."""
-    if _parity_holds(system.n, system.points):
+    k = _read_parity(system.n, system.points)
+    if k is None:
         return _result("parity", PASS)
-    return _result("parity", FAIL, {"points": len(system.points), "n": system.n})
+    return _result("parity", FAIL, {"points": k, "n": system.n})
 
 
-def _localization_holds(n: int, points) -> bool:
-    """sum_i 1/P_i = 0, cross-multiplied: sum_i prod_{j != i} P_j = 0,
-    P_i the weight product at point i (never 0, so each divides the full
-    product exactly)."""
+def _read_localization(n: int, points):
+    """None when sum_i 1/P_i = 0, P_i the weight product at point i, else
+    (sum_i full // P_i, full), full the product of every P_i: the sum over
+    full, in integers (no P_i is 0, so each divides full exactly)."""
     products = [math.prod(ws) for ws in points]
     full = math.prod(products)
-    return sum([full // p for p in products]) == 0
+    total = sum([full // p for p in products])
+    return (total, full) if total else None
 
 
 def localization_sum(system: FixedPointSystem) -> Fraction:
     """Exact value of sum over points of 1/(product of weights)."""
-    return sum(
-        (Fraction(1, math.prod(ws)) for ws in system.points),
-        start=Fraction(0),
-    )
+    read = _read_localization(system.n, system.points)
+    return Fraction(0) if read is None else Fraction(*read)
 
 
 def localization_check(system: FixedPointSystem) -> CheckResult:
-    if _localization_holds(system.n, system.points):
+    total = localization_sum(system)
+    if not total:
         return _result("localization", PASS)
-    return _result("localization", FAIL, {"sum": str(localization_sum(system))})
+    with _all_digits():
+        return _result("localization", FAIL, {"sum": str(total)})
 
 
 def chern1_at(ms: tuple[int, ...]) -> int:
@@ -248,34 +249,38 @@ def _chern1_binds(n: int, point_count: int) -> bool:
     return point_count == 3 and n >= 4
 
 
-def _chern1_vanishing_holds(n: int, points) -> bool:
-    """c_1 = 0 at every point wherever that binds."""
-    return not _chern1_binds(n, len(points)) or not any(map(sum, points))
+def _read_chern1_vanishing(n: int, points):
+    """None when c_1 = 0 at every point or that does not bind, else the
+    index of the first point whose weights have a nonzero sum."""
+    if _chern1_binds(n, len(points)):
+        for i, ws in enumerate(points):
+            if sum(ws):
+                return i
+    return None
 
 
 def chern1_vanishing_check(system: FixedPointSystem) -> CheckResult:
     """c_1 = 0 at every point; only binding for 3 points and n >= 4."""
     if not _chern1_binds(system.n, len(system.points)):
         return _result("chern1_vanishing", NOT_APPLICABLE)
-    if _chern1_vanishing_holds(system.n, system.points):
+    i = _read_chern1_vanishing(system.n, system.points)
+    if i is None:
         return _result("chern1_vanishing", PASS)
-    label, c1 = next(
-        (label, chern1_at(ws))
-        for label, ws in zip(system.labels, system.points)
-        if chern1_at(ws) != 0
-    )
-    return _result("chern1_vanishing", FAIL, {"label": label, "c1": c1})
+    witness = {"label": system.labels[i], "c1": chern1_at(system.points[i])}
+    return _result("chern1_vanishing", FAIL, witness)
 
 
-def _effectivity_holds(n: int, points) -> bool:
-    """The weights have gcd 1: no subgroup acts trivially."""
-    return math.gcd(*chain.from_iterable(points)) == 1
+def _read_effectivity(n: int, points):
+    """None when the weights have gcd 1 (no subgroup acts trivially), else the gcd."""
+    g = math.gcd(*chain.from_iterable(points))
+    return None if g == 1 else g
 
 
 def _effectivity_check(system: FixedPointSystem) -> CheckResult:
-    if _effectivity_holds(system.n, system.points):
+    g = _read_effectivity(system.n, system.points)
+    if g is None:
         return _result("effectivity", PASS)
-    return _result("effectivity", FAIL, {"gcd": effectivity_gcd(system)})
+    return _result("effectivity", FAIL, {"gcd": g})
 
 
 def check_system(

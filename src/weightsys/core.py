@@ -28,6 +28,8 @@ products of weights grow fast with n and must never wrap.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
@@ -158,3 +160,17 @@ def effectivity_gcd(system: FixedPointSystem) -> int:
     """
     # a system has at least one point and n >= 1 weights at each
     return math.gcd(*system.all_weights())
+
+
+@contextmanager
+def _all_digits():
+    """Lift the int/str digit limit (4,300 by default) while writing out a
+    witness or a document; parsing keeps it, refusing over-long literals."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 
 from .constraints import ConstraintReport
-from .core import FixedPointSystem
+from .core import FixedPointSystem, _all_digits
 
 __all__ = [
     "DocumentError",
@@ -154,4 +154,6 @@ def emit_search_document(config, outcome) -> dict:
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """The document as indented JSON, every integer in full."""
+    with _all_digits():
+        return json.dumps(document, indent=2) + "\n"

@@ -37,12 +37,8 @@ class GraphDocument:
 
     def as_dict(self) -> dict:
         return {
-            "vertices": [
-                {"label": label, "lambda": lam} for label, lam in self.vertices
-            ],
-            "edges": [
-                {"ends": [a, b], "k": k} for a, b, k in self.edges
-            ],
+            "vertices": [{"label": label, "lambda": lam} for label, lam in self.vertices],
+            "edges": [{"ends": [a, b], "k": k} for a, b, k in self.edges],
         }
 
 
@@ -52,12 +48,8 @@ def build_graph(system: FixedPointSystem) -> GraphDocument:
     if pairing_check(system).verdict != PASS:
         raise PairingRequired("pairing fails; the system has no isotropy graph")
 
-    vertices = tuple(
-        sorted(
-            zip(system.labels, map(lambda_count, system.points)),
-            key=lambda v: (v[1], v[0]),
-        )
-    )
+    lams = zip(system.labels, map(lambda_count, system.points))
+    vertices = tuple(sorted(lams, key=lambda v: (v[1], v[0])))
 
     # from the largest k down, the first k joining a pair is its edge; once
     # every pair has one, no smaller k can change the graph
@@ -73,9 +65,7 @@ def build_graph(system: FixedPointSystem) -> GraphDocument:
             for a, b in combinations(sorted(component.labels), 2):
                 best.setdefault((a, b), k)
 
-    edges = tuple(
-        (a, b, best[(a, b)]) for a, b in sorted(best)
-    )
+    edges = tuple((a, b, best[(a, b)]) for a, b in sorted(best))
     return GraphDocument(vertices=vertices, edges=edges)
 
 

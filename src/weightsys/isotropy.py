@@ -24,13 +24,14 @@ weight can only be ISOLATED and one with some never can, so the points
 with k-divisible weights form the one joined block.  _read_zk reads that
 forced partition alone, matching the block against one table of the three
 joined shapes, _SHAPES, keyed by the sizes of the k-divisible parts;
-classify_isotropy and the filter's verdict (_isotropy_holds) both decide
-through it.  The verdict reads only the closed orders: the gcds of sets
-of |w|.  For any k, with g the gcd of the |w| that k divides, the
-k-divisible and g-divisible weights are the same and residues equal mod g
-are equal mod k, so wherever Z_g classifies, Z_k does too.  The closed
-orders come from gcds, with no factoring; only a failing report's witness
-and the graph list the divisors of the weights.
+classify_isotropy, the filter's reader (_read_isotropy) and the failing
+report's walk to the smallest failing k all decide through it.  The
+reader reads only the closed orders: the gcds of sets of |w|.  For any
+k, with g the gcd of the |w| that k divides, the k-divisible and
+g-divisible weights are the same and residues equal mod g are equal
+mod k, so wherever Z_g classifies, Z_k does too.  The closed orders come
+from gcds, with no factoring; only a failing report's witness and the
+graph list the divisors of the weights.
 
 On top of the classification sit three relations tied to the largest
 weight d of the system (all stated with un-doubled negative-weight
@@ -49,8 +50,9 @@ right-hand side):
   E_v+ - E_v- - E_w+ + E_w- = 2, counting even weights by sign.
 
 FILTER_CHECKS, at the bottom, is the filter written once: the checks of
-this module and of the constraints module as one ordered table, read by
-the search and by check_system alike.
+this module and of the constraints module as one ordered table of
+(check_id, report, reader), read by the search and by check_system
+alike; each report takes its verdict and its witness from one reading.
 """
 
 from __future__ import annotations
@@ -64,13 +66,13 @@ from .constraints import (
     NOT_APPLICABLE,
     PASS,
     CheckResult,
-    _chern1_vanishing_holds,
     _effectivity_check,
-    _effectivity_holds,
-    _lambda_symmetry_holds,
-    _localization_holds,
-    _pairing_holds,
-    _parity_holds,
+    _read_chern1_vanishing,
+    _read_effectivity,
+    _read_lambda_symmetry,
+    _read_localization,
+    _read_pairing,
+    _read_parity,
     _result,
     chern1_at,
     chern1_vanishing_check,
@@ -302,15 +304,15 @@ def classify_isotropy(system: FixedPointSystem, k: int):
     return IsotropyRejection(k, ((_partition_repr(labels, joined), why),))
 
 
-def _isotropy_holds(n: int, points) -> bool:
-    """Z_k classifies (_read_zk) at every closed order, so at every k >= 2;
-    not applicable past three points."""
-    if len(points) > 3:
-        return True
-    for k in _closed_orders(chain.from_iterable(points)):
-        if _read_zk(points, k)[2] is not None:
-            return False
-    return True
+def _read_isotropy(n: int, points):
+    """None when Z_k classifies (_read_zk) at every closed order, so at
+    every k >= 2, or past three points, where it does not bind; else the
+    first closed order at which it fails."""
+    if len(points) <= 3:
+        for k in _closed_orders(chain.from_iterable(points)):
+            if _read_zk(points, k)[2] is not None:
+                return k
+    return None
 
 
 def _read_structure(points):
@@ -334,25 +336,31 @@ def _read_structure(points):
     return d, v, w, None
 
 
-def _largest_weight_structure_holds(n: int, points) -> bool:
-    """_read_structure finds no break; not applicable unless three points
-    pass pairing, which is tested only when the structure fails."""
+def _read_largest_weight_structure(n: int, points):
+    """None when _read_structure finds no break or the check does not bind
+    (it binds on three points that pass pairing), else the _read_structure
+    tuple.  Pairing is read only when the structure breaks."""
     if len(points) != 3:
-        return True
-    return _read_structure(points)[3] is None or not _pairing_holds(n, points)
+        return None
+    read = _read_structure(points)
+    if read[3] is None or _read_pairing(n, points) is not None:
+        return None
+    return read
 
 
 def largest_weight_structure(system: FixedPointSystem) -> CheckResult:
     """d and -d once each at two distinct residue-matched points, third clean.
 
     Binding only for 3-point systems whose union multiset passes the
-    pairing check; otherwise not-applicable.
+    pairing check; otherwise not-applicable.  Where the reading finds no
+    break, pairing is read here, to tell pass from not-applicable.
     """
-    if len(system.points) != 3 or not _pairing_holds(system.n, system.points):
-        return _result("largest_weight_structure", NOT_APPLICABLE)
-    d, _, sw, broken = _read_structure(system.points)
-    if broken is None:
+    read = _read_largest_weight_structure(system.n, system.points)
+    if read is None:
+        if len(system.points) != 3 or _read_pairing(system.n, system.points) is not None:
+            return _result("largest_weight_structure", NOT_APPLICABLE)
         return _result("largest_weight_structure", PASS)
+    d, _, sw, broken = read
     witness = {"d": d, "reason": broken}
     if broken == "multiplicity":
         witness["count_pos"] = sum(ws.count(d) for ws in system.points)
@@ -398,11 +406,7 @@ def lambda_step_check(sv, sw, d: int, system: FixedPointSystem) -> CheckResult:
         return _result("lambda_step", NOT_APPLICABLE)
     lv, lw = lambda_count(sv), lambda_count(sw)
     if lv + 1 != lw:
-        return _result(
-            "lambda_step",
-            FAIL,
-            {"d": d, "lambda_v": lv, "lambda_w": lw},
-        )
+        return _result("lambda_step", FAIL, {"d": d, "lambda_v": lv, "lambda_w": lw})
     return _result("lambda_step", PASS)
 
 
@@ -427,11 +431,7 @@ def component_lambda_relation(sv, sw, d: int) -> CheckResult:
     )
     rhs = -(c_diff // d)
     if lhs != rhs:
-        return _result(
-            "component_lambda_relation",
-            FAIL,
-            {"d": d, "lhs": lhs, "rhs": rhs},
-        )
+        return _result("component_lambda_relation", FAIL, {"d": d, "lhs": lhs, "rhs": rhs})
     return _result("component_lambda_relation", PASS)
 
 
@@ -450,45 +450,29 @@ def even_count_relation_check(sv, sw, d: int, system: FixedPointSystem) -> Check
     ewp, ewm = signed_even_counts(sw)
     total = evp - evm - ewp + ewm
     if total != 2:
-        return _result(
-            "even_count_relation",
-            FAIL,
-            {
-                "d": d,
-                "E_v_plus": evp,
-                "E_v_minus": evm,
-                "E_w_plus": ewp,
-                "E_w_minus": ewm,
-                "total": total,
-            },
-        )
+        counts = {"E_v_plus": evp, "E_v_minus": evm, "E_w_plus": ewp, "E_w_minus": ewm}
+        return _result("even_count_relation", FAIL, {"d": d, **counts, "total": total})
     return _result("even_count_relation", PASS)
 
 
 def isotropy_consistency_check(system: FixedPointSystem) -> CheckResult:
     """Aggregate verdict: classify_isotropy succeeds for every k >= 2.
 
-    The verdict is _isotropy_holds'.  A failure walks isotropy_orders
-    upward (any other k divides no weight, so every point is ISOLATED and
-    the classification succeeds) and names the smallest failing k, with
-    the forced partition and the first invariant it breaks.
+    The verdict is _read_isotropy's.  A failure walks isotropy_orders
+    upward with _read_zk (any other k divides no weight, so every point is
+    ISOLATED and the classification succeeds) to the smallest failing k,
+    and classifies there once for the forced partition and the first
+    invariant it breaks.
     """
     if len(system.points) > 3:
         return _result("isotropy", NOT_APPLICABLE)
-    if _isotropy_holds(system.n, system.points):
+    if _read_isotropy(system.n, system.points) is None:
         return _result("isotropy", PASS)
-    results = (classify_isotropy(system, k) for k in isotropy_orders(system.all_weights()))
-    got = next(got for got in results if not got)
-    return _result(
-        "isotropy",
-        FAIL,
-        {
-            "k": got.k,
-            "failures": [
-                {"partition": part, "violation": why} for part, why in got.failures
-            ],
-        },
-    )
+    orders = isotropy_orders(system.all_weights())
+    k = next(k for k in orders if _read_zk(system.points, k)[2] is not None)
+    got = classify_isotropy(system, k).failures
+    failures = [{"partition": part, "violation": why} for part, why in got]
+    return _result("isotropy", FAIL, {"k": k, "failures": failures})
 
 
 def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
@@ -513,18 +497,19 @@ def structure_relation_checks(system: FixedPointSystem) -> list[CheckResult]:
 
 
 # The filter: every necessary condition the search, the oracle, the replay
-# pools and check_system apply, as (check_id, check, holds) in the order they
+# pools and check_system apply, as (check_id, check, read) in the order they
 # are tried.  A failing system is attributed to the first check it fails.
-# check(system) is the report; holds(n, points) is the same verdict on the
-# ascending weight tuples alone, building nothing, so the search builds a
-# system only for a survivor.
+# read(n, points) reads the check on the ascending weight tuples alone,
+# building nothing: None when it holds or does not bind, else the facts it
+# decided on.  The search builds a system only for a survivor;
+# check(system) is the report, verdict and witness from one reading.
 FILTER_CHECKS = (
-    ("pairing", pairing_check, _pairing_holds),
-    ("lambda_symmetry", lambda_symmetry_check, _lambda_symmetry_holds),
-    ("parity", parity_check, _parity_holds),
-    ("localization", localization_check, _localization_holds),
-    ("chern1_vanishing", chern1_vanishing_check, _chern1_vanishing_holds),
-    ("largest_weight_structure", largest_weight_structure, _largest_weight_structure_holds),
-    ("isotropy", isotropy_consistency_check, _isotropy_holds),
-    ("effectivity", _effectivity_check, _effectivity_holds),
+    ("pairing", pairing_check, _read_pairing),
+    ("lambda_symmetry", lambda_symmetry_check, _read_lambda_symmetry),
+    ("parity", parity_check, _read_parity),
+    ("localization", localization_check, _read_localization),
+    ("chern1_vanishing", chern1_vanishing_check, _read_chern1_vanishing),
+    ("largest_weight_structure", largest_weight_structure, _read_largest_weight_structure),
+    ("isotropy", isotropy_consistency_check, _read_isotropy),
+    ("effectivity", _effectivity_check, _read_effectivity),
 )

@@ -77,16 +77,16 @@ its own key); every candidate so cut fails the check its sieve runs,
 and nothing is counted.  The enumerator's staged path makes no cut.
 
 The sieve decides on the candidate's ascending weight tuples: every
-check of the filter table is a predicate on the tuples (localization by
-integer cross-multiplication, isotropy at the closed orders, the gcds of
-sets of |w|), so no candidate is built to be rejected.  It is one loop
-over the plan, pairing first, though under the default flags nothing it
-receives fails pairing: a two-point d-branch counts its unpaired lifts
-itself.  A call tallies its failures by check and largest |weight| (a
-d-branch's d, an oracle level's t, else the candidate's own).  Survivors
-stay canonical tuples until they leave the search, where one
-FixedPointSystem is built per distinct survivor.  first_failure runs the
-same predicates on a system's points.
+check of the filter table has a reader of the tuples, None where the
+check holds (localization by integer cross-multiplication, isotropy at
+the closed orders, the gcds of sets of |w|), so no candidate is built to
+be rejected.  It is one loop over the plan, pairing first, though under
+the default flags nothing it receives fails pairing: a two-point
+d-branch counts its unpaired lifts itself.  A call tallies its failures
+by check and largest |weight| (a d-branch's d, an oracle level's t, else
+the candidate's own).  Survivors stay canonical tuples until they leave
+the search, where one FixedPointSystem is built per distinct survivor.
+first_failure runs the same readers on a system's points.
 
 replay_lemma re-derives the statements the search machinery leans on
 from weaker premise sets, over every candidate in a bounded scope, and
@@ -116,7 +116,7 @@ from .constraints import (
     PASS,
     _chern1_binds,
     _count_symmetric,
-    _effectivity_holds,
+    _read_effectivity,
     lambda_symmetry_check,
     pairing_check,
 )
@@ -257,10 +257,10 @@ def _filter_plan(require_effective: bool, check_ids=None):
 
 def _first_failing(n, points, plan):
     """Id of the first check in plan that the ascending weight tuples
-    points fail, or None: each check decided by its tuple predicate,
-    building nothing."""
-    for check_id, _, holds in plan:
-        if not holds(n, points):
+    points fail, or None: each check decided by its reader, building
+    nothing."""
+    for check_id, _, read in plan:
+        if read(n, points) is not None:
             return check_id
     return None
 
@@ -533,7 +533,7 @@ def _sieve(candidates, n, plan, stats, largest=None):
     """Canonical point tuples of the candidates that pass every check in
     plan (a _filter_plan), the one loop the search and the pools share.
 
-    Each check is decided by its tuple predicate, in plan order, building
+    Each check is decided by its reader, in plan order, building
     nothing.  Every candidate is a node in stats.  The call tallies its
     failures by check and largest |weight| (largest when given: a
     d-branch, an oracle level) and adds each count to that bucket once.
@@ -541,8 +541,8 @@ def _sieve(candidates, n, plan, stats, largest=None):
     survivors, tally, nodes = set(), Counter(), 0
     for points in candidates:
         nodes += 1
-        for failed, _, holds in plan:
-            if not holds(n, points):
+        for failed, _, read in plan:
+            if read(n, points) is not None:
                 break
         else:
             survivors.add(_canonical_points(points))
@@ -853,7 +853,7 @@ def _scope_pool(scope):
     reads require_effective, so that is what enumerating it keeps)."""
     pool = _survivor_pool(scope)
     if scope.require_effective:
-        pool = tuple(system for system in pool if _effectivity_holds(system.n, system.points))
+        pool = tuple(s for s in pool if _read_effectivity(s.n, s.points) is None)
     return pool
 
 

@@ -9,6 +9,7 @@ dimension four.
 
 import errno
 import json
+import math
 import os
 import re
 import shlex
@@ -21,6 +22,7 @@ import pytest
 
 from weightsys import cli, search
 from weightsys.cli import run_cli
+from weightsys.core import _all_digits
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -193,6 +195,36 @@ def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, name):
         paths["out"].write_text("kept", encoding="utf-8")
         assert run_cli(argv) == 2
         assert paths["out"].read_text(encoding="utf-8") == "kept"
+
+
+def test_check_reports_a_sum_past_the_digit_limit(tmp_path, capsys):
+    # v = 1..1600 and w = -v fail localization with the sum 1/(1600!/2),
+    # whose denominator has more digits than int/str conversion allows by
+    # default; the report writes it in full, and parsing keeps the limit
+    n = 1600
+    doc = {
+        "dim": 2 * n,
+        "points": [
+            {"label": "p", "weights": list(range(1, n + 1))},
+            {"label": "q", "weights": list(range(-n, 0))},
+        ],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    checks = {check["id"]: check for check in report["checks"]}
+    total = checks["localization"]["witness"]["sum"]
+    with _all_digits():
+        assert total == "1/%d" % (math.factorial(n) // 2)
+    assert len(total) > 4302
+    path.write_bytes(MALFORMED["integer_too_long"])
+    assert run_cli(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON: integer literal too long\n"
 
 
 def test_check_exit_2_on_missing_file(capsys):

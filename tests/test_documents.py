@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from weightsys.constraints import check_system
+from weightsys.constraints import FAIL, ConstraintReport, check_system, chern1_vanishing_check
 from weightsys.core import FixedPointSystem
 from weightsys.documents import (
     DocumentError,
@@ -159,3 +159,16 @@ def test_emitted_weights_are_in_stored_order():
     system = FixedPointSystem.from_weights(2, [(3, 1), (2, -1), (-2, -3)])
     document = emit_system(system)
     assert document["points"][0]["weights"] == [1, 3]
+
+
+def test_a_c1_witness_past_the_digit_limit_renders_in_full():
+    # every weight has 4,300 digits and parses, but c_1 at p is 11 * 10**4299,
+    # one digit past the default int/str limit; the witness renders in full
+    # (check_system would first list the divisors of the weights)
+    scale = 10**4299
+    points = ((-4, 5, 5, 5), (-5, -5, 1, 4), (-5, -5, -1, 5))
+    system = FixedPointSystem.from_weights(4, [[w * scale for w in ws] for ws in points])
+    result = chern1_vanishing_check(system)
+    assert result.verdict == FAIL and result.witness["label"] == "p"
+    text = render_json(emit_report(ConstraintReport((result,))))
+    assert '"c1": 11' + "0" * 4299 + "\n" in text

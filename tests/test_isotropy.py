@@ -7,12 +7,15 @@ walk over every set partition of the points.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import (
     combinations,
     combinations_with_replacement,
     permutations,
     product,
 )
+
+from math import prod
 
 import pytest
 
@@ -24,9 +27,11 @@ from weightsys.constraints import (
     PASS,
     CheckResult,
     check_system,
+    chern1_at,
+    localization_sum,
     pairing_check,
 )
-from weightsys.core import FixedPointSystem
+from weightsys.core import FixedPointSystem, effectivity_gcd
 from weightsys.graph import build_graph
 from weightsys.isotropy import (
     CP2_TRIPLE,
@@ -545,7 +550,8 @@ def test_divisor_orders_match_the_full_k_range():
 def _predicate_sweep():
     """Systems of 1 to 4 points, every weight tuple in small ranges (most
     fail pairing), then the pairing-complete three-point candidates and
-    scaled families, which reach the modular checks."""
+    scaled families, which reach the modular checks, then three points at
+    n = 4, where c_1 = 0 binds, in every order."""
     for n, count, bound in (
         (1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 5), (1, 3, 8), (2, 3, 3), (1, 4, 3)
     ):
@@ -559,21 +565,50 @@ def _predicate_sweep():
     for a, b, c in product(range(1, 5), repeat=3):
         yield cp2_family(a * c, b * c)
         yield dim6_pair_family(a * c, b * c)
+    # c_1 = 11, -5, -6; then 0, -5, 5; then 0 everywhere
+    for points in (
+        ((-4, 5, 5, 5), (-5, -5, 1, 4), (-5, -5, -1, 5)),
+        ((-2, -1, 1, 2), (-5, -5, 1, 4), (-5, 1, 4, 5)),
+        ((-2, -1, 1, 2), (-3, -1, 1, 3), (-4, -1, 1, 4)),
+    ):
+        for order in permutations(points):
+            yield _system(4, *order)
+
+
+def _fraction_sum(system):
+    """sum over the points of 1/(product of weights), a Fraction per point."""
+    return sum((Fraction(1, prod(ws)) for ws in system.points), Fraction(0))
 
 
 def test_tuple_predicates_match_their_reports():
-    # every filter check's holds(n, points) is its report's verdict != FAIL
+    # every filter check's read(n, points) is None exactly when its report's
+    # verdict is not fail, and a failing report's witness agrees with an
+    # independent computation
     seen = Counter()
     for system in _predicate_sweep():
-        for check_id, check, holds in FILTER_CHECKS:
+        for check_id, check, read in FILTER_CHECKS:
             got = check(system)
-            assert holds(system.n, system.points) == (got.verdict != FAIL), (check_id, system)
+            assert (read(system.n, system.points) is None) == (got.verdict != FAIL), (
+                check_id, system
+            )
             seen[check_id, got.verdict, (got.witness or {}).get("reason")] += 1
-    for check_id in ("largest_weight_structure", "isotropy"):
+            if got.verdict != FAIL:
+                continue
+            if check_id == "localization":
+                assert got.witness["sum"] == str(_fraction_sum(system)) != "0", system
+            elif check_id == "effectivity":
+                assert got.witness["gcd"] == effectivity_gcd(system) != 1, system
+            elif check_id == "chern1_vanishing":
+                at = system.labels.index(got.witness["label"])
+                assert got.witness["c1"] == chern1_at(system.points[at]) != 0, system
+                assert not any(map(chern1_at, system.points[:at])), system
+        assert localization_sum(system) == _fraction_sum(system), system
+    for check_id in ("largest_weight_structure", "isotropy", "chern1_vanishing"):
         assert seen[check_id, PASS, None] and seen[check_id, NOT_APPLICABLE, None]
     for reason in ("multiplicity", "same-point", "residues"):
         assert seen["largest_weight_structure", FAIL, reason], reason
-    assert seen["isotropy", FAIL, None] and seen["effectivity", FAIL, None]
+    for check_id in ("localization", "chern1_vanishing", "isotropy", "effectivity"):
+        assert seen[check_id, FAIL, None], check_id
 
 
 def test_a_passing_check_factors_no_weight(monkeypatch):

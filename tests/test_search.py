@@ -16,12 +16,12 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 
 import pytest
 
-from weightsys import constraints, search
+from weightsys import constraints, isotropy, search
 from weightsys.constraints import (
     FAIL,
     CheckResult,
-    _localization_holds,
-    _pairing_holds,
+    _read_localization,
+    _read_pairing,
     check_system,
 )
 from weightsys.core import FixedPointSystem, _canonical_points, canonicalize, reverse_action
@@ -488,7 +488,7 @@ def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
                 lam_c = profile[ic]
                 for ws_c in _signed_multisets(lam_c, n - lam_c, d - 1):
                     if pairing_complete:
-                        if not _pairing_holds(n, (ws_a, ws_b, ws_c)):
+                        if _read_pairing(n, (ws_a, ws_b, ws_c)) is not None:
                             continue
                     elif chern_on and sum(ws_c) != 0:
                         continue
@@ -521,10 +521,10 @@ def _dbranch_walk():
 def _kept(args, cut, reference):
     n, point_count, d = args[:3]
     if point_count == 2 and d >= 2:
-        return [ws for ws in reference if _pairing_holds(n, ws)]
+        return [ws for ws in reference if _read_pairing(n, ws) is None]
     if not cut:
         return reference
-    return [ws for ws in reference if _localization_holds(n, ws)]
+    return [ws for ws in reference if _read_localization(n, ws) is None]
 
 
 def test_dbranch_lifts_match_the_full_lift_walk():
@@ -790,6 +790,24 @@ def test_sieve_builds_no_object_for_a_cheap_failure(monkeypatch):
     assert witnessed == []
 
 
+def test_sieve_lists_no_divisors_and_builds_no_fraction(monkeypatch):
+    # the readers decide isotropy at the closed orders and localization in
+    # integers; only a failing report lists the divisors of the weights or
+    # builds a Fraction, so a sieve that did either would raise here
+    def refuse(*args):
+        raise AssertionError("the sieve listed divisors or built a Fraction")
+
+    monkeypatch.setattr(isotropy, "isotropy_orders", refuse)
+    monkeypatch.setattr(constraints, "Fraction", refuse)
+    oracle = naive_oracle(SearchConfig(n=3, point_count=2, weight_bound=6))
+    enumerated = enumerate_systems(SearchConfig(n=10, point_count=3, weight_bound=5))
+    for outcome, kills in ((oracle, (328, 360)), (enumerated, (136, 24600))):
+        killed = outcome.stats.eliminated["odd"] + outcome.stats.eliminated["even"]
+        assert (killed["isotropy"], killed["localization"]) == kills
+    assert (oracle.stats.nodes, len(oracle.survivors)) == (132496, 15)
+    assert (enumerated.stats.nodes, len(enumerated.survivors)) == (24736, 0)
+
+
 def _reference_sieve(candidates, n, plan, stats):
     """_sieve as a plain loop: _first_failing on every candidate, every
     failure bucketed by its own largest |weight|."""
@@ -880,9 +898,12 @@ def test_sieve_over_an_empty_stream_changes_no_count():
 
 
 def test_tuple_predicates_lead_the_filter_table():
-    # every entry has a tuple predicate, so the sieve builds no system to
-    # reject a candidate; the order, which attributes the eliminations, stays
-    assert all(callable(holds) for _, _, holds in FILTER_CHECKS)
+    # every entry has a reader of the weight tuples, so the sieve builds no
+    # system to reject a candidate; the order, which attributes the
+    # eliminations, stays
+    assert [read.__name__ for _, _, read in FILTER_CHECKS] == [
+        "_read_" + check_id for check_id, _, _ in FILTER_CHECKS
+    ]
     assert [check_id for check_id, _, _ in FILTER_CHECKS] == [
         "pairing",
         "lambda_symmetry",
@@ -1022,7 +1043,7 @@ def test_localization_cut_keeps_every_pool():
                 uncut = [
                     ws
                     for ws in _staged_candidates(*args, SearchStats())
-                    if _localization_holds(n, ws)
+                    if _read_localization(n, ws) is None
                 ]
                 cut = _staged_candidates(*args, SearchStats(), True)
                 assert Counter(cut) == Counter(uncut), args
