@@ -26,7 +26,8 @@ profile and per candidate largest weight d:
        over the residue classes.  The joint pairing excess of v and w
        at x and d-x depends only on the total down count s of the pair
        of classes {x, d-x}, so the lifts are walked by class, one s per
-       pair (lifts._classes), and counted per class;
+       pair (lifts._classes), and counted per class; a pair's lifts
+       for one down count are listed once per branch;
     4. the remaining point is completed from the pairing imbalance: the
        excess of -l over +l across the other points forces l's
        multiplicity, and what is left splits into {l, -l} padding pairs.
@@ -104,7 +105,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
@@ -364,6 +364,9 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
 
     v's lifts are walked by class (lifts._classes), and each candidate
     left out is counted as the sieve or generation would, in d's bucket.
+    A class's lifts are the product of its pairs' lifts; each pair's are
+    listed once per (v slot, w slot) branch, on a pick's first use, and
+    shared by the branch's classes and v's.
     Two points pair only in the class with no excess left (+-d cancel,
     every other |w| is below d); the other lifts die at pairing.  Three
     points closing the third point from the excess cut every class
@@ -396,6 +399,7 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
             stats.pruned["chern_linear"] += 1
             continue
         slots, ic = [None] * point_count, 3 - ia - ib
+        pair_lifts = {}
         # v's weights beside -d, summing to d when c_1 is cut
         for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
             slots[ia] = (-d,) + others
@@ -403,15 +407,16 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
             lifts, classes = _classes(others, d, lam_b, budget)
             dropped += lifts
             for _, forced, picks in classes:
-                # each pair's weights in w: j of class x at x - d = -y,
-                # s - j of class y at -x, the rest kept
-                parts = [
-                    [
-                        (-y,) * j + (x,) * (mx - j) + (-x,) * (s - j) + (y,) * (my - s + j)
-                        for j in range(max(0, s - my), min(s, mx) + 1)
-                    ]
-                    for x, y, mx, my, s in picks
-                ]
+                for pick in picks:
+                    if pick not in pair_lifts:
+                        # j of class x at x - d = -y, s - j of class y at
+                        # -x, the rest kept
+                        x, y, mx, my, s = pick
+                        pair_lifts[pick] = [
+                            (-y,) * j + (x,) * (mx - j) + (-x,) * (s - j) + (y,) * (my - s + j)
+                            for j in range(max(0, s - my), min(s, mx) + 1)
+                        ]
+                parts = list(map(pair_lifts.__getitem__, picks))
                 count = math.prod(map(len, parts))
                 dropped -= count
                 if counted:
@@ -595,6 +600,10 @@ def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
     if workers <= 1 or len(payloads) <= 1:
         results = [_run_branch(p) for p in payloads]
     else:
+        # imported here: the pool pulls in multiprocessing, which a single
+        # worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_branch, payloads))
 

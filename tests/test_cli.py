@@ -74,6 +74,23 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert json.loads(proc.stdout)["overall"] == "fail"
 
 
+def test_import_loads_no_process_pool():
+    # only enumerate_systems(..., workers > 1) starts a pool, and it
+    # imports one then; a fresh interpreter importing the package and
+    # its command line has loaded neither module
+    probe = (
+        "import sys, weightsys, weightsys.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_commands_in_one_process_run_as_they_run_alone(tmp_path, monkeypatch, capsys):
     # the parser is built once per process, so no run may leave state
     # behind for the next; usage text wraps at COLUMNS in both settings
@@ -118,10 +135,21 @@ def test_check_exit_2_on_malformed_document(tmp_path, capsys):
     assert "zero weight at p" in capsys.readouterr().err
 
 
+# name -> (bytes, the one error line, {path} the file read)
 MALFORMED = {
-    "not_utf8": b'{"dim": 2, "points": [{"label": "\xff", "weights": [1]}]}',
-    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
-    "integer_too_long": b'{"dim": ' + b"9" * 5000 + b', "points": []}',
+    "not_utf8": (
+        b'{"dim": 2, "points": [{"label": "\xff", "weights": [1]}]}',
+        "error: cannot read {path}: not UTF-8 (invalid start byte at byte 33)",
+    ),
+    "nested_too_deep": (
+        b"[" * 100_000 + b"]" * 100_000,
+        "error: invalid JSON: nested too deeply",
+    ),
+    # refused by the int/str digit limit, before dim is read
+    "integer_too_long": (
+        b'{"dim": ' + b"9" * 5000 + b', "points": []}',
+        "error: invalid JSON: integer literal too long",
+    ),
 }
 
 
@@ -129,15 +157,15 @@ MALFORMED = {
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_bytes_exit_2_with_one_error_line(tmp_path, capsys, command, name):
     path = tmp_path / (name + ".json")
-    path.write_bytes(MALFORMED[name])
+    document, line = MALFORMED[name]
+    path.write_bytes(document)
     argv = [command, str(path)]
     if command == "graph":
         argv += ["--dot", str(tmp_path / "out.dot")]
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err == line.format(path=path) + "\n"
 
 
 FOUR_POINTS = {
@@ -220,7 +248,7 @@ def test_check_reports_a_sum_past_the_digit_limit(tmp_path, capsys):
     with _all_digits():
         assert total == "1/%d" % (math.factorial(n) // 2)
     assert len(total) > 4302
-    path.write_bytes(MALFORMED["integer_too_long"])
+    path.write_bytes(MALFORMED["integer_too_long"][0])
     assert run_cli(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

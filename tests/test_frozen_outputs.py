@@ -14,8 +14,10 @@ scaled_shapes documents did not move when the CP2 and dim-6 shapes were
 each given one definition in the isotropy module, and the oracle digests
 at (n, points, W) = (3, 2, 4) and (4, 2, 3) were computed before the
 oracle walked its product by largest |weight|.  The enumerate digests at
-(6, 3, 12) and (8, 2, 5), and the slow tier's frontier digests, were
-computed before the d-branches walked v's lifts by residue-class pair.
+(6, 3, 12) and (8, 2, 5), and the slow tier's frontier digests at
+(6, 3, 20) and (10, 2, 6), were computed before the d-branches walked
+v's lifts by residue-class pair; those at (8, 3, 10) and (8, 3, 12)
+were computed before each d-branch kept its lift lists by pick.
 The pairwise-premise pool digests (each pool system's document, in pool
 order) were computed before the pools walked their heads grouped by
 weight product.  The n1_triples, n2_pairs, n2_triples and scaled_shapes
@@ -214,6 +216,8 @@ def test_search_documents_frozen(scope):
 # frontier scopes too slow for Tier-1 (a few seconds each)
 FRONTIER_DIGESTS = {
     (6, 3, 20, False): "52be05c193ce039cb42fb70f5760cea8a5174523c47b62247fef2254794b4772",
+    (8, 3, 10, False): "722cfd5abcc28b60b1921f5bb13bb5313865817920be744f3677fcf53ea7199a",
+    (8, 3, 12, False): "de5b37053d515489e49f2597566bb5b21ea0eedd5931a5812b2f03d05502e1c1",
     (10, 2, 6, True): "c4a333e6346a7b56f15064bbc215357fc20b4cff63cd9ff15fca19b743c94407",
 }
 
