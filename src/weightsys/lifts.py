@@ -1,12 +1,112 @@
-"""The lifts of a d-branch, walked by residue-class pair.
+"""The d-branches of the search, and the point generators they share with
+its staged path.
 
-A d-branch of the search (search._dbranch_candidates) puts -d at a point
-v and +d at a point w.  Every other weight of v lies in [-(d-1), d-1],
-and w is a lift of them: each weight of residue r mod d becomes r or
-r - d.  The pairing excess of v and w is decided pair by pair of residue
-classes {x, d - x}, so the lifts are listed by class, one down count per
-pair, and a class's excess is taken once for all its lifts.
+A d-branch (_dbranch_candidates) puts -d at a point v and +d at a point
+w.  Every other weight of v lies in [-(d-1), d-1], and w is a lift of
+them: each weight of residue r mod d becomes r or r - d.  The pairing
+excess of v and w is decided pair by pair of residue classes {x, d - x},
+so the lifts are listed by class, one down count per pair, and a class's
+excess is taken once for all its lifts (_classes).
+
+Under a self-mirror three-point profile, reversing the action maps each
+branch onto a twin, and only one of the two walks its lifts.
+
+The search's staged path (search._staged_candidates) shares the point
+generators: free multisets (_signed_multisets, cut by c_1 in
+_free_points), the last point closed from the pairing excess
+(_last_points, _closures), and the last point's weight product that
+localization forces (_last_product).
 """
+
+import math
+from itertools import chain, combinations_with_replacement, groupby, permutations, product
+from operator import neg
+
+from .constraints import _count_symmetric
+
+
+def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
+    """Ascending tuples: neg_count values from [-max_abs, -1] followed by
+    pos_count from [1, max_abs]."""
+    for negs in combinations_with_replacement(range(-max_abs, 0), neg_count):
+        for poss in combinations_with_replacement(range(1, max_abs + 1), pos_count):
+            yield negs + poss
+
+
+def _factorizations(r, k, hi, lo=1):
+    """Ascending k-tuples of factors in [lo, hi] whose product is r, in
+    lexicographic order."""
+    if k == 0:
+        if r == 1:
+            yield ()
+        return
+    # every later factor is at least f, so f^k <= r
+    f = lo
+    while f <= hi and f**k <= r:
+        if r % f == 0:
+            for tail in _factorizations(r // f, k - 1, hi, f):
+                yield (f,) + tail
+        f += 1
+
+
+def _free_points(neg_count, pos_count, max_abs, total, chern_on, stats, scale=1):
+    """neg_count weights from [-max_abs, -1], then pos_count from [1,
+    max_abs], ascending (_signed_multisets).  With chern_on only those
+    summing to total are listed, the positives by that sum, and the rest
+    are counted as chern_linear prunes, scale times each."""
+    if not chern_on:
+        yield from _signed_multisets(neg_count, pos_count, max_abs)
+        return
+    poss = sorted(combinations_with_replacement(range(1, max_abs + 1), pos_count), key=sum)
+    by_sum = {key: list(group) for key, group in groupby(poss, sum)}
+    for negs in combinations_with_replacement(range(-max_abs, 0), neg_count):
+        fits = by_sum.get(total - sum(negs), ())
+        if len(fits) < len(poss):
+            stats.pruned["chern_linear"] += (len(poss) - len(fits)) * scale
+        yield from (negs + ws for ws in fits)
+
+
+def _closures(forced, pvals):
+    """The points holding forced and a pair {l, -l} per l of each tuple
+    of pvals."""
+    return [tuple(sorted(forced + list(p) + [-v for v in p])) for p in pvals]
+
+
+def _last_points(points, n, lam, max_val, chern_on, pairing_complete, stats, scale=1):
+    """The last point's multisets given the other points: every free
+    multiset, or the closures of their pairing excess, the weights it
+    forces on an n-weight point with lam negatives and `pairs` {l, -l}
+    pairs, l in [1, max_val]; a pairing_completion prune if none close.
+    Each prune is counted scale times."""
+    if not pairing_complete:
+        return _free_points(lam, n - lam, max_val, 0, chern_on, stats, scale)
+    # each x in excess of -x needs a -x at the last point
+    weights = sum(points, ())
+    forced = [-x for x in set(weights) for _ in range(weights.count(x) - weights.count(-x))]
+    pairs, odd = divmod(n - len(forced), 2)
+    if pairs < 0 or odd or lam != pairs + sum(x < 0 for x in forced):
+        stats.pruned["pairing_completion"] += scale
+        return ()
+    # every generator bounds the other points by max_val (in a d-branch,
+    # +-d sits at v and w and cancels), so the forced weights need no
+    # bound check; and when c_1 is cut, every other point already has
+    # c_1 = 0, so sum(forced) = 0
+    return _closures(forced, combinations_with_replacement(range(1, max_val + 1), pairs))
+
+
+def _last_product(products):
+    """The last point's weight product that sum_p 1/P_p = 0 forces, given
+    the other points' products: -P1 after one point, -P1 P2 / (P1 + P2)
+    after two.  0 when no integer fits (P1 + P2 = 0 leaves 1/P3 = 0;
+    an inexact quotient is no weight product): 0 is no weight product
+    either, so no closure has it."""
+    if len(products) == 1:
+        return -products[0]
+    p1, p2 = products
+    if p1 + p2 == 0:
+        return 0
+    q, left = divmod(-p1 * p2, p1 + p2)
+    return 0 if left else q
 
 
 def _classes(others, d, downs, budget):
@@ -41,3 +141,123 @@ def _classes(others, d, downs, budget):
             if len(forced) + abs(a - s) + abs(b - s) <= budget
         ]
     return lifts >> width * downs & (1 << width) - 1, classes
+
+
+def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
+    """Candidates whose largest weight is exactly d, via the +-d structure.
+
+    v's lifts are walked by class (_classes), and each candidate left out
+    is counted as the sieve or generation would, in d's bucket.  A
+    class's lifts are the product of its pairs' lifts; each pair's are
+    listed once per (v slot, w slot) branch, on a pick's first use, and
+    shared by the branch's classes and v's.
+    Two points pair only in the class with no excess left (+-d cancel,
+    every other |w| is below d); the other lifts die at pairing.  Three
+    points closing the third point from the excess cut every class
+    forcing more than n weights, whose lifts are pairing_completion
+    prunes.  Under a count-symmetric (ascending) profile, so n is even
+    and d >= 2, every other class closes, and each of its lifts takes the
+    localization target of v and w (_last_product of their products) and
+    lists only the closures with that product, building w only then; the
+    others die at localization.  Any other three-point lift takes its
+    third points from _last_points.
+    A count-symmetric three-point profile is self-mirror: reversing the
+    action maps the branch (ia, ib) onto its twin (2 - ib, 2 - ia).  Of
+    two distinct twins the lower walks its lifts, yields each candidate
+    and then its reversal (points in reverse order, each negated and
+    ascending), and counts its pairing and localization drops and its
+    per-lift prunes twice.  The higher lists only its v's, whose
+    chern_linear prunes are its own.
+    """
+    point_count = len(profile)
+    if point_count == 2 and d == 1:
+        # every weight is +-1 and the profile determines both points
+        yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
+        return
+
+    mirror = point_count == 3 and _count_symmetric(n, list(profile))
+    counted = mirror and pairing_complete
+    # two points pair only with no excess left, and a third point closes
+    # at most n forced weights (no lift forces more than 2n - 2)
+    budget = 0 if point_count == 2 else n if pairing_complete else 2 * n
+    dropped = missed = 0
+    for ia, ib in permutations(range(point_count), 2):
+        lam_a, lam_b = profile[ia], profile[ib]
+        if lam_a < 1 or lam_b > n - 1:
+            stats.pruned["largest_weight"] += 1
+            continue
+        # c_1(v) = 0 forces c_1(w) = d * (1 + lam_a - lam_b) (search, step 5)
+        if chern_on and lam_b != lam_a + 1:
+            stats.pruned["chern_linear"] += 1
+            continue
+        twin = (2 - ib, 2 - ia)
+        if mirror and twin < (ia, ib):
+            # its candidates are the reversals of the twin's, listed
+            # there; only its v's chern_linear prunes are its own
+            if chern_on:
+                for _ in _free_points(lam_a - 1, n - lam_a, d - 1, d, True, stats):
+                    pass
+            continue
+        scale = 2 if mirror and twin != (ia, ib) else 1
+        slots, ic = [None] * point_count, 3 - ia - ib
+        pair_lifts = {}
+        # v's weights beside -d, summing to d when c_1 is cut
+        for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
+            slots[ia] = (-d,) + others
+            p_a = math.prod(slots[ia])
+            lifts, classes = _classes(others, d, lam_b, budget)
+            dropped += lifts * scale
+            for _, forced, picks in classes:
+                for pick in picks:
+                    if pick not in pair_lifts:
+                        # j of class x at x - d = -y, s - j of class y at
+                        # -x, the rest kept
+                        x, y, mx, my, s = pick
+                        pair_lifts[pick] = [
+                            (-y,) * j + (x,) * (mx - j) + (-x,) * (s - j) + (y,) * (my - s + j)
+                            for j in range(max(0, s - my), min(s, mx) + 1)
+                        ]
+                parts = list(map(pair_lifts.__getitem__, picks))
+                count = math.prod(map(len, parts)) * scale
+                dropped -= count
+                if counted:
+                    # the profile (i, n/2, n - i) has 3n/2 negatives and n
+                    # is even, so the class closes, with pad pairs; a
+                    # closure's product is prod(forced) (-1)^pad r^2, r the
+                    # product of the pair values
+                    pad = (n - len(forced)) // 2
+                    base = math.prod(forced) * (-1) ** pad
+                    missed += math.comb(d - 2 + pad, pad) * count
+                for ps in product(*parts):
+                    if counted:
+                        target = _last_product((p_a, d * math.prod(chain(*ps))))
+                        square, left = divmod(target, base)
+                        root = math.isqrt(max(square, 0))
+                        if left or square <= 0 or root * root != square:
+                            continue
+                        thirds = _closures(forced, _factorizations(root, pad, d - 1))
+                        missed -= len(thirds) * scale
+                    slots[ib] = tuple(sorted(chain(*ps))) + (d,)
+                    if point_count == 2:
+                        yield tuple(slots)
+                        continue
+                    if not counted:
+                        thirds = _last_points(
+                            (slots[ia], slots[ib]), n, profile[ic], d - 1,
+                            chern_on, pairing_complete, stats, scale,
+                        )
+                    for ws_c in thirds:
+                        slots[ic] = ws_c
+                        candidate = tuple(slots)
+                        yield candidate
+                        if scale == 2:
+                            yield tuple(tuple(map(neg, ws[::-1])) for ws in candidate[::-1])
+    killed = stats.eliminated["odd" if d % 2 else "even"]
+    if dropped and point_count == 2:
+        stats.nodes += dropped
+        killed["pairing"] += dropped
+    elif dropped:
+        stats.pruned["pairing_completion"] += dropped
+    if missed:
+        stats.nodes += missed
+        killed["localization"] += missed

@@ -10,7 +10,7 @@ effectivity: the checks of the filter table isotropy.FILTER_CHECKS.
 Generation never relies on anything the final filter would not enforce,
 so pruning is sound and the survivor set is independent of which prunes
 are switched on.  The default (all prunes on) search runs, per lambda
-profile and per candidate largest weight d:
+profile and per candidate largest weight d (lifts._dbranch_candidates):
 
     1. lambda profiles are restricted to the count-symmetric ones
        (constraints._count_symmetric);
@@ -38,7 +38,14 @@ profile and per candidate largest weight d:
     5. when n >= 4 and there are three points, v's positives are listed
        by the sum c_1(v) = 0 leaves them (the rest are counted); then
        every lift has c_1(w) = d * (1 + lambda(v) - lambda(w)), an O(1)
-       test per (v, w) slot pair.
+       test per (v, w) slot pair;
+    6. reversing the action (every weight negated, lambda -> n - lambda)
+       keeps every check's verdict, and under a count-symmetric
+       three-point profile it maps the slot pair (v, w) = (ia, ib) onto
+       its twin (2 - ib, 2 - ia).  Of two distinct twins only the lower
+       walks its lifts: it yields each candidate and then its reversal,
+       and counts its dropped lifts and per-lift prunes twice.  The
+       other lists only its v's, whose chern_linear prunes are its own.
 
 The one case none of the structure above covers is a two-point system
 whose largest weight is 1 (all weights are +-1; the Z_k checks start at
@@ -131,7 +138,14 @@ from .isotropy import (
     lambda_step_check,
     largest_weight_structure,
 )
-from .lifts import _classes
+from .lifts import (
+    _dbranch_candidates,
+    _factorizations,
+    _free_points,
+    _last_points,
+    _last_product,
+    _signed_multisets,
+)
 
 __all__ = [
     "PruneFlags",
@@ -281,14 +295,6 @@ def _profiles(n: int, point_count: int, restricted: bool):
     return [p for p in profiles if not restricted or _count_symmetric(n, list(p))]
 
 
-def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
-    """Ascending tuples: neg_count values from [-max_abs, -1] followed by
-    pos_count from [1, max_abs]."""
-    for negs in combinations_with_replacement(range(-max_abs, 0), neg_count):
-        for poss in combinations_with_replacement(range(1, max_abs + 1), pos_count):
-            yield negs + poss
-
-
 def _excess_key(ws, base):
     """sum_x e[x] * base**x over the pairing excess e[x] = count(x) -
     count(-x) of the weights ws, x >= 1, as one integer.  Keys add as
@@ -297,166 +303,6 @@ def _excess_key(ws, base):
     points) lets no lower entry cancel the top one: the sum is 0 iff
     their excess vectors cancel, that is iff their weights pair."""
     return sum(base**w if w > 0 else -(base**-w) for w in ws)
-
-
-def _factorizations(r, k, hi, lo=1):
-    """Ascending k-tuples of factors in [lo, hi] whose product is r, in
-    lexicographic order."""
-    if k == 0:
-        if r == 1:
-            yield ()
-        return
-    # every later factor is at least f, so f^k <= r
-    f = lo
-    while f <= hi and f**k <= r:
-        if r % f == 0:
-            for tail in _factorizations(r // f, k - 1, hi, f):
-                yield (f,) + tail
-        f += 1
-
-
-def _free_points(neg_count, pos_count, max_abs, total, chern_on, stats):
-    """neg_count weights from [-max_abs, -1], then pos_count from [1,
-    max_abs], ascending (_signed_multisets).  With chern_on only those
-    summing to total are listed, the positives by that sum, and the rest
-    are counted as chern_linear prunes."""
-    if not chern_on:
-        yield from _signed_multisets(neg_count, pos_count, max_abs)
-        return
-    poss = sorted(combinations_with_replacement(range(1, max_abs + 1), pos_count), key=sum)
-    by_sum = {key: list(group) for key, group in groupby(poss, sum)}
-    for negs in combinations_with_replacement(range(-max_abs, 0), neg_count):
-        fits = by_sum.get(total - sum(negs), ())
-        if len(fits) < len(poss):
-            stats.pruned["chern_linear"] += len(poss) - len(fits)
-        yield from (negs + ws for ws in fits)
-
-
-def _closures(forced, pvals):
-    """The points holding forced and a pair {l, -l} per l of each tuple
-    of pvals."""
-    return [tuple(sorted(forced + list(p) + [-v for v in p])) for p in pvals]
-
-
-def _last_points(points, n, lam, max_val, chern_on, pairing_complete, stats):
-    """The last point's multisets given the other points: every free
-    multiset, or the closures of their pairing excess, the weights it
-    forces on an n-weight point with lam negatives and `pairs` {l, -l}
-    pairs, l in [1, max_val]; a pairing_completion prune if none close."""
-    if not pairing_complete:
-        return _free_points(lam, n - lam, max_val, 0, chern_on, stats)
-    # each x in excess of -x needs a -x at the last point
-    weights = sum(points, ())
-    forced = [-x for x in set(weights) for _ in range(weights.count(x) - weights.count(-x))]
-    pairs, odd = divmod(n - len(forced), 2)
-    if pairs < 0 or odd or lam != pairs + sum(x < 0 for x in forced):
-        stats.pruned["pairing_completion"] += 1
-        return ()
-    # every generator bounds the other points by max_val (in a d-branch,
-    # +-d sits at v and w and cancels), so the forced weights need no
-    # bound check; and when c_1 is cut, every other point already has
-    # c_1 = 0, so sum(forced) = 0
-    return _closures(forced, combinations_with_replacement(range(1, max_val + 1), pairs))
-
-
-def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
-    """Candidates whose largest weight is exactly d, via the +-d structure.
-
-    v's lifts are walked by class (lifts._classes), and each candidate
-    left out is counted as the sieve or generation would, in d's bucket.
-    A class's lifts are the product of its pairs' lifts; each pair's are
-    listed once per (v slot, w slot) branch, on a pick's first use, and
-    shared by the branch's classes and v's.
-    Two points pair only in the class with no excess left (+-d cancel,
-    every other |w| is below d); the other lifts die at pairing.  Three
-    points closing the third point from the excess cut every class
-    forcing more than n weights, whose lifts are pairing_completion
-    prunes.  Under a count-symmetric profile (so n is even and d >= 2)
-    every other class closes, and each of its lifts takes the
-    localization target of v and w (_last_product of their products) and
-    lists only the closures with that product, building w only then; the
-    others die at localization.  Any other three-point lift takes its
-    third points from _last_points.
-    """
-    point_count = len(profile)
-    if point_count == 2 and d == 1:
-        # every weight is +-1 and the profile determines both points
-        yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
-        return
-
-    counted = point_count == 3 and pairing_complete and _count_symmetric(n, sorted(profile))
-    # two points pair only with no excess left, and a third point closes
-    # at most n forced weights (no lift forces more than 2n - 2)
-    budget = 0 if point_count == 2 else n if pairing_complete else 2 * n
-    dropped = missed = 0
-    for ia, ib in permutations(range(point_count), 2):
-        lam_a, lam_b = profile[ia], profile[ib]
-        if lam_a < 1 or lam_b > n - 1:
-            stats.pruned["largest_weight"] += 1
-            continue
-        # c_1(v) = 0 forces c_1(w) = d * (1 + lam_a - lam_b) (docstring step 5)
-        if chern_on and lam_b != lam_a + 1:
-            stats.pruned["chern_linear"] += 1
-            continue
-        slots, ic = [None] * point_count, 3 - ia - ib
-        pair_lifts = {}
-        # v's weights beside -d, summing to d when c_1 is cut
-        for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
-            slots[ia] = (-d,) + others
-            p_a = math.prod(slots[ia])
-            lifts, classes = _classes(others, d, lam_b, budget)
-            dropped += lifts
-            for _, forced, picks in classes:
-                for pick in picks:
-                    if pick not in pair_lifts:
-                        # j of class x at x - d = -y, s - j of class y at
-                        # -x, the rest kept
-                        x, y, mx, my, s = pick
-                        pair_lifts[pick] = [
-                            (-y,) * j + (x,) * (mx - j) + (-x,) * (s - j) + (y,) * (my - s + j)
-                            for j in range(max(0, s - my), min(s, mx) + 1)
-                        ]
-                parts = list(map(pair_lifts.__getitem__, picks))
-                count = math.prod(map(len, parts))
-                dropped -= count
-                if counted:
-                    # the profile (i, n/2, n - i) has 3n/2 negatives and n
-                    # is even, so the class closes, with pad pairs; a
-                    # closure's product is prod(forced) (-1)^pad r^2, r the
-                    # product of the pair values
-                    pad = (n - len(forced)) // 2
-                    base = math.prod(forced) * (-1) ** pad
-                    missed += math.comb(d - 2 + pad, pad) * count
-                for ps in product(*parts):
-                    if counted:
-                        target = _last_product((p_a, d * math.prod(chain(*ps))))
-                        square, left = divmod(target, base)
-                        root = math.isqrt(max(square, 0))
-                        if left or square <= 0 or root * root != square:
-                            continue
-                        thirds = _closures(forced, _factorizations(root, pad, d - 1))
-                        missed -= len(thirds)
-                    slots[ib] = tuple(sorted(chain(*ps))) + (d,)
-                    if point_count == 2:
-                        yield tuple(slots)
-                        continue
-                    if not counted:
-                        thirds = _last_points(
-                            (slots[ia], slots[ib]), n, profile[ic], d - 1,
-                            chern_on, pairing_complete, stats,
-                        )
-                    for ws_c in thirds:
-                        slots[ic] = ws_c
-                        yield tuple(slots)
-    killed = stats.eliminated["odd" if d % 2 else "even"]
-    if dropped and point_count == 2:
-        stats.nodes += dropped
-        killed["pairing"] += dropped
-    elif dropped:
-        stats.pruned["pairing_completion"] += dropped
-    if missed:
-        stats.nodes += missed
-        killed["localization"] += missed
 
 
 def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, localize=False):
@@ -517,21 +363,6 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
         for head in product(*(g[p] for g, p in zip(groups, products))):
             for ws_last in lasts.get((target, -sum(map(key_of.__getitem__, head))), ()):
                 yield head + (ws_last,)
-
-
-def _last_product(products):
-    """The last point's weight product that sum_p 1/P_p = 0 forces, given
-    the other points' products: -P1 after one point, -P1 P2 / (P1 + P2)
-    after two.  0 when no integer fits (P1 + P2 = 0 leaves 1/P3 = 0;
-    an inexact quotient is no weight product): 0 is no weight product
-    either, so no closure has it."""
-    if len(products) == 1:
-        return -products[0]
-    p1, p2 = products
-    if p1 + p2 == 0:
-        return 0
-    q, left = divmod(-p1 * p2, p1 + p2)
-    return 0 if left else q
 
 
 def _sieve(candidates, n, plan, stats, largest=None):

@@ -17,7 +17,9 @@ oracle walked its product by largest |weight|.  The enumerate digests at
 (6, 3, 12) and (8, 2, 5), and the slow tier's frontier digests at
 (6, 3, 20) and (10, 2, 6), were computed before the d-branches walked
 v's lifts by residue-class pair; those at (8, 3, 10) and (8, 3, 12)
-were computed before each d-branch kept its lift lists by pick.
+were computed before each d-branch kept its lift lists by pick, and the
+one at (8, 3, 14) before a self-mirror profile walked one branch of each
+pair of reversal twins.
 The pairwise-premise pool digests (each pool system's document, in pool
 order) were computed before the pools walked their heads grouped by
 weight product.  The n1_triples, n2_pairs, n2_triples and scaled_shapes
@@ -218,6 +220,7 @@ FRONTIER_DIGESTS = {
     (6, 3, 20, False): "52be05c193ce039cb42fb70f5760cea8a5174523c47b62247fef2254794b4772",
     (8, 3, 10, False): "722cfd5abcc28b60b1921f5bb13bb5313865817920be744f3677fcf53ea7199a",
     (8, 3, 12, False): "de5b37053d515489e49f2597566bb5b21ea0eedd5931a5812b2f03d05502e1c1",
+    (8, 3, 14, False): "74e821a9e99c447b973934ff9c6be8454ac38bd806d691c7dfca91d0fc08d255",
     (10, 2, 6, True): "c4a333e6346a7b56f15064bbc215357fc20b4cff63cd9ff15fca19b743c94407",
 }
 

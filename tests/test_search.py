@@ -16,7 +16,7 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 
 import pytest
 
-from weightsys import constraints, isotropy, search
+from weightsys import constraints, isotropy, lifts, search
 from weightsys.constraints import (
     FAIL,
     CheckResult,
@@ -665,6 +665,43 @@ def test_frontier_counts_frozen_at_n10_w6(monkeypatch):
     }
 
 
+def _reversed(points):
+    """The candidate with the action reversed: the points in reverse
+    order, each negated and ascending."""
+    return tuple(tuple(-w for w in reversed(ws)) for ws in reversed(points))
+
+
+def test_dbranch_self_mirror_listing_is_closed_under_reversal():
+    # a self-mirror three-point profile walks one branch of each pair of
+    # twins and yields the reversals for the other: every candidate it
+    # lists has its reversal listed as often
+    branches = listed_total = 0
+    for args, _, listed, _, _ in _dbranch_walk():
+        n, point_count, _, profile = args[:4]
+        if point_count == 3 and profile == tuple(n - lam for lam in reversed(profile)):
+            assert listed == Counter({_reversed(c): k for c, k in listed.items()}), args
+            branches += 1
+            listed_total += sum(listed.values())
+    assert (branches, listed_total) == (304, 21132)
+
+
+def test_dbranch_twins_walk_their_lifts_once(monkeypatch):
+    # the enumerate_frontier scopes: a twin walks no lifts, so _classes is
+    # called 155 and 50 times, where walking both twins took 338 and 105
+    calls = Counter()
+    classes = lifts._classes
+
+    def counting(*args):
+        calls[scope] += 1
+        return classes(*args)
+
+    monkeypatch.setattr(lifts, "_classes", counting)
+    for scope in ((10, 5), (12, 4)):
+        n, bound = scope
+        enumerate_systems(SearchConfig(n=n, point_count=3, weight_bound=bound))
+    assert calls == {(10, 5): 155, (12, 4): 50}
+
+
 def test_worker_split_is_byte_identical():
     config = SearchConfig(n=2, point_count=3, weight_bound=6)
     solo = enumerate_systems(config, workers=1)
@@ -1163,7 +1200,7 @@ def test_target_zero_misses_every_closure(monkeypatch):
     # 0 is no weight product: with every target 0, a cut d-branch lists
     # nothing and counts each closure of each closing lift (the reference
     # walk's candidates, all of which pair) as killed at localization
-    monkeypatch.setattr(search, "_last_product", lambda products: 0)
+    monkeypatch.setattr(lifts, "_last_product", lambda products: 0)
     missed = 0
     for args, cut, _, reference, _ in _dbranch_walk():
         if not cut:
