@@ -306,8 +306,10 @@ def classify_isotropy(system: FixedPointSystem, k: int):
 
 def _read_isotropy(n: int, points):
     """None when Z_k classifies (_read_zk) at every closed order, so at
-    every k >= 2, or past three points, where it does not bind; else the
-    first closed order at which it fails."""
+    every k >= 2, or past three points, where it does not bind; else a
+    closed order at which it fails, the first met in the set's iteration
+    order, which need not be the smallest (the failing report walks the
+    divisors to name that one)."""
     if len(points) <= 3:
         for k in _closed_orders(chain.from_iterable(points)):
             if _read_zk(points, k)[2] is not None:

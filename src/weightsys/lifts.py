@@ -1,5 +1,5 @@
-"""The d-branches of the search, and the point generators they share with
-its staged path.
+"""The search's candidate generators, the d-branches and the staged path,
+and the point generators they share.
 
 A d-branch (_dbranch_candidates) puts -d at a point v and +d at a point
 w.  Every other weight of v lies in [-(d-1), d-1], and w is a lift of
@@ -9,18 +9,23 @@ so the lifts are listed by class, one down count per pair, and a class's
 excess is taken once for all its lifts (_classes).
 
 Under a self-mirror three-point profile, reversing the action maps each
-branch onto a twin, and only one of the two walks its lifts.
+branch onto a twin, and only one of the two walks its lifts.  It lists
+each candidate once, in a (scale, candidates) stream at scale 2: the
+sieve counts the candidate for its reversal too, and no reversal is
+built.
 
-The search's staged path (search._staged_candidates) shares the point
-generators: free multisets (_signed_multisets, cut by c_1 in
+The staged path (_staged_candidates) lists free multisets for every
+point but the last, then closes the last; the search takes it without
+largest-weight pruning, and the replay pools always.  Both paths share
+the point generators: free multisets (_signed_multisets, cut by c_1 in
 _free_points), the last point closed from the pairing excess
 (_last_points, _closures), and the last point's weight product that
-localization forces (_last_product).
+localization forces (_last_product).  The pools key the last points by
+pairing excess (_excess_key), as the oracle's listing does.
 """
 
 import math
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
-from operator import neg
 
 from .constraints import _count_symmetric
 
@@ -31,6 +36,12 @@ def _signed_multisets(neg_count: int, pos_count: int, max_abs: int):
     for negs in combinations_with_replacement(range(-max_abs, 0), neg_count):
         for poss in combinations_with_replacement(range(1, max_abs + 1), pos_count):
             yield negs + poss
+
+
+def _mirror(ws):
+    """The point ws with the action reversed: every weight negated, in
+    ascending order again."""
+    return tuple(-w for w in reversed(ws))
 
 
 def _factorizations(r, k, hi, lo=1):
@@ -109,6 +120,90 @@ def _last_product(products):
     return 0 if left else q
 
 
+def _excess_key(ws, base):
+    """sum_x e[x] * base**x over the pairing excess e[x] = count(x) -
+    count(-x) of the weights ws, x >= 1, as one integer.  Keys add as
+    excess vectors do, and a base past the sum of |e[x]| over the points
+    whose keys are added (n times the point count, for a candidate's
+    points) lets no lower entry cancel the top one: the sum is 0 iff
+    their excess vectors cancel, that is iff their weights pair."""
+    return sum(base**w if w > 0 else -(base**-w) for w in ws)
+
+
+def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, localize=False):
+    """Plain per-point generation (the no-largest-weight-pruning path):
+    free multisets for every point but the last, then the last point.
+
+    The heads (the points before the last) are walked grouped by weight
+    product.  Without localize each head's last points come from
+    _last_points.  With localize (the pools' path, which always closes
+    by pairing), a profile whose lambdas share one parity lists nothing:
+    each product has the sign (-1)^lam, so sum_p 1/P_p != 0.  Otherwise
+    sum_p 1/P_p = 0 fixes the last point's product, the target
+    (_last_product), decided once per product pair (per first product
+    for two points).  A pair is skipped whole when no integer fits, when
+    the sign is not (-1)^lam (the last point's lam negative weights), or
+    when |target| > bound^n.  At the first pair left, the last point's
+    multisets, cut by c_1 as the heads are, are listed once and keyed by
+    (weight product, excess key) (_excess_key), and each head is keyed
+    once.  A head then closes by one lookup, at the target and minus its
+    key: exactly the closures of its excess hitting the target, so no
+    head's excess is taken.  Only candidates failing the localization
+    check are left out, so a sieve running it keeps the same survivors;
+    the last point's counts are dropped.
+    Under a self-mirror three-point profile (i, n/2, n - i), reversing
+    the action (x' is x negated, ascending) maps the listed (a, b, c)
+    onto (c', b', a') and keeps every verdict and the canonical form, so
+    one of each pair is listed: b < b', or b = b' (excess key 0, so c
+    closes a alone) and a <= c'.  The middle points are filtered once.
+    A pool drops its counts, so none is doubled.
+    """
+    groups = []
+    for head_lam in profile[:-1]:
+        # the second point's multisets are listed once: their c_1 cuts
+        # count once per first point, as if listed under each
+        scale = sum(map(len, groups[0].values())) if groups else 1
+        free = _free_points(head_lam, n - head_lam, bound, 0, chern_on, stats, scale)
+        free = sorted(free, key=math.prod)
+        groups.append({p: list(g) for p, g in groupby(free, math.prod)})
+    lam = profile[-1]
+    if not localize:
+        for points in product(*(g.values() for g in groups)):
+            for head in product(*points):
+                lasts = _last_points(head, n, lam, bound, chern_on, pairing_complete, stats)
+                for ws_last in lasts:
+                    yield head + (ws_last,)
+        return
+    if len({x % 2 for x in profile}) == 1:
+        return
+    # one of each reversal pair: b < b' in the head walk, b = b' after it
+    selfs = {}
+    if len(profile) == 3 and _count_symmetric(n, list(profile)):
+        for p, g in groups[1].items():
+            groups[1][p] = [b for b in g if b < _mirror(b)]
+            selfs[p] = [b for b in g if b == _mirror(b)]
+    # keyed at the first pair left: a profile with none lists no last point
+    lasts = None
+    for products in product(*groups):
+        target = _last_product(products)
+        if not 0 < target * (-1) ** lam <= bound**n:
+            continue
+        if lasts is None:
+            base = n * len(profile) + 1
+            key_of = {ws: _excess_key(ws, base) for g in groups for ws in chain(*g.values())}
+            lasts = {}
+            # listed once for every head: scale 0 counts none of its cuts
+            for ws in _free_points(lam, n - lam, bound, 0, chern_on, stats, 0):
+                lasts.setdefault((math.prod(ws), _excess_key(ws, base)), []).append(ws)
+        for head in product(*(g[p] for g, p in zip(groups, products))):
+            for ws_last in lasts.get((target, -sum(map(key_of.__getitem__, head))), ()):
+                yield head + (ws_last,)
+        for a, b in product(groups[0][products[0]], selfs.get(products[-1], ())):
+            for c in lasts.get((target, -key_of[a]), ()):
+                if a <= _mirror(c):
+                    yield a, b, c
+
+
 def _classes(others, d, downs, budget):
     """(lifts, classes): how many lifts of v's weights beside -d send
     `downs` of them down, and those lifts by class.  Class r mod d sends
@@ -144,13 +239,15 @@ def _classes(others, d, downs, budget):
 
 
 def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
-    """Candidates whose largest weight is exactly d, via the +-d structure.
+    """Candidates whose largest weight is exactly d, via the +-d structure,
+    as (scale, candidates) streams: one per (v slot, w slot) branch that
+    walks its lifts, each candidate standing for scale of them.
 
     v's lifts are walked by class (_classes), and each candidate left out
     is counted as the sieve or generation would, in d's bucket.  A
     class's lifts are the product of its pairs' lifts; each pair's are
-    listed once per (v slot, w slot) branch, on a pick's first use, and
-    shared by the branch's classes and v's.
+    listed once per branch, on a pick's first use, and shared by the
+    branch's classes and v's.
     Two points pair only in the class with no excess left (+-d cancel,
     every other |w| is below d); the other lifts die at pairing.  Three
     points closing the third point from the excess cut every class
@@ -163,24 +260,21 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
     third points from _last_points.
     A count-symmetric three-point profile is self-mirror: reversing the
     action maps the branch (ia, ib) onto its twin (2 - ib, 2 - ia).  Of
-    two distinct twins the lower walks its lifts, yields each candidate
-    and then its reversal (points in reverse order, each negated and
-    ascending), and counts its pairing and localization drops and its
-    per-lift prunes twice.  The higher lists only its v's, whose
-    chern_linear prunes are its own.
+    two distinct twins the lower walks its lifts and lists each candidate
+    once, at scale 2: it stands for itself and for its reversal (points
+    in reverse order, each negated and ascending), which the twin would
+    list, and every check's verdict and the canonical form are the same
+    on both.  Its pairing and localization drops and its per-lift prunes
+    count twice.  The higher lists only its v's, whose chern_linear
+    prunes are its own.
     """
     point_count = len(profile)
     if point_count == 2 and d == 1:
         # every weight is +-1 and the profile determines both points
-        yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
+        yield 1, [tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)]
         return
 
     mirror = point_count == 3 and _count_symmetric(n, list(profile))
-    counted = mirror and pairing_complete
-    # two points pair only with no excess left, and a third point closes
-    # at most n forced weights (no lift forces more than 2n - 2)
-    budget = 0 if point_count == 2 else n if pairing_complete else 2 * n
-    dropped = missed = 0
     for ia, ib in permutations(range(point_count), 2):
         lam_a, lam_b = profile[ia], profile[ib]
         if lam_a < 1 or lam_b > n - 1:
@@ -192,66 +286,80 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
             continue
         twin = (2 - ib, 2 - ia)
         if mirror and twin < (ia, ib):
-            # its candidates are the reversals of the twin's, listed
-            # there; only its v's chern_linear prunes are its own
+            # its candidates are the reversals of the twin's, which the
+            # twin's stream stands for; only its v's chern_linear prunes
+            # are its own
             if chern_on:
                 for _ in _free_points(lam_a - 1, n - lam_a, d - 1, d, True, stats):
                     pass
             continue
         scale = 2 if mirror and twin != (ia, ib) else 1
-        slots, ic = [None] * point_count, 3 - ia - ib
-        pair_lifts = {}
-        # v's weights beside -d, summing to d when c_1 is cut
-        for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
-            slots[ia] = (-d,) + others
-            p_a = math.prod(slots[ia])
-            lifts, classes = _classes(others, d, lam_b, budget)
-            dropped += lifts * scale
-            for _, forced, picks in classes:
-                for pick in picks:
-                    if pick not in pair_lifts:
-                        # j of class x at x - d = -y, s - j of class y at
-                        # -x, the rest kept
-                        x, y, mx, my, s = pick
-                        pair_lifts[pick] = [
-                            (-y,) * j + (x,) * (mx - j) + (-x,) * (s - j) + (y,) * (my - s + j)
-                            for j in range(max(0, s - my), min(s, mx) + 1)
-                        ]
-                parts = list(map(pair_lifts.__getitem__, picks))
-                count = math.prod(map(len, parts)) * scale
-                dropped -= count
+        yield scale, _branch_candidates(
+            n, d, profile, ia, ib, scale, chern_on, pairing_complete, stats
+        )
+
+
+def _branch_candidates(n, d, profile, ia, ib, scale, chern_on, pairing_complete, stats):
+    """The candidates of one d-branch of _dbranch_candidates, -d at slot
+    ia and +d at slot ib; every count it makes is scale times what it
+    walked."""
+    point_count = len(profile)
+    counted = pairing_complete and point_count == 3 and _count_symmetric(n, list(profile))
+    # two points pair only with no excess left, and a third point closes
+    # at most n forced weights (no lift forces more than 2n - 2)
+    budget = 0 if point_count == 2 else n if pairing_complete else 2 * n
+    dropped = missed = 0
+    lam_a, lam_b = profile[ia], profile[ib]
+    slots, ic = [None] * point_count, 3 - ia - ib
+    pair_lifts = {}
+    # v's weights beside -d, summing to d when c_1 is cut
+    for others in _free_points(lam_a - 1, n - lam_a, d - 1, d, chern_on, stats):
+        slots[ia] = (-d,) + others
+        p_a = math.prod(slots[ia])
+        lifts, classes = _classes(others, d, lam_b, budget)
+        dropped += lifts * scale
+        for _, forced, picks in classes:
+            for pick in picks:
+                if pick not in pair_lifts:
+                    # j of class x at x - d = -y, s - j of class y at
+                    # -x, the rest kept
+                    x, y, mx, my, s = pick
+                    pair_lifts[pick] = [
+                        (-y,) * j + (x,) * (mx - j) + (-x,) * (s - j) + (y,) * (my - s + j)
+                        for j in range(max(0, s - my), min(s, mx) + 1)
+                    ]
+            parts = list(map(pair_lifts.__getitem__, picks))
+            count = math.prod(map(len, parts)) * scale
+            dropped -= count
+            if counted:
+                # the profile (i, n/2, n - i) has 3n/2 negatives and n
+                # is even, so the class closes, with pad pairs; a
+                # closure's product is prod(forced) (-1)^pad r^2, r the
+                # product of the pair values
+                pad = (n - len(forced)) // 2
+                base = math.prod(forced) * (-1) ** pad
+                missed += math.comb(d - 2 + pad, pad) * count
+            for ps in product(*parts):
                 if counted:
-                    # the profile (i, n/2, n - i) has 3n/2 negatives and n
-                    # is even, so the class closes, with pad pairs; a
-                    # closure's product is prod(forced) (-1)^pad r^2, r the
-                    # product of the pair values
-                    pad = (n - len(forced)) // 2
-                    base = math.prod(forced) * (-1) ** pad
-                    missed += math.comb(d - 2 + pad, pad) * count
-                for ps in product(*parts):
-                    if counted:
-                        target = _last_product((p_a, d * math.prod(chain(*ps))))
-                        square, left = divmod(target, base)
-                        root = math.isqrt(max(square, 0))
-                        if left or square <= 0 or root * root != square:
-                            continue
-                        thirds = _closures(forced, _factorizations(root, pad, d - 1))
-                        missed -= len(thirds) * scale
-                    slots[ib] = tuple(sorted(chain(*ps))) + (d,)
-                    if point_count == 2:
-                        yield tuple(slots)
+                    target = _last_product((p_a, d * math.prod(chain(*ps))))
+                    square, left = divmod(target, base)
+                    root = math.isqrt(max(square, 0))
+                    if left or square <= 0 or root * root != square:
                         continue
-                    if not counted:
-                        thirds = _last_points(
-                            (slots[ia], slots[ib]), n, profile[ic], d - 1,
-                            chern_on, pairing_complete, stats, scale,
-                        )
-                    for ws_c in thirds:
-                        slots[ic] = ws_c
-                        candidate = tuple(slots)
-                        yield candidate
-                        if scale == 2:
-                            yield tuple(tuple(map(neg, ws[::-1])) for ws in candidate[::-1])
+                    thirds = _closures(forced, _factorizations(root, pad, d - 1))
+                    missed -= len(thirds) * scale
+                slots[ib] = tuple(sorted(chain(*ps))) + (d,)
+                if point_count == 2:
+                    yield tuple(slots)
+                    continue
+                if not counted:
+                    thirds = _last_points(
+                        (slots[ia], slots[ib]), n, profile[ic], d - 1,
+                        chern_on, pairing_complete, stats, scale,
+                    )
+                for ws_c in thirds:
+                    slots[ic] = ws_c
+                    yield tuple(slots)
     killed = stats.eliminated["odd" if d % 2 else "even"]
     if dropped and point_count == 2:
         stats.nodes += dropped

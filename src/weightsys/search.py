@@ -40,12 +40,14 @@ profile and per candidate largest weight d (lifts._dbranch_candidates):
        every lift has c_1(w) = d * (1 + lambda(v) - lambda(w)), an O(1)
        test per (v, w) slot pair;
     6. reversing the action (every weight negated, lambda -> n - lambda)
-       keeps every check's verdict, and under a count-symmetric
-       three-point profile it maps the slot pair (v, w) = (ia, ib) onto
-       its twin (2 - ib, 2 - ia).  Of two distinct twins only the lower
-       walks its lifts: it yields each candidate and then its reversal,
-       and counts its dropped lifts and per-lift prunes twice.  The
-       other lists only its v's, whose chern_linear prunes are its own.
+       keeps every check's verdict and the canonical form, and under a
+       count-symmetric three-point profile it maps the slot pair (v, w)
+       = (ia, ib) onto its twin (2 - ib, 2 - ia).  Of two distinct twins
+       only the lower walks its lifts: it hands the sieve each candidate
+       once, in a stream at scale 2, so the sieve counts it for its
+       reversal too, and it counts its dropped lifts and per-lift prunes
+       twice.  No reversal is built.  The other twin lists only its v's,
+       whose chern_linear prunes are its own.
 
 The one case none of the structure above covers is a two-point system
 whose largest weight is 1 (all weights are +-1; the Z_k checks start at
@@ -79,10 +81,13 @@ of v and w, lists only the closures with that product and counts each
 of the rest as a node killed at localization, as the sieve would; w and
 the third point are built only for a listed candidate.
 A pool whose checks include localization closes its last point by
-lookup: the last point's multisets are listed once per profile, keyed by
-(weight product, excess key), and a head takes those at (target, minus
-its own key); every candidate so cut fails the check its sieve runs,
-and nothing is counted.  The enumerator's staged path makes no cut.
+lookup (lifts._staged_candidates): the last point's multisets are
+listed once per profile, keyed by (weight product, excess key), and a
+head takes those at (target, minus its own key); every candidate so cut
+fails the check its sieve runs, and nothing is counted.  Under a
+self-mirror three-point profile a pool lists one candidate of each
+reversal pair, which the sieve's canonical set would merge.  The
+enumerator's staged path makes no cut.
 
 The sieve decides on the candidate's ascending weight tuples: every
 check of the filter table has a reader of the tuples, None where the
@@ -92,8 +97,10 @@ be rejected.  It is one loop over the plan, pairing first, though under
 the default flags nothing it receives fails pairing: a two-point
 d-branch counts its unpaired lifts itself.  A call tallies its failures
 by check and largest |weight| (a d-branch's d, an oracle level's t, else
-the candidate's own).  Survivors stay canonical tuples until they leave
-the search, where one FixedPointSystem is built per distinct survivor.
+the candidate's own) and counts each node and failure scale times (2
+for a twin d-branch's stream, else 1).  Survivors stay canonical tuples
+until they leave the search, where one FixedPointSystem is built per
+distinct survivor.
 first_failure runs the same readers on a system's points.
 
 replay_lemma re-derives the statements the search machinery leans on
@@ -138,14 +145,7 @@ from .isotropy import (
     lambda_step_check,
     largest_weight_structure,
 )
-from .lifts import (
-    _dbranch_candidates,
-    _factorizations,
-    _free_points,
-    _last_points,
-    _last_product,
-    _signed_multisets,
-)
+from .lifts import _dbranch_candidates, _excess_key, _signed_multisets, _staged_candidates
 
 __all__ = [
     "PruneFlags",
@@ -295,84 +295,15 @@ def _profiles(n: int, point_count: int, restricted: bool):
     return [p for p in profiles if not restricted or _count_symmetric(n, list(p))]
 
 
-def _excess_key(ws, base):
-    """sum_x e[x] * base**x over the pairing excess e[x] = count(x) -
-    count(-x) of the weights ws, x >= 1, as one integer.  Keys add as
-    excess vectors do, and a base past the sum of |e[x]| over the points
-    whose keys are added (n times the point count, for a candidate's
-    points) lets no lower entry cancel the top one: the sum is 0 iff
-    their excess vectors cancel, that is iff their weights pair."""
-    return sum(base**w if w > 0 else -(base**-w) for w in ws)
-
-
-def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, localize=False):
-    """Plain per-point generation (the no-largest-weight-pruning path):
-    free multisets for every point but the last, then the last point.
-
-    The heads (the points before the last) are walked grouped by weight
-    product.  Without localize each head's last points come from
-    _last_points.  With localize (the pools' path, which always closes
-    by pairing), a profile whose lambdas share one parity lists nothing:
-    each product has the sign (-1)^lam, so sum_p 1/P_p != 0.  Otherwise
-    sum_p 1/P_p = 0 fixes the last point's product, the target
-    (_last_product), decided once per product pair (per first product
-    for two points).  A pair is skipped whole when no integer fits, when
-    the sign is not (-1)^lam (the last point's lam negative weights), or
-    when |target| > bound^n.  At the first pair left, the last point's
-    multisets, cut by c_1 as the heads are, are listed once and keyed by
-    (weight product, excess key) (_excess_key), and each head is keyed
-    once.  A head then closes by one lookup, at the target and minus its
-    key: exactly the closures of its excess hitting the target, so no
-    head's excess is taken.  Only candidates failing the localization
-    check are left out, so a sieve running it keeps the same survivors;
-    the last point's counts are dropped.
-    """
-    # the second point's multisets are listed once: their c_1 cuts count
-    # once per first point, as if listed under each
-    cuts = SearchStats()
-    groups = []
-    for head_lam, counts in zip(profile[:-1], (stats, cuts)):
-        free = _free_points(head_lam, n - head_lam, bound, 0, chern_on, counts)
-        free = sorted(free, key=math.prod)
-        groups.append({p: list(g) for p, g in groupby(free, math.prod)})
-    if groups[0]:
-        for key, count in cuts.pruned.items():
-            stats.pruned[key] += count * sum(map(len, groups[0].values()))
-    lam = profile[-1]
-    if not localize:
-        for points in product(*(g.values() for g in groups)):
-            for head in product(*points):
-                lasts = _last_points(head, n, lam, bound, chern_on, pairing_complete, stats)
-                for ws_last in lasts:
-                    yield head + (ws_last,)
-        return
-    if len({x % 2 for x in profile}) == 1:
-        return
-    # keyed at the first pair left: a profile with none lists no last point
-    lasts = None
-    for products in product(*groups):
-        target = _last_product(products)
-        if not 0 < target * (-1) ** lam <= bound**n:
-            continue
-        if lasts is None:
-            base = n * len(profile) + 1
-            key_of = {ws: _excess_key(ws, base) for g in groups for ws in chain(*g.values())}
-            lasts = {}
-            for ws in _free_points(lam, n - lam, bound, 0, chern_on, SearchStats()):
-                lasts.setdefault((math.prod(ws), _excess_key(ws, base)), []).append(ws)
-        for head in product(*(g[p] for g, p in zip(groups, products))):
-            for ws_last in lasts.get((target, -sum(map(key_of.__getitem__, head))), ()):
-                yield head + (ws_last,)
-
-
-def _sieve(candidates, n, plan, stats, largest=None):
+def _sieve(candidates, n, plan, stats, largest=None, scale=1):
     """Canonical point tuples of the candidates that pass every check in
     plan (a _filter_plan), the one loop the search and the pools share.
 
     Each check is decided by its reader, in plan order, building
-    nothing.  Every candidate is a node in stats.  The call tallies its
-    failures by check and largest |weight| (largest when given: a
-    d-branch, an oracle level) and adds each count to that bucket once.
+    nothing.  Every candidate is scale nodes in stats (2 for a d-branch
+    that stands for its twin too).  The call tallies its failures by
+    check and largest |weight| (largest when given: a d-branch, an
+    oracle level) and adds each count, scale times, to that bucket once.
     """
     survivors, tally, nodes = set(), Counter(), 0
     for points in candidates:
@@ -384,9 +315,9 @@ def _sieve(candidates, n, plan, stats, largest=None):
             survivors.add(_canonical_points(points))
             continue
         tally[failed, largest or max(map(abs, chain.from_iterable(points)))] += 1
-    stats.nodes += nodes
+    stats.nodes += nodes * scale
     for (failed, top), count in tally.items():
-        stats.eliminated["odd" if top % 2 else "even"][failed] += count
+        stats.eliminated["odd" if top % 2 else "even"][failed] += count * scale
     return survivors
 
 
@@ -397,17 +328,13 @@ def _run_branch(payload):
     flags = config.prune_flags
     chern_on = flags.chern_linear and _chern1_binds(config.n, config.point_count)
     stats = SearchStats()
-    generate = _staged_candidates if d is None else _dbranch_candidates
-    candidates = generate(
-        config.n,
-        d or config.weight_bound,
-        profile,
-        chern_on,
-        flags.pairing_completion,
-        stats,
-    )
+    args = (config.n, d or config.weight_bound, profile, chern_on, flags.pairing_completion, stats)
+    streams = [(1, _staged_candidates(*args))] if d is None else _dbranch_candidates(*args)
     plan = _filter_plan(config.require_effective)
-    return _sieve(candidates, config.n, plan, stats, largest=d), stats
+    survivors = set()
+    for scale, candidates in streams:
+        survivors |= _sieve(candidates, config.n, plan, stats, d, scale)
+    return survivors, stats
 
 
 def enumerate_systems(config: SearchConfig, workers: int = 1) -> SearchOutcome:
@@ -637,8 +564,10 @@ def _partial_pool(n, point_count, bound, checks):
     a pair's heads whole when the target has the wrong sign or size, and
     each head closes by (product, excess key) lookup (see
     _staged_candidates): the sieve below rejects every candidate so
-    dropped, so the pool is what the uncut generation gives.  Each pool
-    is built once per process.
+    dropped, so the pool is what the uncut generation gives.  Under a
+    self-mirror three-point profile only one candidate of each reversal
+    pair is listed, and the canonical set would merge the two anyway.
+    Each pool is built once per process.
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")

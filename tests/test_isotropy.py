@@ -385,6 +385,15 @@ def test_isotropy_consistency_witness():
     assert isotropy_consistency_check(four).verdict == NOT_APPLICABLE
 
 
+def test_isotropy_reader_returns_a_failing_order_not_the_smallest():
+    # Z_8 and Z_3 both fail here; the reader walks its set of closed
+    # orders and stops at 8, while the report names the smallest, 3
+    system = _system(2, (1, 8), (-1, 3), (-8, -3))
+    assert isotropy._read_isotropy(2, system.points) == 8
+    got = isotropy_consistency_check(system)
+    assert (got.verdict, got.witness["k"]) == (FAIL, 3)
+
+
 def test_structure_relations_inert_without_the_structure():
     system = _system(2, (1, 2), (-1, 2), (-2, -3))
     results = structure_relation_checks(system)

@@ -27,6 +27,7 @@ from weightsys.constraints import (
 from weightsys.core import FixedPointSystem, _canonical_points, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
 from weightsys.isotropy import FILTER_CHECKS
+from weightsys.lifts import _factorizations, _free_points, _last_points, _last_product
 from weightsys.search import (
     FamilyPatternError,
     LemmaCounterexample,
@@ -52,11 +53,7 @@ from weightsys.search import (
     _REPLAYS,
     _dbranch_candidates,
     _excess_key,
-    _factorizations,
     _filter_plan,
-    _free_points,
-    _last_points,
-    _last_product,
     _partial_pool,
     _profiles,
     _sieve,
@@ -216,17 +213,26 @@ def test_oracle_spot_check_three_points_n14():
 
 
 def _sieve_inputs(monkeypatch):
-    """The list of the candidate lists each later _sieve call receives."""
+    """The list of the (scale, candidate list) each later _sieve call
+    receives."""
     received = []
     sieve = search._sieve
 
-    def recording(candidates, *args, **kwargs):
+    def recording(candidates, n, plan, stats, largest=None, scale=1):
         candidates = list(candidates)
-        received.append(candidates)
-        return sieve(candidates, *args, **kwargs)
+        received.append((scale, candidates))
+        return sieve(candidates, n, plan, stats, largest, scale)
 
     monkeypatch.setattr(search, "_sieve", recording)
     return received
+
+
+def _reads(received):
+    """How many candidates the recorded _sieve calls read, by scale."""
+    reads = Counter()
+    for scale, candidates in received:
+        reads[scale] += len(candidates)
+    return +reads
 
 
 def _pairing_complete(candidate):
@@ -245,12 +251,14 @@ def test_oracle_sieves_exactly_the_pairing_complete_candidates(monkeypatch):
         received.clear()
         outcome = naive_oracle(config, profile)
         complete = Counter(filter(_pairing_complete, candidates))
-        assert Counter(chain.from_iterable(received)) == complete, config
+        assert Counter(c for _, cs in received for c in cs) == complete, config
         assert outcome.stats.nodes == len(candidates), config
 
 
 def test_oracle_sieve_inputs_at_the_benchmark_scopes(monkeypatch):
-    # the oracle scopes of perfbench's oracle_crosscheck: (nodes, sieved)
+    # the oracle scopes of perfbench's oracle_crosscheck: (nodes, sieved).
+    # The oracle stays naive: its 3,114 candidates are each read at scale
+    # 1, standing for no reversal
     received = _sieve_inputs(monkeypatch)
     scopes = {
         (4, 3, 4, (0, 2, 4)): (122500, 1730),
@@ -260,21 +268,29 @@ def test_oracle_sieve_inputs_at_the_benchmark_scopes(monkeypatch):
     for (n, points, bound, profile), (nodes, sieved) in scopes.items():
         received.clear()
         outcome = naive_oracle(SearchConfig(n, points, bound), profile)
-        assert (outcome.stats.nodes, sum(map(len, received))) == (nodes, sieved), n
+        assert (outcome.stats.nodes, _reads(received)) == (nodes, {1: sieved}), n
+    assert sum(sieved for _, sieved in scopes.values()) == 3114
 
 
 def test_enumerator_sieves_only_pairing_complete_candidates(monkeypatch):
     # under the default flags every generator settles pairing before the
     # sieve: a two-point d-branch counts its unpaired lifts itself, so the
-    # sieve sees fewer candidates and nodes stay; (nodes, sieved) per scope
+    # sieve sees fewer candidates and nodes stay; (nodes, sieved by scale)
+    # per scope.  At the enum_frontier scopes the twin d-branches read
+    # each candidate once at scale 2, where reading both took 136 and 84
     received = _sieve_inputs(monkeypatch)
-    scopes = {(3, 2, 6): (167, 47), (5, 2, 3): (65, 27), (2, 3, 6): (177, 15)}
+    scopes = {
+        (3, 2, 6): (167, {1: 47}),
+        (5, 2, 3): (65, {1: 27}),
+        (2, 3, 6): (177, {1: 15}),
+        (10, 3, 5): (24736, {2: 68}),
+        (12, 3, 4): (9794, {2: 42}),
+    }
     for (n, points, bound), (nodes, sieved) in scopes.items():
         received.clear()
         outcome = enumerate_systems(SearchConfig(n, points, bound, require_effective=False))
-        candidates = list(chain.from_iterable(received))
-        assert all(map(_pairing_complete, candidates)), n
-        assert (outcome.stats.nodes, len(candidates)) == (nodes, sieved), n
+        assert all(_pairing_complete(c) for _, cs in received for c in cs), n
+        assert (outcome.stats.nodes, _reads(received)) == (nodes, sieved), n
 
 
 def _guard_message(space):
@@ -496,12 +512,32 @@ def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
                     yield tuple(slots)
 
 
+def _reversed(points):
+    """The candidate with the action reversed: the points in reverse
+    order, each negated and ascending."""
+    return tuple(tuple(-w for w in reversed(ws)) for ws in reversed(points))
+
+
+def _listing(streams):
+    """The candidates a d-branch call stands for, as a multiset: every
+    candidate its (scale, candidates) streams list, and the reversal of
+    each one a stream lists at scale 2 (the twin it stands for)."""
+    listed = Counter()
+    for scale, candidates in streams:
+        for candidate in candidates:
+            listed[candidate] += 1
+            if scale == 2:
+                listed[_reversed(candidate)] += 1
+    return listed
+
+
 @cache
 def _dbranch_walk():
     """Every d-branch up to n d = 16, both point counts, every profile and
-    c_1 / pairing-completion setting: (args, cut, listed, reference, stats),
-    where cut says the branch lists only its localization passes (three
-    points closed by pairing completion under a count-symmetric profile)."""
+    c_1 / pairing-completion setting: (args, cut, streams, reference,
+    stats), where streams lists the call's (scale, candidates) and cut
+    says the branch lists only its localization passes (three points
+    closed by pairing completion under a count-symmetric profile)."""
     walk = []
     for point_count in (2, 3):
         for n in range(1, 17):
@@ -511,10 +547,13 @@ def _dbranch_walk():
                     for chern_on, pairing in product((False, True), repeat=2):
                         args = (n, point_count, d, profile, chern_on, pairing)
                         stats = SearchStats()
-                        listed = Counter(_dbranch_candidates(n, *args[2:], stats))
+                        streams = [
+                            (scale, list(candidates))
+                            for scale, candidates in _dbranch_candidates(n, *args[2:], stats)
+                        ]
                         reference = list(_reference_dbranch(*args))
                         cut = point_count == 3 and pairing and symmetric
-                        walk.append((args, cut, listed, reference, stats))
+                        walk.append((args, cut, streams, reference, stats))
     return tuple(walk)
 
 
@@ -530,9 +569,11 @@ def _kept(args, cut, reference):
 def test_dbranch_lifts_match_the_full_lift_walk():
     # the unrestricted profiles include every count-symmetric one; a cut
     # branch lists exactly the reference's localization passes, any other
-    # branch exactly the reference
+    # branch exactly the reference, each candidate of a stream at scale 2
+    # standing for its reversal too
     walk = _dbranch_walk()
-    for args, cut, listed, reference, _ in walk:
+    for args, cut, streams, reference, _ in walk:
+        listed = _listing(streams)
         assert listed == Counter(_kept(args, cut, reference)), args
         # the sieve buckets a d-branch's failures by d without looking
         d = args[2]
@@ -568,10 +609,12 @@ def test_dbranch_single_hit_misses_nothing():
     # the one closure C(0 + 1, 1) allows.  v = (-2, -1), w = (1, 2) is the
     # cp2 family (1, 1), whose closure {-1, 1} hits the target and misses
     # nothing; the other two have P_v + P_w = 0, so their target is 0 and
-    # each misses its one closure
+    # each misses its one closure.  Those two are twins: the lower walks
+    # for both, at scale 2, and lists nothing
     stats = SearchStats()
-    listed = list(_dbranch_candidates(2, 2, (0, 1, 2), False, True, stats))
-    assert listed == [((1, 2), (-1, 1), (-2, -1))]
+    streams = _dbranch_candidates(2, 2, (0, 1, 2), False, True, stats)
+    listed = [(scale, list(candidates)) for scale, candidates in streams]
+    assert listed == [(2, []), (1, [((1, 2), (-1, 1), (-2, -1))])]
     assert stats.nodes == 2
     assert stats.eliminated == {"odd": {}, "even": {"localization": 2}}
 
@@ -600,7 +643,7 @@ def test_dbranch_class_walk_matches_the_reference_up_to_n_d_24():
             for chern_on in (False, True):
                 args = (n, point_count, d, profile, chern_on, True)
                 stats = SearchStats()
-                listed = Counter(_dbranch_candidates(n, d, profile, chern_on, True, stats))
+                listed = _listing(_dbranch_candidates(n, d, profile, chern_on, True, stats))
                 reference = list(_reference_dbranch(*args))
                 kept = _kept(args, point_count == 3, reference)
                 assert listed == Counter(kept), args
@@ -642,21 +685,24 @@ def test_frontier_counts_frozen():
 
 
 def test_frontier_counts_frozen_at_n10_w6(monkeypatch):
-    # the d-branches list only the 412 candidates that hit their
-    # localization target; every other node is a completion counted
-    # without being listed
-    listed = []
+    # the d-branches stand for only the 412 candidates that hit their
+    # localization target, and list 206 of them, each at scale 2 for its
+    # reversal; every other node is a completion counted without being
+    # listed
+    streams = []
     dbranch_candidates = search._dbranch_candidates
 
-    def counting(*args):
-        for candidate in dbranch_candidates(*args):
-            listed.append(candidate)
-            yield candidate
+    def recording(*args):
+        for scale, candidates in dbranch_candidates(*args):
+            streams.append((scale, list(candidates)))
+            yield streams[-1]
 
-    monkeypatch.setattr(search, "_dbranch_candidates", counting)
+    monkeypatch.setattr(search, "_dbranch_candidates", recording)
     config = SearchConfig(n=10, point_count=3, weight_bound=6)
     outcome = enumerate_systems(config)
-    assert len(listed) == 412
+    assert {scale for scale, _ in streams} == {2}
+    assert sum(len(candidates) for _, candidates in streams) == 206
+    assert sum(_listing(streams).values()) == 412
     assert outcome.survivors == ()
     assert outcome.stats.nodes == 185718
     assert outcome.stats.eliminated == {
@@ -665,24 +711,29 @@ def test_frontier_counts_frozen_at_n10_w6(monkeypatch):
     }
 
 
-def _reversed(points):
-    """The candidate with the action reversed: the points in reverse
-    order, each negated and ascending."""
-    return tuple(tuple(-w for w in reversed(ws)) for ws in reversed(points))
-
-
 def test_dbranch_self_mirror_listing_is_closed_under_reversal():
     # a self-mirror three-point profile walks one branch of each pair of
-    # twins and yields the reversals for the other: every candidate it
-    # lists has its reversal listed as often
-    branches = listed_total = 0
-    for args, _, listed, _, _ in _dbranch_walk():
+    # twins and lists its candidates at scale 2, for the other too: every
+    # candidate the call stands for has its reversal as often; a stream at
+    # scale 2 holds no candidate's reversal (the twin is not listed
+    # again), and a branch that is its own twin lists every reversal;
+    # 14,255 candidates are read for the 21,132 they stand for
+    branches = listed_total = read_total = 0
+    for args, _, streams, _, _ in _dbranch_walk():
         n, point_count, _, profile = args[:4]
         if point_count == 3 and profile == tuple(n - lam for lam in reversed(profile)):
+            listed = _listing(streams)
             assert listed == Counter({_reversed(c): k for c, k in listed.items()}), args
+            for scale, candidates in streams:
+                reversals = Counter(map(_reversed, candidates))
+                if scale == 2:
+                    assert not reversals & Counter(candidates), args
+                else:
+                    assert reversals == Counter(candidates), args
+                read_total += len(candidates)
             branches += 1
             listed_total += sum(listed.values())
-    assert (branches, listed_total) == (304, 21132)
+    assert (branches, listed_total, read_total) == (304, 21132, 14255)
 
 
 def test_dbranch_twins_walk_their_lifts_once(monkeypatch):
@@ -861,8 +912,9 @@ def _reference_sieve(candidates, n, plan, stats):
 
 
 def _sieve_streams():
-    """(label, n, plan, [(candidates, largest)]): each stream of calls is
-    run through one SearchStats, so later calls add to earlier buckets."""
+    """(label, n, plan, [(candidates, largest, scale)]): each stream of
+    calls is run through one SearchStats, so later calls add to earlier
+    buckets."""
     # oracle levels: every candidate of the product, one call per largest t
     for n, point_count, bound, profile, effective in (
         (4, 3, 2, None, False),
@@ -879,20 +931,25 @@ def _sieve_streams():
             ([c for c in product(*pools) if max(abs(w) for ws in c for w in ws) == t], t)
             for t in range(1, bound + 1)
         ]
+        calls = [(candidates, t, 1) for candidates, t in calls]
         yield ("oracle", n, point_count, bound, profile), n, _filter_plan(effective), calls
-    # d-branches, a third point closed from the pairing excess or free
+    # d-branches, a third point closed from the pairing excess or free;
+    # a twin branch's streams at scale 2
     for n, point_count, bound, complete in ((2, 3, 6, True), (2, 3, 3, False), (3, 2, 5, True)):
         calls = [
-            (list(_dbranch_candidates(n, d, profile, False, complete, SearchStats())), d)
+            (list(candidates), d, scale)
             for profile in _profiles(n, point_count, False)
             for d in range(1, bound + 1)
+            for scale, candidates in _dbranch_candidates(
+                n, d, profile, False, complete, SearchStats()
+            )
         ]
         yield ("dbranch", n, point_count, bound, complete), n, _filter_plan(False), calls
     # staged streams with their last point free, under the full plan, a
     # replay pool's plan and the pairwise premises' plan
     for n, point_count, bound in ((2, 3, 3), (3, 2, 4)):
         staged = [
-            (list(_staged_candidates(n, bound, profile, False, False, SearchStats())), None)
+            (list(_staged_candidates(n, bound, profile, False, False, SearchStats())), None, 1)
             for profile in _profiles(n, point_count, False)
         ]
         for checks in (None, _L32_PREMISES, _PAIRWISE_PREMISES):
@@ -906,14 +963,18 @@ def _counts(stats):
 
 
 def test_sieve_matches_the_plain_reference_loop():
-    deep_kinds = set()
+    # a call at scale 2 counts as the reference loop over its candidates
+    # and their reversals
+    deep_kinds, scales = set(), Counter()
     for label, n, plan, calls in _sieve_streams():
         got, want = SearchStats(), SearchStats()
-        for candidates, largest in calls:
-            survivors = _sieve(iter(candidates), n, plan, got, largest)
-            assert survivors == _reference_sieve(candidates, n, plan, want), label
+        for candidates, largest, scale in calls:
+            survivors = _sieve(iter(candidates), n, plan, got, largest, scale)
+            stands_for = list(_listing([(scale, candidates)]).elements())
+            assert survivors == _reference_sieve(stands_for, n, plan, want), label
+            scales[scale] += len(candidates)
         assert _counts(got) == _counts(want), label
-        assert got.nodes == sum(len(c) for c, _ in calls), label
+        assert got.nodes == sum(len(c) * scale for c, _, scale in calls), label
         for killed in want.eliminated.values():
             deep_kinds.update(killed)
     # every check kills something but parity, which nothing past pairing
@@ -921,6 +982,7 @@ def test_sieve_matches_the_plain_reference_loop():
     assert deep_kinds == {entry[0] for entry in FILTER_CHECKS} - {
         "parity", "largest_weight_structure"
     }
+    assert scales[2] > 0
 
 
 def test_sieve_over_an_empty_stream_changes_no_count():
@@ -1060,6 +1122,19 @@ _CUT_PREMISES = (
 )
 
 
+def _pool_listing(n, profile, candidates):
+    """A localize walk's candidates as a multiset, under a self-mirror
+    three-point profile with each one's reversal added where it differs:
+    the walk lists one candidate of each reversal pair there."""
+    mirror = len(profile) == 3 and list(profile) == [n - lam for lam in reversed(profile)]
+    listed = Counter()
+    for candidate in candidates:
+        listed[candidate] += 1
+        if mirror and _reversed(candidate) != candidate:
+            listed[_reversed(candidate)] += 1
+    return listed
+
+
 def test_localization_cut_keeps_every_pool():
     # n = 1..4 and W = 3..5; three-point n >= 3 stops at W = 3, where the
     # uncut walk over every profile still takes well under a second (the
@@ -1072,7 +1147,8 @@ def test_localization_cut_keeps_every_pool():
         if bound == 3 or point_count == 2 or n < 3
     ]
     for n, point_count, bound in scopes:
-        # the cut drops exactly the uncut candidates failing localization
+        # the cut drops exactly the uncut candidates failing localization,
+        # and, under a self-mirror profile, the reversal of each it lists
         kept = {}
         for profile in _profiles(n, point_count, False):
             for chern_on in {False, point_count == 3 and n >= 4}:
@@ -1083,7 +1159,7 @@ def test_localization_cut_keeps_every_pool():
                     if _read_localization(n, ws) is None
                 ]
                 cut = _staged_candidates(*args, SearchStats(), True)
-                assert Counter(cut) == Counter(uncut), args
+                assert _pool_listing(n, profile, cut) == Counter(uncut), args
                 kept[profile, chern_on] = uncut
         # so each pool is the reference sieve over the uncut generation
         # (whose localization failures the sieve would reject anyway)
@@ -1122,24 +1198,27 @@ def _per_head_candidates(n, point_count, bound, profile, chern_on=False):
 
 def test_grouped_localize_walk_matches_the_per_head_walk():
     # every profile at n <= 4, W <= 5, but at (4, 3, 5) only the
-    # count-symmetric ones, which its pairwise-premise pool walks
+    # count-symmetric ones, which its pairwise-premise pool walks; under a
+    # self-mirror profile the grouped walk lists one of each reversal pair
     for n, point_count, bound in product(range(1, 5), (2, 3), range(1, 6)):
         symmetric = (n, point_count, bound) == (4, 3, 5)
         for profile in _profiles(n, point_count, symmetric):
             args = (n, point_count, bound, profile)
             grouped = _staged_candidates(n, bound, profile, False, True, SearchStats(), True)
-            assert Counter(grouped) == Counter(_per_head_candidates(*args)), args
+            listed = _pool_listing(n, profile, grouped)
+            assert listed == Counter(_per_head_candidates(*args)), args
 
 
 def test_lookup_walk_matches_the_closure_walk_with_c1_cut():
     # the last points listed once, cut by c_1 like the heads, are exactly
-    # the closures the per-head walk takes, with c_1 binding or not
+    # the closures the per-head walk takes, with c_1 binding or not, one
+    # candidate of each reversal pair listed
     kept = Counter()
     for bound, chern_on in product((5, 6), (False, True)):
         for profile in _profiles(4, 3, True):
             args = (4, 3, bound, profile, chern_on)
-            lookup = Counter(
-                _staged_candidates(4, bound, profile, chern_on, True, SearchStats(), True)
+            lookup = _pool_listing(
+                4, profile, _staged_candidates(4, bound, profile, chern_on, True, SearchStats(), True)
             )
             assert lookup == Counter(_per_head_candidates(*args)), args
             kept[chern_on] += sum(lookup.values())
@@ -1148,12 +1227,16 @@ def test_lookup_walk_matches_the_closure_walk_with_c1_cut():
 
 def test_pool_walk_takes_no_excess_per_head(monkeypatch):
     # the pools close the last point by (product, excess key) lookup: no
-    # head's excess is taken and no closure is listed per head
+    # head's excess is taken and no closure is listed per head.  One
+    # candidate of each reversal pair is listed: the sieve reads exactly
+    # the 234 members, where listing both twins gave 437
     def per_head(*args):
         raise AssertionError("the pool walk closed a head point by point")
 
-    monkeypatch.setattr(search, "_last_points", per_head)
+    monkeypatch.setattr(lifts, "_last_points", per_head)
+    received = _sieve_inputs(monkeypatch)
     assert len(_partial_pool.__wrapped__(4, 3, 5, _PAIRWISE_PREMISES)) == 234
+    assert _reads(received) == {1: 234}
 
 
 def test_excess_key_is_the_excess_read_in_base():
@@ -1170,13 +1253,13 @@ def test_localize_walk_takes_one_target_per_product_pair(monkeypatch):
     # two-point scope.  A profile whose lambdas share one parity takes
     # none: every product then has one sign, so no candidate localizes
     calls = []
-    last_product = search._last_product
+    last_product = lifts._last_product
 
     def counted(products):
         calls.append(products)
         return last_product(products)
 
-    monkeypatch.setattr(search, "_last_product", counted)
+    monkeypatch.setattr(lifts, "_last_product", counted)
     targets = 0
     for n, point_count, bound in ((4, 3, 5), (3, 2, 4)):
         for profile in _profiles(n, point_count, True):
@@ -1207,7 +1290,7 @@ def test_target_zero_misses_every_closure(monkeypatch):
             continue
         n, _, d, profile, chern_on, _ = args
         stats = SearchStats()
-        assert list(_dbranch_candidates(n, d, profile, chern_on, True, stats)) == [], args
+        assert _listing(_dbranch_candidates(n, d, profile, chern_on, True, stats)) == {}, args
         bucket = "odd" if d % 2 == 1 else "even"
         want = {bucket: {"localization": len(reference)}} if reference else {}
         assert stats.nodes == len(reference), args
