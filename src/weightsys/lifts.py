@@ -1,5 +1,5 @@
-"""The search's candidate generators, the d-branches and the staged path,
-and the point generators they share.
+"""The search's candidate generators, the d-branches, the staged path and
+the oracle's slices, and the point generators they share.
 
 A d-branch (_dbranch_candidates) puts -d at a point v and +d at a point
 w.  Every other weight of v lies in [-(d-1), d-1], and w is a lift of
@@ -22,9 +22,20 @@ _free_points), the last point closed from the pairing excess
 (_last_points, _closures), and the last point's weight product that
 localization forces (_last_product).  The pools key the last points by
 pairing excess (_excess_key), as the oracle's listing does.
+
+The oracle's slices (_oracle_slices) split the full product by largest
+|weight|.  Inside a slice every point's multisets are grouped by excess
+key (_slice_candidates): a tuple of the other points' classes pairs
+only with the last point's class at minus their keys' sum, lambda
+symmetry and parity are read once per tuple that pairs, and each head
+closes by looking up, in that class, the weight product localization
+forces on the last point.  The candidates so settled are counted, not
+listed.
 """
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from itertools import chain, combinations_with_replacement, groupby, permutations, product
 
 from .constraints import _count_symmetric
@@ -369,3 +380,92 @@ def _branch_candidates(n, d, profile, ia, ib, scale, chern_on, pairing_complete,
     if missed:
         stats.nodes += missed
         killed["localization"] += missed
+
+
+def _by_largest(n, lams, bound, base):
+    """(ranked, ends): the ascending multisets of n weights from +-[1, bound]
+    with a negative count in lams, each as (excess key, weight product,
+    ws) (_excess_key), sorted by largest |weight|, and ends[t] = how many
+    have largest |weight| <= t, for t in 0..bound."""
+    def largest(entry):
+        return max(-entry[2][0], entry[2][-1])
+
+    multisets = chain.from_iterable(_signed_multisets(lam, n - lam, bound) for lam in lams)
+    keyed = ((_excess_key(ws, base), math.prod(ws), ws) for ws in multisets)
+    ranked = sorted(keyed, key=largest)
+    return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)]
+
+
+def _oracle_slices(n, lam_sets, bound, checks, stats):
+    """The oracle's product as (t, candidates) streams, one per slice:
+    largest |weight| t = 1..W and i, the first point whose largest |weight|
+    is t.  The points before i take the multisets below t, point i those
+    at t, and the points after it those at most t, so each candidate
+    falls in one slice.  One ranked pool (_by_largest) per distinct
+    lambda set, shared by the points that use it."""
+    base = n * len(lam_sets) + 1
+    by_set = {lams: _by_largest(n, lams, bound, base) for lams in set(lam_sets)}
+    pools = [by_set[lams] for lams in lam_sets]
+    for t in range(1, bound + 1):
+        for i in range(len(pools)):
+            factors = [
+                ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
+                for j, (ranked, ends) in enumerate(pools)
+            ]
+            yield t, _slice_candidates(n, factors, checks, stats, t)
+
+
+def _slice_candidates(n, factors, checks, stats, t):
+    """The candidates of one oracle slice that pass the filter up to
+    localization; every other one is counted in stats, as a node killed
+    at the first check it fails, in t's bucket.
+
+    factors holds each point's (excess key, product, ws) entries, which
+    are grouped by key (_by_key).  A tuple of the other points' classes
+    pairs only with the last point's class at minus its keys' sum.  A
+    point's excess fixes its lambda (sum_x e[x] = n - 2 lambda), so the
+    checks (lambda symmetry and parity, which read the lambdas alone)
+    are read once per tuple that pairs, on one sample candidate.  Under
+    a tuple passing them, each head (one multiset per other point) looks
+    up the last points at (that class's key, the product localization
+    forces, _last_product): only those are listed, and the rest of the
+    class dies at localization.
+    """
+    *heads, last = map(_by_key, factors)
+    # the last point's multisets by (excess key, weight product)
+    closes = {}
+    for key, p, ws in factors[-1]:
+        closes.setdefault((key, p), []).append(ws)
+    killed = Counter(pairing=math.prod(map(len, factors)))
+    for classes in product(*(head.items() for head in heads)):
+        keys, members = zip(*classes)
+        key = -sum(keys)
+        closing = last.get(key)
+        if closing is None:
+            continue
+        size = math.prod(map(len, members)) * len(closing)
+        killed["pairing"] -= size
+        # every candidate of the tuple has the sample's lambdas
+        sample = tuple(m[0][1] for m in members) + (closing[0][1],)
+        failed = next((cid for cid, _, read in checks if read(n, sample) is not None), None)
+        killed[failed or "localization"] += size
+        if failed:
+            continue
+        for head in product(*members):
+            fits = closes.get((key, _last_product([p for p, _ in head])))
+            if fits:
+                killed["localization"] -= len(fits)
+                ws_head = tuple(ws for _, ws in head)
+                for ws in fits:
+                    yield ws_head + (ws,)
+    stats.nodes += killed.total()
+    stats.eliminated["odd" if t % 2 else "even"].update(+killed)
+
+
+def _by_key(entries):
+    """{excess key: [(weight product, ws)]} over (key, product, ws)
+    entries."""
+    classes = {}
+    for key, p, ws in entries:
+        classes.setdefault(key, []).append((p, ws))
+    return classes

@@ -61,12 +61,15 @@ are the same system, so the oracle iterates multisets, listed by the
 negative counts allowed at each point: a lambda profile's one per point,
 or, unrestricted, every lambda in 0..n at every point.  The 1e8 guard on
 the number of candidates so walked is counted from the same counts.  The
-walk goes by largest |weight| t, one sub-product per t and per first
-point reaching t, so each candidate falls in exactly one; t is only the
-bucket its failures go to.  Inside a sub-product the candidates go by
-pairing-excess class, and only those whose excess vectors add to 0 are
-listed: every other one fails pairing, so it is counted as a node killed
-there, as the sieve would, without being built.
+walk goes by largest |weight| t, one slice per t and per first point
+reaching t, so each candidate falls in exactly one; t is only the bucket
+its failures go to.  Inside a slice the filter's prefix up to
+localization is decided per class (lifts._slice_candidates): pairing by
+excess class, lambda symmetry and parity once per class tuple, and
+localization by a lookup of the last point's product.  Only the
+candidates passing all four are listed; every other one is counted as a
+node killed at the first of them it fails, as the sieve would, without
+being built.
 
 The enumerator, the oracle and the replay premise pools share one sieve
 (_sieve: run a plan of checks, count nodes and failures, keep survivors'
@@ -117,12 +120,10 @@ keeps its effective members), the family tuple per bound.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import chain, combinations_with_replacement, groupby, permutations, product
-from operator import itemgetter
+from itertools import chain, combinations_with_replacement, permutations
 
 from .constraints import (
     FAIL,
@@ -145,7 +146,7 @@ from .isotropy import (
     lambda_step_check,
     largest_weight_structure,
 )
-from .lifts import _dbranch_candidates, _excess_key, _signed_multisets, _staged_candidates
+from .lifts import _dbranch_candidates, _oracle_slices, _staged_candidates
 
 __all__ = [
     "PruneFlags",
@@ -383,19 +384,16 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     """Brute force: the full product of per-point weight multisets.
 
     No structural pruning at all - every candidate is counted, and every
-    pairing-complete one is pushed through the same filter the
+    one that passes localization is pushed through the same filter the
     enumerator uses, pairing first.  Weight order inside a point is
     meaningless (points carry multisets), so the walk is over per-point
     multisets; the 1e8 guard caps their product, which is counted with
-    math.comb before any multiset is listed.  The product is walked as
-    the disjoint sub-products of largest |weight| t = 1..W: with i the
-    first point whose largest |weight| is t, the points before it take
-    the multisets below t, point i those at t, and the points after it
-    those at most t.  Each sub-product groups every point's multisets by
-    excess key (_by_largest) and hands the sieve, told t for the parity
-    bucket of its failures, only the products whose last point's key is
-    minus the others' sum; every other candidate fails pairing, and is
-    added to the nodes and to t's pairing failures without being built.
+    math.comb before any multiset is listed.  The product is walked in
+    disjoint slices by largest |weight| t = 1..W (lifts._oracle_slices).
+    A slice settles pairing, lambda symmetry, parity and localization by
+    class and by product lookup (lifts._slice_candidates), counting each
+    candidate that fails one as a node killed there, in t's bucket, and
+    hands the sieve, told t, only the candidates that pass all four.
     An optional lambda_profile (one negative count per point, in point
     order) narrows each point's counts from 0..n to its own, which is how
     scopes otherwise past the guard get spot-checked.  Single-threaded on
@@ -424,52 +422,14 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
             "or restrict the lambda profile" % (space, _ORACLE_GUARD)
         )
 
-    # one pool per distinct set, shared by the points that use it
-    base = n * config.point_count + 1
-    by_set = {lams: _by_largest(n, lams, bound, base) for lams in set(lam_sets)}
-    pools = [by_set[lams] for lams in lam_sets]
     plan = _filter_plan(config.require_effective)
     stats = SearchStats()
     survivors = set()
-    for t in range(1, bound + 1):
-        for i in range(len(pools)):
-            # i is the first point reaching t: the points before it stay
-            # below t, the points after it at most t
-            factors = [
-                ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
-                for j, (ranked, ends) in enumerate(pools)
-            ]
-            # a candidate passes pairing only with its last point in the
-            # excess class at minus the others'; every other one fails it
-            *heads, last = (
-                {e: [ws for _, ws in g] for e, g in groupby(sorted(f), itemgetter(0))}
-                for f in factors
-            )
-            listed, missed = [], math.prod(map(len, factors))
-            for classes in product(*(head.items() for head in heads)):
-                keys, groups = zip(*classes)
-                closing = last.get(-sum(keys), ())
-                listed.append(product(*groups, closing))
-                missed -= math.prod(map(len, groups)) * len(closing)
-            survivors |= _sieve(chain.from_iterable(listed), n, plan, stats, largest=t)
-            if missed:
-                stats.nodes += missed
-                stats.eliminated["odd" if t % 2 else "even"]["pairing"] += missed
+    # the plan opens with pairing, lambda_symmetry, parity, localization:
+    # the middle two read the lambdas alone
+    for t, candidates in _oracle_slices(n, lam_sets, bound, plan[1:3], stats):
+        survivors |= _sieve(candidates, n, plan, stats, largest=t)
     return SearchOutcome(_systems(n, survivors), stats)
-
-
-def _by_largest(n, lams, bound, base):
-    """(ranked, ends): the ascending multisets of n weights from +-[1, bound]
-    with a negative count in lams, each after its excess key
-    (_excess_key), sorted by largest |weight|, and ends[t] = how many
-    have largest |weight| <= t, for t in 0..bound."""
-    def largest(pair):
-        return max(-pair[1][0], pair[1][-1])
-
-    multisets = chain.from_iterable(_signed_multisets(lam, n - lam, bound) for lam in lams)
-    keyed = ((_excess_key(ws, base), ws) for ws in multisets)
-    ranked = sorted(keyed, key=largest)
-    return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)]
 
 
 def cp2_family(a: int, b: int) -> FixedPointSystem:

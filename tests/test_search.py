@@ -10,6 +10,7 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
+from fractions import Fraction
 from functools import cache
 from math import comb, prod
 from itertools import chain, combinations_with_replacement, permutations, product
@@ -27,7 +28,14 @@ from weightsys.constraints import (
 from weightsys.core import FixedPointSystem, _canonical_points, canonicalize, reverse_action
 from weightsys.documents import emit_search_document, render_json
 from weightsys.isotropy import FILTER_CHECKS
-from weightsys.lifts import _factorizations, _free_points, _last_points, _last_product
+from weightsys.lifts import (
+    _excess_key,
+    _factorizations,
+    _free_points,
+    _last_points,
+    _last_product,
+    _signed_multisets,
+)
 from weightsys.search import (
     FamilyPatternError,
     LemmaCounterexample,
@@ -52,12 +60,10 @@ from weightsys.search import (
     _PAIRWISE_PREMISES,
     _REPLAYS,
     _dbranch_candidates,
-    _excess_key,
     _filter_plan,
     _partial_pool,
     _profiles,
     _sieve,
-    _signed_multisets,
     _staged_candidates,
 )
 
@@ -119,11 +125,17 @@ def _oracle_reference_scopes():
     yield SearchConfig(2, 3, 5), (0, 1, 2)
     # a repeated lambda: two points share one pool
     yield SearchConfig(3, 3, 2), (1, 1, 2)
+    # classes that pair but fail lambda symmetry, counted in bulk
+    yield SearchConfig(4, 3, 3), (1, 1, 4)
+    # unrestricted: lambda symmetry, localization and c_1 kills together
+    yield SearchConfig(4, 3, 2, False), None
 
 
 def test_oracle_largest_weight_walk_matches_the_plain_product():
     # the walk by largest |weight| lists each candidate once and buckets
-    # its failures as the per-candidate max would
+    # its failures as the per-candidate max would; the checks it counts
+    # in bulk, by class and by product lookup, each kill something here
+    kinds = set()
     for config, profile in _oracle_reference_scopes():
         outcome = naive_oracle(config, profile)
         stats, survivors = _reference_oracle(config, profile)
@@ -132,6 +144,8 @@ def test_oracle_largest_weight_walk_matches_the_plain_product():
         killed = {b: dict(c) for b, c in outcome.stats.eliminated.items()}
         assert killed == {b: dict(c) for b, c in stats.eliminated.items()}, config
         assert all(chain.from_iterable(c.values() for c in killed.values())), config
+        kinds.update(chain.from_iterable(killed.values()))
+    assert {"pairing", "lambda_symmetry", "localization", "chern1_vanishing"} <= kinds
 
 
 def test_oracle_is_the_union_of_its_profile_walks():
@@ -199,7 +213,6 @@ def test_oracle_spot_check_three_points_n12():
     }
 
 
-@pytest.mark.slow
 def test_oracle_spot_check_three_points_n14():
     # the smallest count-symmetric profile at W=3: 120 * 1296 * 120 candidates
     config = SearchConfig(n=14, point_count=3, weight_bound=3, require_effective=False)
@@ -209,6 +222,20 @@ def test_oracle_spot_check_three_points_n14():
     assert oracle.stats.eliminated == {
         "odd": {"pairing": 18550728, "localization": 97124, "chern1_vanishing": 149},
         "even": {"pairing": 13608, "localization": 784, "chern1_vanishing": 7},
+    }
+
+
+def test_oracle_spot_check_three_points_n16():
+    # the smallest count-symmetric profile at W=3: 153 * 2025 * 153
+    # candidates, the largest such scope under the 1e8 guard (n=18 has
+    # 109M)
+    config = SearchConfig(n=16, point_count=3, weight_bound=3, require_effective=False)
+    oracle = naive_oracle(config, lambda_profile=(0, 8, 16))
+    assert oracle.survivors == enumerate_systems(config).survivors == ()
+    assert oracle.stats.nodes == 47403225
+    assert oracle.stats.eliminated == {
+        "odd": {"pairing": 47185176, "localization": 194641},
+        "even": {"pairing": 22272, "localization": 1136},
     }
 
 
@@ -240,36 +267,54 @@ def _pairing_complete(candidate):
     return union == [-w for w in reversed(union)]
 
 
-def test_oracle_sieves_exactly_the_pairing_complete_candidates(monkeypatch):
-    # a candidate whose union is not its own negation fails pairing, so the
-    # oracle counts those by excess class: the sieve must see every
-    # pairing-complete candidate of the plain product once and no other,
-    # with nodes unchanged
+def _passes_up_to_localization(n, candidate):
+    """pairing, lambda symmetry, parity and localization, each read off
+    its definition: the union is its own negation, the negative counts
+    are symmetric under i -> n - i, an odd point count has n even, and
+    sum_p 1/P_p = 0."""
+    lams = sorted(sum(w < 0 for w in ws) for ws in candidate)
+    return (
+        _pairing_complete(candidate)
+        and lams == [n - lam for lam in reversed(lams)]
+        and (len(candidate) % 2 == 0 or n % 2 == 0)
+        and sum(Fraction(1, prod(ws)) for ws in candidate) == 0
+    )
+
+
+def test_oracle_sieves_exactly_the_localization_passers(monkeypatch):
+    # the oracle counts by class and by product lookup every candidate
+    # that fails pairing, lambda symmetry, parity or localization: the
+    # sieve must see every candidate of the plain product that passes
+    # them once, at scale 1, and no other, with nodes unchanged
     received = _sieve_inputs(monkeypatch)
     for config, profile in _oracle_reference_scopes():
         candidates = list(product(*_plain_pools(config, profile)))
         received.clear()
         outcome = naive_oracle(config, profile)
-        complete = Counter(filter(_pairing_complete, candidates))
-        assert Counter(c for _, cs in received for c in cs) == complete, config
+        passers = Counter(c for c in candidates if _passes_up_to_localization(config.n, c))
+        assert Counter(c for _, cs in received for c in cs) == passers, config
+        assert {scale for scale, _ in received} == {1}, config
         assert outcome.stats.nodes == len(candidates), config
 
 
 def test_oracle_sieve_inputs_at_the_benchmark_scopes(monkeypatch):
     # the oracle scopes of perfbench's oracle_crosscheck: (nodes, sieved).
-    # The oracle stays naive: its 3,114 candidates are each read at scale
-    # 1, standing for no reversal
+    # Only the candidates passing localization reach the sieve, 616 of the
+    # 3,114 that pass pairing, each read at scale 1, standing for no
+    # reversal
     received = _sieve_inputs(monkeypatch)
     scopes = {
-        (4, 3, 4, (0, 2, 4)): (122500, 1730),
-        (3, 2, 6, None): (132496, 724),
-        (5, 2, 3, None): (63504, 660),
+        (4, 3, 4, (0, 2, 4)): (122500, 0),
+        (3, 2, 6, None): (132496, 364),
+        (5, 2, 3, None): (63504, 252),
     }
     for (n, points, bound, profile), (nodes, sieved) in scopes.items():
         received.clear()
         outcome = naive_oracle(SearchConfig(n, points, bound), profile)
-        assert (outcome.stats.nodes, _reads(received)) == (nodes, {1: sieved}), n
-    assert sum(sieved for _, sieved in scopes.values()) == 3114
+        assert {scale for scale, _ in received} == {1}, n
+        sieves = sum(len(candidates) for _, candidates in received)
+        assert (outcome.stats.nodes, sieves) == (nodes, sieved), n
+    assert sum(sieved for _, sieved in scopes.values()) == 616
 
 
 def test_enumerator_sieves_only_pairing_complete_candidates(monkeypatch):
