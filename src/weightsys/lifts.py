@@ -1,36 +1,19 @@
-"""The search's candidate generators, the d-branches, the staged path and
-the oracle's slices, and the point generators they share.
+"""The search's candidate generators and the point generators they share.
 
-A d-branch (_dbranch_candidates) puts -d at a point v and +d at a point
-w.  Every other weight of v lies in [-(d-1), d-1], and w is a lift of
-them: each weight of residue r mod d becomes r or r - d.  The pairing
-excess of v and w is decided pair by pair of residue classes {x, d - x},
-so the lifts are listed by class, one down count per pair, and a class's
-excess is taken once for all its lifts (_classes).
+- _dbranch_candidates: the enumerator's branches, one per lambda
+  profile and largest weight d, through the +-d structure: w's weights
+  are lifts of v's residues mod d, walked by class (_classes);
+- _staged_candidates: heads of free multisets, each closed by a lookup
+  of the last point; the enumerator's walk without largest-weight
+  pruning and the replay pools' walk;
+- _oracle_slices: the oracle's full product, one slice per largest
+  |weight|, settled up to localization by class and product lookup
+  (_slice_candidates).
 
-Under a self-mirror three-point profile, reversing the action maps each
-branch onto a twin, and only one of the two walks its lifts.  It lists
-each candidate once, in a (scale, candidates) stream at scale 2: the
-sieve counts the candidate for its reversal too, and no reversal is
-built.
-
-The staged path (_staged_candidates) lists free multisets for every
-point but the last, then closes the last; the search takes it without
-largest-weight pruning, and the replay pools always.  Both paths share
-the point generators: free multisets (_signed_multisets, cut by c_1 in
-_free_points), the last point closed from the pairing excess
-(_last_points, _closures), and the last point's weight product that
-localization forces (_last_product).  The pools key the last points by
-pairing excess (_excess_key), as the oracle's listing does.
-
-The oracle's slices (_oracle_slices) split the full product by largest
-|weight|.  Inside a slice every point's multisets are grouped by excess
-key (_slice_candidates): a tuple of the other points' classes pairs
-only with the last point's class at minus their keys' sum, lambda
-symmetry and parity are read once per tuple that pairs, and each head
-closes by looking up, in that class, the weight product localization
-forces on the last point.  The candidates so settled are counted, not
-listed.
+The point generators: free multisets (_signed_multisets, cut by c_1 in
+_free_points), the closures of forced weights (_closures), the pairing
+excess as one integer (_excess_key), and the last point's weight
+product that localization forces (_last_product).
 """
 
 import math
@@ -94,28 +77,6 @@ def _closures(forced, pvals):
     return [tuple(sorted(forced + list(p) + [-v for v in p])) for p in pvals]
 
 
-def _last_points(points, n, lam, max_val, chern_on, pairing_complete, stats, scale=1):
-    """The last point's multisets given the other points: every free
-    multiset, or the closures of their pairing excess, the weights it
-    forces on an n-weight point with lam negatives and `pairs` {l, -l}
-    pairs, l in [1, max_val]; a pairing_completion prune if none close.
-    Each prune is counted scale times."""
-    if not pairing_complete:
-        return _free_points(lam, n - lam, max_val, 0, chern_on, stats, scale)
-    # each x in excess of -x needs a -x at the last point
-    weights = sum(points, ())
-    forced = [-x for x in set(weights) for _ in range(weights.count(x) - weights.count(-x))]
-    pairs, odd = divmod(n - len(forced), 2)
-    if pairs < 0 or odd or lam != pairs + sum(x < 0 for x in forced):
-        stats.pruned["pairing_completion"] += scale
-        return ()
-    # every generator bounds the other points by max_val (in a d-branch,
-    # +-d sits at v and w and cancels), so the forced weights need no
-    # bound check; and when c_1 is cut, every other point already has
-    # c_1 = 0, so sum(forced) = 0
-    return _closures(forced, combinations_with_replacement(range(1, max_val + 1), pairs))
-
-
 def _last_product(products):
     """The last point's weight product that sum_p 1/P_p = 0 forces, given
     the other points' products: -P1 after one point, -P1 P2 / (P1 + P2)
@@ -137,7 +98,8 @@ def _excess_key(ws, base):
     excess vectors do, and a base past the sum of |e[x]| over the points
     whose keys are added (n times the point count, for a candidate's
     points) lets no lower entry cancel the top one: the sum is 0 iff
-    their excess vectors cancel, that is iff their weights pair."""
+    their excess vectors cancel, that is iff their weights pair.  Base 0
+    keys every multiset 0, as no weight is 0."""
     return sum(base**w if w > 0 else -(base**-w) for w in ws)
 
 
@@ -146,28 +108,28 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
     free multisets for every point but the last, then the last point.
 
     The heads (the points before the last) are walked grouped by weight
-    product.  Without localize each head's last points come from
-    _last_points.  With localize (the pools' path, which always closes
-    by pairing), a profile whose lambdas share one parity lists nothing:
-    each product has the sign (-1)^lam, so sum_p 1/P_p != 0.  Otherwise
-    sum_p 1/P_p = 0 fixes the last point's product, the target
-    (_last_product), decided once per product pair (per first product
-    for two points).  A pair is skipped whole when no integer fits, when
-    the sign is not (-1)^lam (the last point's lam negative weights), or
-    when |target| > bound^n.  At the first pair left, the last point's
-    multisets, cut by c_1 as the heads are, are listed once and keyed by
-    (weight product, excess key) (_excess_key), and each head is keyed
-    once.  A head then closes by one lookup, at the target and minus its
-    key: exactly the closures of its excess hitting the target, so no
-    head's excess is taken.  Only candidates failing the localization
-    check are left out, so a sieve running it keeps the same survivors;
-    the last point's counts are dropped.
-    Under a self-mirror three-point profile (i, n/2, n - i), reversing
-    the action (x' is x negated, ascending) maps the listed (a, b, c)
-    onto (c', b', a') and keeps every verdict and the canonical form, so
-    one of each pair is listed: b < b', or b = b' (excess key 0, so c
-    closes a alone) and a <= c'.  The middle points are filtered once.
-    A pool drops its counts, so none is doubled.
+    product.  At the first product pair left, the last point's multisets,
+    cut by c_1 as the heads are, are listed once and keyed by (excess key
+    (_excess_key), weight product), and each head is keyed once.  A head
+    closes by one lookup at minus its key: exactly the closures of its
+    pairing excess, so no head's excess is taken; without localize a head
+    with none is one pairing_completion prune.  Without pairing
+    completion every point keys 0, so each head takes every last point,
+    whose c_1 cuts count once per head.
+    With localize (the pools' path), a profile whose lambdas share one
+    parity lists nothing: each product has the sign (-1)^lam, so sum_p
+    1/P_p != 0.  Otherwise sum_p 1/P_p = 0 fixes the last point's product,
+    the target (_last_product), decided once per product pair.  A pair is
+    skipped whole when no integer fits, when the sign is not (-1)^lam (the
+    last point's lam negatives), or when |target| > bound^n, and a head
+    takes only its closures at the target.  Only candidates failing the
+    localization check are left out, so a sieve running it keeps the same
+    survivors; the pools drop the counts.
+    Under a self-mirror three-point profile, reversing the action (x' is
+    x negated, ascending) maps the listed (a, b, c) onto (c', b', a') and
+    keeps every verdict and the canonical form, so the pools list one of
+    each pair: b < b', or b = b' (excess key 0, so c closes a alone) and
+    a <= c'.
     """
     groups = []
     for head_lam in profile[:-1]:
@@ -178,41 +140,48 @@ def _staged_candidates(n, bound, profile, chern_on, pairing_complete, stats, loc
         free = sorted(free, key=math.prod)
         groups.append({p: list(g) for p, g in groupby(free, math.prod)})
     lam = profile[-1]
-    if not localize:
-        for points in product(*(g.values() for g in groups)):
-            for head in product(*points):
-                lasts = _last_points(head, n, lam, bound, chern_on, pairing_complete, stats)
-                for ws_last in lasts:
-                    yield head + (ws_last,)
+    if localize and len({x % 2 for x in profile}) == 1:
         return
-    if len({x % 2 for x in profile}) == 1:
-        return
+    heads = math.prod(sum(map(len, g.values())) for g in groups)
     # one of each reversal pair: b < b' in the head walk, b = b' after it
     selfs = {}
-    if len(profile) == 3 and _count_symmetric(n, list(profile)):
+    if localize and len(profile) == 3 and _count_symmetric(n, list(profile)):
         for p, g in groups[1].items():
             groups[1][p] = [b for b in g if b < _mirror(b)]
             selfs[p] = [b for b in g if b == _mirror(b)]
-    # keyed at the first pair left: a profile with none lists no last point
-    lasts = None
+    # base 0 keys every point 0: each head takes every last point
+    base = n * len(profile) + 1 if pairing_complete else 0
+    # listed at the first pair left: a profile with none lists no last point
+    lasts, target, unclosed = None, None, 0
     for products in product(*groups):
-        target = _last_product(products)
-        if not 0 < target * (-1) ** lam <= bound**n:
-            continue
+        if localize:
+            target = _last_product(products)
+            if not 0 < target * (-1) ** lam <= bound**n:
+                continue
         if lasts is None:
-            base = n * len(profile) + 1
             key_of = {ws: _excess_key(ws, base) for g in groups for ws in chain(*g.values())}
             lasts = {}
-            # listed once for every head: scale 0 counts none of its cuts
-            for ws in _free_points(lam, n - lam, bound, 0, chern_on, stats, 0):
-                lasts.setdefault((math.prod(ws), _excess_key(ws, base)), []).append(ws)
+            # c_1 = 0 heads close at c_1 = 0, so with pairing completion
+            # the cut drops no closure and counts nothing; without it, it
+            # counts once per head
+            cuts = 0 if pairing_complete else heads
+            for ws in _free_points(lam, n - lam, bound, 0, chern_on, stats, cuts):
+                key = _excess_key(ws, base), math.prod(ws) if localize else None
+                lasts.setdefault(key, []).append(ws)
         for head in product(*(g[p] for g, p in zip(groups, products))):
-            for ws_last in lasts.get((target, -sum(map(key_of.__getitem__, head))), ()):
+            closing = lasts.get((-sum(map(key_of.__getitem__, head)), target))
+            if closing is None:
+                unclosed += 1
+                continue
+            for ws_last in closing:
                 yield head + (ws_last,)
         for a, b in product(groups[0][products[0]], selfs.get(products[-1], ())):
-            for c in lasts.get((target, -key_of[a]), ()):
+            for c in lasts.get((-key_of[a], target), ()):
                 if a <= _mirror(c):
                     yield a, b, c
+    # with localize a head may miss only the target; the pools drop counts
+    if unclosed and pairing_complete and not localize:
+        stats.pruned["pairing_completion"] += unclosed
 
 
 def _classes(others, d, downs, budget):
@@ -254,21 +223,31 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
     as (scale, candidates) streams: one per (v slot, w slot) branch that
     walks its lifts, each candidate standing for scale of them.
 
+    For d >= 2 the filter puts d and -d once each, at distinct points:
+    for three points by the largest-weight structure, for two by the Z_d
+    classification (its two-point shapes reduce to the sphere pair {d},
+    {-d}, since a' + b' >= 2d would pass d).  So v holds -d once and its
+    other weights lie in [-(d-1), d-1], and w holds +d and a lift of
+    them: a weight of residue r in (0, d) is r or r - d, and only r - d
+    is negative, so lambda(w) downs are spread over the residue classes.
+    With c_1 cut, v's other weights sum to d, and then every lift has
+    c_1(w) = d (1 + lambda(v) - lambda(w)).
     v's lifts are walked by class (_classes), and each candidate left out
     is counted as the sieve or generation would, in d's bucket.  A
     class's lifts are the product of its pairs' lifts; each pair's are
     listed once per branch, on a pick's first use, and shared by the
     branch's classes and v's.
     Two points pair only in the class with no excess left (+-d cancel,
-    every other |w| is below d); the other lifts die at pairing.  Three
-    points closing the third point from the excess cut every class
-    forcing more than n weights, whose lifts are pairing_completion
-    prunes.  Under a count-symmetric (ascending) profile, so n is even
-    and d >= 2, every other class closes, and each of its lifts takes the
-    localization target of v and w (_last_product of their products) and
-    lists only the closures with that product, building w only then; the
-    others die at localization.  Any other three-point lift takes its
-    third points from _last_points.
+    every other |w| is below d); the other lifts die at pairing.  A third
+    point closing by pairing takes the weights its class forces and pad
+    pairs {l, -l}, l in [1, d - 1]: a class forcing more than n weights,
+    an odd number of pads short or the wrong lambda closes none, and its
+    lifts are pairing_completion prunes.  Under a count-symmetric
+    (ascending) profile, so n is even and d >= 2, every other class
+    closes, and each of its lifts takes the localization target of v and
+    w (_last_product of their products) and lists only the closures with
+    that product, building w only then; the others die at localization.
+    Without pairing completion the third points are free (_free_points).
     A count-symmetric three-point profile is self-mirror: reversing the
     action maps the branch (ia, ib) onto its twin (2 - ib, 2 - ia).  Of
     two distinct twins the lower walks its lifts and lists each candidate
@@ -281,7 +260,8 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
     """
     point_count = len(profile)
     if point_count == 2 and d == 1:
-        # every weight is +-1 and the profile determines both points
+        # every weight is +-1, which no Z_k check (k >= 2) reads, and the
+        # profile determines both points
         yield 1, [tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)]
         return
 
@@ -291,7 +271,7 @@ def _dbranch_candidates(n, d, profile, chern_on, pairing_complete, stats):
         if lam_a < 1 or lam_b > n - 1:
             stats.pruned["largest_weight"] += 1
             continue
-        # c_1(v) = 0 forces c_1(w) = d * (1 + lam_a - lam_b) (search, step 5)
+        # c_1(w) = d * (1 + lam_a - lam_b) (see above) must vanish
         if chern_on and lam_b != lam_a + 1:
             stats.pruned["chern_linear"] += 1
             continue
@@ -315,7 +295,8 @@ def _branch_candidates(n, d, profile, ia, ib, scale, chern_on, pairing_complete,
     ia and +d at slot ib; every count it makes is scale times what it
     walked."""
     point_count = len(profile)
-    counted = pairing_complete and point_count == 3 and _count_symmetric(n, list(profile))
+    closes = pairing_complete and point_count == 3
+    counted = closes and _count_symmetric(n, list(profile))
     # two points pair only with no excess left, and a third point closes
     # at most n forced weights (no lift forces more than 2n - 2)
     budget = 0 if point_count == 2 else n if pairing_complete else 2 * n
@@ -341,15 +322,20 @@ def _branch_candidates(n, d, profile, ia, ib, scale, chern_on, pairing_complete,
                     ]
             parts = list(map(pair_lifts.__getitem__, picks))
             count = math.prod(map(len, parts)) * scale
-            dropped -= count
+            pad, odd = divmod(n - len(forced), 2)
             if counted:
                 # the profile (i, n/2, n - i) has 3n/2 negatives and n
                 # is even, so the class closes, with pad pairs; a
                 # closure's product is prod(forced) (-1)^pad r^2, r the
                 # product of the pair values
-                pad = (n - len(forced)) // 2
                 base = math.prod(forced) * (-1) ** pad
                 missed += math.comb(d - 2 + pad, pad) * count
+            elif closes:
+                if odd or profile[ic] != pad + sum(x < 0 for x in forced):
+                    # no third point closes: its lifts stay dropped
+                    continue
+                thirds = _closures(forced, combinations_with_replacement(range(1, d), pad))
+            dropped -= count
             for ps in product(*parts):
                 if counted:
                     target = _last_product((p_a, d * math.prod(chain(*ps))))
@@ -363,11 +349,9 @@ def _branch_candidates(n, d, profile, ia, ib, scale, chern_on, pairing_complete,
                 if point_count == 2:
                     yield tuple(slots)
                     continue
-                if not counted:
-                    thirds = _last_points(
-                        (slots[ia], slots[ib]), n, profile[ic], d - 1,
-                        chern_on, pairing_complete, stats, scale,
-                    )
+                if not closes:
+                    lam_c = profile[ic]
+                    thirds = _free_points(lam_c, n - lam_c, d - 1, 0, chern_on, stats, scale)
                 for ws_c in thirds:
                     slots[ic] = ws_c
                     yield tuple(slots)

@@ -1,120 +1,34 @@
 """Bounded exhaustive search for consistent fixed-point weight systems.
 
-The enumerator finds every canonical system with 2 or 3 fixed points and
-all |weights| <= W that passes the whole constraint suite: pairing,
-lambda symmetry, parity, vanishing localization sum, c_1 vanishing
-(3 points, n >= 4), the largest-weight sphere structure (3 points),
-Z_k classification for every k >= 2 dividing some weight, and optionally
-effectivity: the checks of the filter table isotropy.FILTER_CHECKS.
+enumerate_systems finds every canonical system with 2 or 3 fixed points
+and all |weights| <= W that passes the filter, isotropy.FILTER_CHECKS:
+pairing, lambda symmetry, parity, vanishing localization sum, c_1
+vanishing (3 points, n >= 4), the largest-weight sphere structure (3
+points), Z_k classification for every k >= 2 dividing some weight, and
+optionally effectivity.  Generation never relies on anything the filter
+would not enforce, so every prune (PruneFlags) is sound and the survivor
+set does not depend on which are switched on.  The parts:
 
-Generation never relies on anything the final filter would not enforce,
-so pruning is sound and the survivor set is independent of which prunes
-are switched on.  The default (all prunes on) search runs, per lambda
-profile and per candidate largest weight d (lifts._dbranch_candidates):
+- the lambda profiles, under lambda_profile only the count-symmetric
+  ones (_profiles);
+- the generators in lifts.py: per profile and largest weight d, the
+  d-branches (lifts._dbranch_candidates); without largest-weight
+  pruning, the staged walk (lifts._staged_candidates);
+- the sieve (_sieve), which runs a plan of checks (_filter_plan) on the
+  candidates' weight tuples and counts nodes and failures.  Survivors
+  stay canonical tuples until they leave the search, as one
+  FixedPointSystem per distinct survivor (_systems).
 
-    1. lambda profiles are restricted to the count-symmetric ones
-       (constraints._count_symmetric);
-    2. the point v holding -d is generated outright: -d occurs once,
-       every other weight lies in [-(d-1), d-1] (the filter forces d and
-       -d to occur exactly once overall, at distinct points, for d >= 2:
-       for 3 points via the largest-weight structure, for 2 points via
-       the Z_d classification, whose two-point shapes degenerate to the
-       sphere pair {d},{-d} because a'+b' >= 2d would exceed d);
-    3. the point w holding +d is completed from v's residues mod d: a
-       weight congruent to rho in (0, d) and bounded by d-1 is rho or
-       rho-d, and only rho-d is negative, so lambda(w) downs are spread
-       over the residue classes.  The joint pairing excess of v and w
-       at x and d-x depends only on the total down count s of the pair
-       of classes {x, d-x}, so the lifts are walked by class, one s per
-       pair (lifts._classes), and counted per class; a pair's lifts
-       for one down count are listed once per branch;
-    4. the remaining point is completed from the pairing imbalance: the
-       excess of -l over +l across the other points forces l's
-       multiplicity, and what is left splits into {l, -l} padding pairs.
-       That is settled once per class: a class is cut, its lifts counted
-       and not listed, as soon as its pairs force more than n weights
-       (two points: leave any excess), and under a count-symmetric
-       profile every class left closes;
-    5. when n >= 4 and there are three points, v's positives are listed
-       by the sum c_1(v) = 0 leaves them (the rest are counted); then
-       every lift has c_1(w) = d * (1 + lambda(v) - lambda(w)), an O(1)
-       test per (v, w) slot pair;
-    6. reversing the action (every weight negated, lambda -> n - lambda)
-       keeps every check's verdict and the canonical form, and under a
-       count-symmetric three-point profile it maps the slot pair (v, w)
-       = (ia, ib) onto its twin (2 - ib, 2 - ia).  Of two distinct twins
-       only the lower walks its lifts: it hands the sieve each candidate
-       once, in a stream at scale 2, so the sieve counts it for its
-       reversal too, and it counts its dropped lifts and per-lift prunes
-       twice.  No reversal is built.  The other twin lists only its v's,
-       whose chern_linear prunes are its own.
-
-The one case none of the structure above covers is a two-point system
-whose largest weight is 1 (all weights are +-1; the Z_k checks start at
-k = 2 and say nothing).  That branch is enumerated directly - the
-lambda profile pins both multisets.
-
-naive_oracle does none of this: it walks the full product of per-point
-weight multisets, applies the same filter to each candidate, and must
-agree with the enumerator exactly.  Slot orderings of the same multiset
-are the same system, so the oracle iterates multisets, listed by the
-negative counts allowed at each point: a lambda profile's one per point,
-or, unrestricted, every lambda in 0..n at every point.  The 1e8 guard on
-the number of candidates so walked is counted from the same counts.  The
-walk goes by largest |weight| t, one slice per t and per first point
-reaching t, so each candidate falls in exactly one; t is only the bucket
-its failures go to.  Inside a slice the filter's prefix up to
-localization is decided per class (lifts._slice_candidates): pairing by
-excess class, lambda symmetry and parity once per class tuple, and
-localization by a lookup of the last point's product.  Only the
-candidates passing all four are listed; every other one is counted as a
-node killed at the first of them it fails, as the sieve would, without
-being built.
-
-The enumerator, the oracle and the replay premise pools share one sieve
-(_sieve: run a plan of checks, count nodes and failures, keep survivors'
-canonical point tuples), each building its _filter_plan once: the full
-filter over d-branches or staged generation, over the raw product, and a
-subset of the checks over staged generation (a pool drops the counts).
-sum_p 1/P_p = 0 fixes the last point's weight product from the others'
-(-P1 for two points, -P1 P2 / (P1 + P2) for three): the target
-(_last_product; 0, which no closure reaches, when no integer fits).
-A three-point d-branch takes a closing lift's target from the products
-of v and w, lists only the closures with that product and counts each
-of the rest as a node killed at localization, as the sieve would; w and
-the third point are built only for a listed candidate.
-A pool whose checks include localization closes its last point by
-lookup (lifts._staged_candidates): the last point's multisets are
-listed once per profile, keyed by (weight product, excess key), and a
-head takes those at (target, minus its own key); every candidate so cut
-fails the check its sieve runs, and nothing is counted.  Under a
-self-mirror three-point profile a pool lists one candidate of each
-reversal pair, which the sieve's canonical set would merge.  The
-enumerator's staged path makes no cut.
-
-The sieve decides on the candidate's ascending weight tuples: every
-check of the filter table has a reader of the tuples, None where the
-check holds (localization by integer cross-multiplication, isotropy at
-the closed orders, the gcds of sets of |w|), so no candidate is built to
-be rejected.  It is one loop over the plan, pairing first, though under
-the default flags nothing it receives fails pairing: a two-point
-d-branch counts its unpaired lifts itself.  A call tallies its failures
-by check and largest |weight| (a d-branch's d, an oracle level's t, else
-the candidate's own) and counts each node and failure scale times (2
-for a twin d-branch's stream, else 1).  Survivors stay canonical tuples
-until they leave the search, where one FixedPointSystem is built per
-distinct survivor.
-first_failure runs the same readers on a system's points.
+naive_oracle walks the full product of per-point multisets through the
+same filter, with no pruning, and must agree with the enumerator
+exactly (lifts._oracle_slices).
 
 replay_lemma re-derives the statements the search machinery leans on
-from weaker premise sets, over every candidate in a bounded scope, and
-treats any counterexample as an alarm worth crashing on.  A replay is a
-pool of systems and a statement yielding one (holds, detail) per
-assertion; replay_lemma alone counts them and records the failures.
-Each pool is built once per process and cached: a premise pool per
-scope and premise set, a survivor pool per scope with effectivity
-dropped (l22, l24 and l46 share its one enumeration; an effective scope
-keeps its effective members), the family tuple per bound.
+from weaker premise sets, over every candidate in a bounded pool, and
+crashes on a counterexample.  The pools are built once per process: the
+premise pools by the staged walk (_partial_pool), the survivor pools by
+one enumeration per scope (_survivor_pool), and the families
+(_families).
 """
 
 from __future__ import annotations
@@ -381,23 +295,16 @@ _ORACLE_GUARD = 10**8
 
 
 def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
-    """Brute force: the full product of per-point weight multisets.
-
-    No structural pruning at all - every candidate is counted, and every
-    one that passes localization is pushed through the same filter the
-    enumerator uses, pairing first.  Weight order inside a point is
-    meaningless (points carry multisets), so the walk is over per-point
-    multisets; the 1e8 guard caps their product, which is counted with
-    math.comb before any multiset is listed.  The product is walked in
-    disjoint slices by largest |weight| t = 1..W (lifts._oracle_slices).
-    A slice settles pairing, lambda symmetry, parity and localization by
-    class and by product lookup (lifts._slice_candidates), counting each
-    candidate that fails one as a node killed there, in t's bucket, and
-    hands the sieve, told t, only the candidates that pass all four.
-    An optional lambda_profile (one negative count per point, in point
-    order) narrows each point's counts from 0..n to its own, which is how
-    scopes otherwise past the guard get spot-checked.  Single-threaded on
-    purpose.
+    """Brute force: the full product of per-point weight multisets, no
+    structural pruning, every candidate counted and held to the same
+    filter as the enumerator.  The 1e8 guard caps that product, counted
+    with math.comb before any multiset is listed.  The slices
+    (lifts._oracle_slices) settle the filter up to localization by class
+    and product lookup; the sieve, told each slice's largest |weight| t,
+    reads the rest.  An optional lambda_profile (one negative count per
+    point, in point order) narrows each point's counts from 0..n to its
+    own, which is how scopes otherwise past the guard get spot-checked.
+    Single-threaded on purpose.
     """
     n, bound = config.n, config.weight_bound
     if lambda_profile is None:
@@ -514,20 +421,11 @@ class ReplayReport:
 
 @lru_cache(maxsize=None)
 def _partial_pool(n, point_count, bound, checks):
-    """Canonical representatives passing just `checks`, within the bound.
-
-    Generation is staged per lambda profile with the final point closed
-    from the pairing imbalance, so "pairing" must be in the check set;
-    profiles are restricted only when lambda_symmetry is being assumed.
-    When "localization" is in the set, the final point is also cut by its
-    target, decided once per weight-product pair of the head, which skips
-    a pair's heads whole when the target has the wrong sign or size, and
-    each head closes by (product, excess key) lookup (see
-    _staged_candidates): the sieve below rejects every candidate so
-    dropped, so the pool is what the uncut generation gives.  Under a
-    self-mirror three-point profile only one candidate of each reversal
-    pair is listed, and the canonical set would merge the two anyway.
-    Each pool is built once per process.
+    """Canonical representatives passing just `checks`, within the bound:
+    the sieve over the staged walk of every profile (restricted only when
+    lambda_symmetry is assumed), closing by pairing, so the set must
+    hold it, and, when localization is in the set, cut by its target (see
+    lifts._staged_candidates).  Each pool is built once per process.
     """
     if "pairing" not in checks:
         raise ValueError("every replay pool assumes the pairing check")

@@ -32,7 +32,6 @@ from weightsys.lifts import (
     _excess_key,
     _factorizations,
     _free_points,
-    _last_points,
     _last_product,
     _signed_multisets,
 )
@@ -514,13 +513,10 @@ def test_all_ones_corner_is_reached():
     )
 
 
-def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
-    """The d-branch generator written the plain way: walk all 2^(n-1)
-    up/down lifts of v's residues, drop repeats, filter w by lambda and
-    c_1, then keep the third points that pair the union (or pass c_1)."""
-    if point_count == 2 and d == 1:
-        yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
-        return
+def _reference_lifts(n, point_count, d, profile, chern_on):
+    """The d-branches' (v, w) pairs written the plain way: walk all
+    2^(n-1) up/down lifts of v's residues, drop repeats, filter w by
+    lambda and c_1; (ia, ib, v, w) per pair left."""
     for ia, ib in permutations(range(point_count), 2):
         lam_a, lam_b = profile[ia], profile[ib]
         if lam_a < 1 or lam_b > n - 1:
@@ -540,21 +536,36 @@ def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
                     continue
                 if chern_on and sum(ws_b) != 0:
                     continue
-                slots = [None] * point_count
-                slots[ia], slots[ib] = ws_a, ws_b
-                if point_count == 2:
-                    yield tuple(slots)
-                    continue
-                ic = 3 - ia - ib
-                lam_c = profile[ic]
-                for ws_c in _signed_multisets(lam_c, n - lam_c, d - 1):
-                    if pairing_complete:
-                        if _read_pairing(n, (ws_a, ws_b, ws_c)) is not None:
-                            continue
-                    elif chern_on and sum(ws_c) != 0:
-                        continue
-                    slots[ic] = ws_c
-                    yield tuple(slots)
+                yield ia, ib, ws_a, ws_b
+
+
+def _reference_thirds(n, profile, ia, ib, ws_a, ws_b, d, chern_on, pairing_complete):
+    """The third points of a (v, w) pair: those that pair the union (or
+    pass c_1)."""
+    lam_c = profile[3 - ia - ib]
+    for ws_c in _signed_multisets(lam_c, n - lam_c, d - 1):
+        if pairing_complete:
+            if _read_pairing(n, (ws_a, ws_b, ws_c)) is None:
+                yield ws_c
+        elif not chern_on or sum(ws_c) == 0:
+            yield ws_c
+
+
+def _reference_dbranch(n, point_count, d, profile, chern_on, pairing_complete):
+    """The d-branch generator written the plain way: the plain (v, w)
+    pairs (_reference_lifts), each with its plain third points."""
+    if point_count == 2 and d == 1:
+        yield tuple((-1,) * lam + (1,) * (n - lam) for lam in profile)
+        return
+    for ia, ib, ws_a, ws_b in _reference_lifts(n, point_count, d, profile, chern_on):
+        slots = [None] * point_count
+        slots[ia], slots[ib] = ws_a, ws_b
+        if point_count == 2:
+            yield tuple(slots)
+            continue
+        for ws_c in _reference_thirds(n, profile, ia, ib, ws_a, ws_b, d, chern_on, pairing_complete):
+            slots[3 - ia - ib] = ws_c
+            yield tuple(slots)
 
 
 def _reversed(points):
@@ -647,6 +658,25 @@ def test_dbranch_localization_cut_counts_what_it_drops():
         dropped_total[check] += dropped
     assert (cut_branches, kept_total) == (152, 63)
     assert dropped_total == {"localization": 1376, "pairing": 2776}
+
+
+def test_dbranch_unclosed_lifts_are_pairing_completion_prunes():
+    # the lift-walk test's three-point branches closing by pairing: each
+    # (v, w) pair that no third point pairs is one pairing_completion
+    # prune, whether its class forces more than n weights or cannot close
+    # (an odd pad count, the wrong lambda); a twin's count stands for both
+    unclosed_total = 0
+    for args, _, _, _, stats in _dbranch_walk():
+        n, point_count, d, profile, chern_on, pairing = args
+        if point_count == 2 or not pairing:
+            continue
+        unclosed = sum(
+            next(_reference_thirds(n, profile, *lift, d, chern_on, True), None) is None
+            for lift in _reference_lifts(n, point_count, d, profile, chern_on)
+        )
+        assert stats.pruned["pairing_completion"] == unclosed, args
+        unclosed_total += unclosed
+    assert unclosed_total
 
 
 def test_dbranch_single_hit_misses_nothing():
@@ -1225,9 +1255,10 @@ def test_localization_cut_keeps_every_pool():
 
 def _per_head_candidates(n, point_count, bound, profile, chern_on=False):
     """The localize walk one head at a time: every head (with c_1 = 0 when
-    chern_on), its target taken per head (_last_product), then the
-    closures of its pairing excess (_last_points) with that product."""
-    stats = SearchStats()
+    chern_on), its target taken per head (_last_product), then its
+    closures with that product: the weights its pairing excess forces on
+    the last point, then {l, -l} for each l of every pad tuple from [1,
+    bound], where those leave the last point profile[-1] negatives."""
     points = [
         [ws for ws in _signed_multisets(lam, n - lam, bound) if not chern_on or sum(ws) == 0]
         for lam in profile[:-1]
@@ -1236,7 +1267,13 @@ def _per_head_candidates(n, point_count, bound, profile, chern_on=False):
         target = _last_product(tuple(prod(ws) for ws in head))
         if target == 0:
             continue
-        for ws_last in _last_points(head, n, profile[-1], bound, chern_on, True, stats):
+        weights = sum(head, ())
+        forced = [-x for x in set(weights) for _ in range(weights.count(x) - weights.count(-x))]
+        pads, odd = divmod(n - len(forced), 2)
+        if pads < 0 or odd or pads + sum(x < 0 for x in forced) != profile[-1]:
+            continue
+        for pad in combinations_with_replacement(range(1, bound + 1), pads):
+            ws_last = tuple(sorted(forced + [l for v in pad for l in (v, -v)]))
             if prod(ws_last) == target:
                 yield head + (ws_last,)
 
@@ -1271,17 +1308,62 @@ def test_lookup_walk_matches_the_closure_walk_with_c1_cut():
 
 
 def test_pool_walk_takes_no_excess_per_head(monkeypatch):
-    # the pools close the last point by (product, excess key) lookup: no
-    # head's excess is taken and no closure is listed per head.  One
-    # candidate of each reversal pair is listed: the sieve reads exactly
-    # the 234 members, where listing both twins gave 437
+    # the pools close the last point by (excess key, product) lookup: no
+    # closure is listed per head.  One candidate of each reversal pair is
+    # listed: the sieve reads exactly the 234 members, where listing both
+    # twins gave 437
     def per_head(*args):
         raise AssertionError("the pool walk closed a head point by point")
 
-    monkeypatch.setattr(lifts, "_last_points", per_head)
+    monkeypatch.setattr(lifts, "_closures", per_head)
     received = _sieve_inputs(monkeypatch)
     assert len(_partial_pool.__wrapped__(4, 3, 5, _PAIRWISE_PREMISES)) == 234
     assert _reads(received) == {1: 234}
+
+
+def _plain_staged(n, bound, profile, chern_on, pairing_complete):
+    """The uncut staged walk as a plain product of each point's
+    _signed_multisets: (candidates, chern_linear, pairing_completion).
+    With chern_on every point keeps c_1 = 0, and a point's cut multisets
+    count once per listed tuple of the points before it (the last point's
+    only without pairing completion, whose closures keep c_1 = 0).  With
+    pairing completion a candidate must pair, and each head no last point
+    pairs is one pairing_completion prune."""
+    points = [list(_signed_multisets(lam, n - lam, bound)) for lam in profile]
+    kept = [[ws for ws in ws_all if not chern_on or sum(ws) == 0] for ws_all in points]
+    cuts = [prod(map(len, kept[:i])) * (len(points[i]) - len(kept[i])) for i in range(len(kept))]
+    chern = sum(cuts[:-1] if pairing_complete else cuts)
+    candidates, unclosed = Counter(), 0
+    for head in product(*kept[:-1]):
+        closing = [
+            head + (ws,)
+            for ws in kept[-1]
+            if not pairing_complete or _read_pairing(n, head + (ws,)) is None
+        ]
+        candidates.update(closing)
+        unclosed += pairing_complete and not closing
+    return candidates, chern, unclosed
+
+
+def test_uncut_staged_walk_matches_the_plain_product():
+    # the enumerator's staged walk (largest_weight off): candidates, c_1
+    # cuts and unclosed heads, with c_1 and pairing completion each on
+    # and off, at n <= 4 and W <= 4 (three points at n >= 3: W <= 2)
+    totals = Counter()
+    for n, point_count, bound in product(range(1, 5), (2, 3), range(1, 5)):
+        if point_count == 3 and n >= 3 and bound > 2:
+            continue
+        for profile, chern_on, complete in product(
+            _profiles(n, point_count, False), (False, True), (False, True)
+        ):
+            stats = SearchStats()
+            walk = Counter(_staged_candidates(n, bound, profile, chern_on, complete, stats))
+            want, chern, unclosed = _plain_staged(n, bound, profile, chern_on, complete)
+            got = (walk, stats.pruned["chern_linear"], stats.pruned["pairing_completion"])
+            assert got == (want, chern, unclosed), (n, bound, profile, chern_on, complete)
+            totals[chern_on, complete] += chern + unclosed
+    # every setting cuts something
+    assert all(totals[flags] for flags in product((False, True), repeat=2) if any(flags))
 
 
 def test_excess_key_is_the_excess_read_in_base():
