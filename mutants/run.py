@@ -82,6 +82,48 @@ MUTANTS = (
         "replacement": "_closures(forced, combinations_with_replacement(range(1, d - 1), pad))",
         "tests": (SEARCH_TESTS + "test_dbranch_lifts_match_the_full_lift_walk",),
     },
+    {
+        "name": "verdict_by_first_lambda",
+        "file": "src/weightsys/lifts.py",
+        "snippet": "lams = tuple(map(dict.__getitem__, lam_maps, keys + (key,)))",
+        "replacement": "lams = tuple(map(dict.__getitem__, lam_maps, keys[:1]))",
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "middle_lookup_key_sign",
+        "file": "src/weightsys/lifts.py",
+        "snippet": "fits = middles.get((keys[1], _last_product((p1, p3))))",
+        "replacement": "fits = middles.get((-keys[1], _last_product((p1, p3))))",
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "middle_closure_out_of_slot_order",
+        "file": "src/weightsys/lifts.py",
+        "snippet": "for b in fits:\n                        yield a, b, c",
+        "replacement": "for b in fits:\n                        yield a, c, b",
+        "tests": (SEARCH_TESTS + "test_oracle_sieves_exactly_the_localization_passers",),
+    },
+    {
+        "name": "one_point_target_unnegated",
+        "file": "src/weightsys/lifts.py",
+        "snippet": "return -products[0]",
+        "replacement": "return products[0]",
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "closing_class_key_sign",
+        "file": "src/weightsys/lifts.py",
+        "snippet": "key = -sum(keys)",
+        "replacement": "key = sum(keys)",
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "failing_class_counted_at_localization",
+        "file": "src/weightsys/lifts.py",
+        "snippet": 'killed[failed or "localization"] += size',
+        "replacement": 'killed["localization"] += size',
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
 )
 
 

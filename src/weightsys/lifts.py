@@ -8,12 +8,14 @@
   pruning and the replay pools' walk;
 - _oracle_slices: the oracle's full product, one slice per largest
   |weight|, settled up to localization by class and product lookup
-  (_slice_candidates).
+  (_slice_candidates): the lambda-only checks once per lambda tuple,
+  and each passing class tuple closed through the larger of its last
+  two classes.
 
 The point generators: free multisets (_signed_multisets, cut by c_1 in
 _free_points), the closures of forced weights (_closures), the pairing
-excess as one integer (_excess_key), and the last point's weight
-product that localization forces (_last_product).
+excess as one integer (_excess_key), and the weight product that
+localization forces on the one point left out (_last_product).
 """
 
 import math
@@ -78,9 +80,10 @@ def _closures(forced, pvals):
 
 
 def _last_product(products):
-    """The last point's weight product that sum_p 1/P_p = 0 forces, given
-    the other points' products: -P1 after one point, -P1 P2 / (P1 + P2)
-    after two.  0 when no integer fits (P1 + P2 = 0 leaves 1/P3 = 0;
+    """The weight product that sum_p 1/P_p = 0 forces on the point left
+    out, given the other points' products (the sum is symmetric, so that
+    point may be any one): -P1 after one point, -P1 P2 / (P1 + P2) after
+    two.  0 when no integer fits (P1 + P2 = 0 leaves 1/P3 = 0;
     an inexact quotient is no weight product): 0 is no weight product
     either, so no closure has it."""
     if len(products) == 1:
@@ -367,17 +370,20 @@ def _branch_candidates(n, d, profile, ia, ib, scale, chern_on, pairing_complete,
 
 
 def _by_largest(n, lams, bound, base):
-    """(ranked, ends): the ascending multisets of n weights from +-[1, bound]
-    with a negative count in lams, each as (excess key, weight product,
-    ws) (_excess_key), sorted by largest |weight|, and ends[t] = how many
-    have largest |weight| <= t, for t in 0..bound."""
+    """(ranked, ends, lam_of): the ascending multisets of n weights from
+    +-[1, bound] with a negative count in lams, each as (excess key,
+    weight product, ws) (_excess_key), sorted by largest |weight|;
+    ends[t] = how many have largest |weight| <= t, for t in 0..bound; and
+    lam_of = {excess key: lambda}, as the excess fixes lambda (sum_x e[x]
+    = n - 2 lambda)."""
     def largest(entry):
         return max(-entry[2][0], entry[2][-1])
 
     multisets = chain.from_iterable(_signed_multisets(lam, n - lam, bound) for lam in lams)
     keyed = ((_excess_key(ws, base), math.prod(ws), ws) for ws in multisets)
     ranked = sorted(keyed, key=largest)
-    return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)]
+    lam_of = {key: bisect_right(ws, 0) for key, _, ws in ranked}
+    return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)], lam_of
 
 
 def _oracle_slices(n, lam_sets, bound, checks, stats):
@@ -386,20 +392,23 @@ def _oracle_slices(n, lam_sets, bound, checks, stats):
     is t.  The points before i take the multisets below t, point i those
     at t, and the points after it those at most t, so each candidate
     falls in one slice.  One ranked pool (_by_largest) per distinct
-    lambda set, shared by the points that use it."""
+    lambda set, shared by the points that use it, and one verdict of the
+    checks per ordered lambda tuple, shared by the slices."""
     base = n * len(lam_sets) + 1
     by_set = {lams: _by_largest(n, lams, bound, base) for lams in set(lam_sets)}
     pools = [by_set[lams] for lams in lam_sets]
+    lam_maps = [lam_of for _, _, lam_of in pools]
+    verdicts = {}
     for t in range(1, bound + 1):
         for i in range(len(pools)):
             factors = [
                 ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
-                for j, (ranked, ends) in enumerate(pools)
+                for j, (ranked, ends, _) in enumerate(pools)
             ]
-            yield t, _slice_candidates(n, factors, checks, stats, t)
+            yield t, _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t)
 
 
-def _slice_candidates(n, factors, checks, stats, t):
+def _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t):
     """The candidates of one oracle slice that pass the filter up to
     localization; every other one is counted in stats, as a node killed
     at the first check it fails, in t's bucket.
@@ -407,19 +416,22 @@ def _slice_candidates(n, factors, checks, stats, t):
     factors holds each point's (excess key, product, ws) entries, which
     are grouped by key (_by_key).  A tuple of the other points' classes
     pairs only with the last point's class at minus its keys' sum.  A
-    point's excess fixes its lambda (sum_x e[x] = n - 2 lambda), so the
-    checks (lambda symmetry and parity, which read the lambdas alone)
-    are read once per tuple that pairs, on one sample candidate.  Under
-    a tuple passing them, each head (one multiset per other point) looks
-    up the last points at (that class's key, the product localization
-    forces, _last_product): only those are listed, and the rest of the
-    class dies at localization.
+    class's key fixes its lambda (lam_maps, one {key: lambda} per point),
+    so the checks (lambda symmetry and parity, which read the lambdas
+    alone) are read once per ordered lambda tuple, on one sample
+    candidate, the first time a tuple with those lambdas pairs; verdicts
+    keeps what they decided.  Under a tuple passing them, sum_p 1/P_p = 0
+    fixes any one point's product from the others' (_last_product), so
+    the walk solves for the larger of the last two classes: each head
+    (one multiset per other point) looks up the last points at (that
+    class's key, the product localization forces), or, when a three-point
+    tuple's middle class is the larger, each (first, last) pair looks up
+    the middle points the same way, in a (key, product) table of the
+    middle factor built on first use.  Only those are listed, in slot
+    order, and the rest of the class dies at localization.
     """
     *heads, last = map(_by_key, factors)
-    # the last point's multisets by (excess key, weight product)
-    closes = {}
-    for key, p, ws in factors[-1]:
-        closes.setdefault((key, p), []).append(ws)
+    closes, middles = _by_product(factors[-1]), None
     killed = Counter(pairing=math.prod(map(len, factors)))
     for classes in product(*(head.items() for head in heads)):
         keys, members = zip(*classes)
@@ -429,11 +441,24 @@ def _slice_candidates(n, factors, checks, stats, t):
             continue
         size = math.prod(map(len, members)) * len(closing)
         killed["pairing"] -= size
-        # every candidate of the tuple has the sample's lambdas
-        sample = tuple(m[0][1] for m in members) + (closing[0][1],)
-        failed = next((cid for cid, _, read in checks if read(n, sample) is not None), None)
+        lams = tuple(map(dict.__getitem__, lam_maps, keys + (key,)))
+        if lams not in verdicts:
+            # every candidate of the tuple has the sample's lambdas
+            sample = tuple(m[0][1] for m in members) + (closing[0][1],)
+            verdicts[lams] = next((cid for cid, _, read in checks if read(n, sample) is not None), None)
+        failed = verdicts[lams]
         killed[failed or "localization"] += size
         if failed:
+            continue
+        if len(members) == 2 and len(members[1]) > len(closing):
+            if middles is None:
+                middles = _by_product(factors[1])
+            for (p1, a), (p3, c) in product(members[0], closing):
+                fits = middles.get((keys[1], _last_product((p1, p3))))
+                if fits:
+                    killed["localization"] -= len(fits)
+                    for b in fits:
+                        yield a, b, c
             continue
         for head in product(*members):
             fits = closes.get((key, _last_product([p for p, _ in head])))
@@ -453,3 +478,12 @@ def _by_key(entries):
     for key, p, ws in entries:
         classes.setdefault(key, []).append((p, ws))
     return classes
+
+
+def _by_product(entries):
+    """{(excess key, weight product): [ws]} over (key, product, ws)
+    entries."""
+    table = {}
+    for key, p, ws in entries:
+        table.setdefault((key, p), []).append(ws)
+    return table

@@ -332,9 +332,9 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     plan = _filter_plan(config.require_effective)
     stats = SearchStats()
     survivors = set()
-    # the plan opens with pairing, lambda_symmetry, parity, localization:
-    # the middle two read the lambdas alone
-    for t, candidates in _oracle_slices(n, lam_sets, bound, plan[1:3], stats):
+    # the checks that read the lambdas alone, settled once per lambda tuple
+    checks = tuple(row for row in plan if row[0] in ("lambda_symmetry", "parity"))
+    for t, candidates in _oracle_slices(n, lam_sets, bound, checks, stats):
         survivors |= _sieve(candidates, n, plan, stats, largest=t)
     return SearchOutcome(_systems(n, survivors), stats)
 

@@ -238,6 +238,112 @@ def test_oracle_spot_check_three_points_n16():
     }
 
 
+# the open three-point case, n=8, profile (3, 4, 5): every candidate
+# with largest |weight| 4 or less (the even bucket at W=4 and W=5)
+OPEN_CASE_EVEN = {
+    "pairing": 1520699364,
+    "localization": 6013844,
+    "chern1_vanishing": 18620,
+    "largest_weight_structure": 61,
+    "isotropy": 10,
+}
+
+
+def _open_case_oracle(monkeypatch, bound):
+    """The oracle at n=8, profile (3, 4, 5), effectivity off, past the
+    shipped guard for this one call, held to the enumerator's survivors
+    with that profile."""
+    config = SearchConfig(n=8, point_count=3, weight_bound=bound, require_effective=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_ORACLE_GUARD", 10**12)
+        oracle = naive_oracle(config, lambda_profile=(3, 4, 5))
+    enumerated = tuple(
+        system
+        for system in enumerate_systems(config).survivors
+        if sorted(sum(w < 0 for w in ws) for ws in system.points) == [3, 4, 5]
+    )
+    assert oracle.survivors == enumerated == ()
+    assert search._ORACLE_GUARD == 10**8
+    return oracle
+
+
+def test_oracle_open_case_n8_w4(monkeypatch):
+    oracle = _open_case_oracle(monkeypatch, 4)
+    assert oracle.stats.nodes == 1536640000
+    assert oracle.stats.eliminated == {
+        "odd": {
+            "pairing": 9725912,
+            "localization": 181388,
+            "chern1_vanishing": 797,
+            "largest_weight_structure": 2,
+            "isotropy": 2,
+        },
+        "even": OPEN_CASE_EVEN,
+    }
+
+
+@pytest.mark.slow
+def test_oracle_open_case_n8_w5(monkeypatch):
+    oracle = _open_case_oracle(monkeypatch, 5)
+    assert oracle.stats.nodes == 95295690000
+    assert oracle.stats.eliminated == {
+        "odd": {
+            "pairing": 93673956826,
+            "localization": 94924672,
+            "chern1_vanishing": 76412,
+            "largest_weight_structure": 171,
+            "isotropy": 20,
+        },
+        "even": OPEN_CASE_EVEN,
+    }
+
+
+def test_oracle_reference_scopes_reach_the_verdict_cache_and_the_middle_walk(monkeypatch):
+    # each ordered lambda tuple is read once per oracle call: at (1, 1, 4)
+    # the one failing read kills in slices of both parities of t.  Some
+    # three-point tuples close through their middle class, which builds
+    # a (key, product) table past the one of the last point per slice.
+    # Both paths are held to the plain product walk where they run
+    reads, tables = [], []
+    slices, by_product = search._oracle_slices, lifts._by_product
+
+    def logged(check_id, read):
+        def reader(n, points):
+            reads.append((check_id, tuple(sum(w < 0 for w in ws) for ws in points)))
+            return read(n, points)
+
+        return reader
+
+    def reading(n, lam_sets, bound, checks, stats):
+        checks = [(cid, check, logged(cid, read)) for cid, check, read in checks]
+        return slices(n, lam_sets, bound, checks, stats)
+
+    def building(entries):
+        tables.append(len(entries))
+        return by_product(entries)
+
+    monkeypatch.setattr(search, "_oracle_slices", reading)
+    monkeypatch.setattr(lifts, "_by_product", building)
+    middle_scopes = 0
+    for config, profile in _oracle_reference_scopes():
+        reads.clear()
+        tables.clear()
+        outcome = naive_oracle(config, profile)
+        assert len(reads) == len(set(reads)), config
+        middle = len(tables) > config.weight_bound * config.point_count
+        if profile == (1, 1, 4):
+            assert reads == [("lambda_symmetry", (1, 1, 4))]
+            assert all(c["lambda_symmetry"] for c in outcome.stats.eliminated.values())
+            assert set(outcome.stats.eliminated) == {"odd", "even"}
+        elif not middle:
+            continue
+        middle_scopes += middle
+        stats, survivors = _reference_oracle(config, profile)
+        assert tuple(s.points for s in outcome.survivors) == survivors, config
+        assert outcome.stats.eliminated == stats.eliminated, config
+    assert middle_scopes >= 3
+
+
 def _sieve_inputs(monkeypatch):
     """The list of the (scale, candidate list) each later _sieve call
     receives."""
