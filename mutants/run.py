@@ -99,8 +99,8 @@ MUTANTS = (
     {
         "name": "middle_closure_out_of_slot_order",
         "file": "src/weightsys/lifts.py",
-        "snippet": "for b in fits:\n                        yield a, b, c",
-        "replacement": "for b in fits:\n                        yield a, c, b",
+        "snippet": "a < b < c:\n                            yield a, b, c",
+        "replacement": "a < b < c:\n                            yield a, c, b",
         "tests": (SEARCH_TESTS + "test_oracle_sieves_exactly_the_localization_passers",),
     },
     {
@@ -122,6 +122,34 @@ MUTANTS = (
         "file": "src/weightsys/lifts.py",
         "snippet": 'killed[failed or "localization"] += size',
         "replacement": 'killed["localization"] += size',
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "orbit_read_at_scale_1",
+        "file": "src/weightsys/search.py",
+        "snippet": "survivors |= _sieve(candidates, n, plan, stats, largest=t, scale=scale)",
+        "replacement": "survivors |= _sieve(candidates, n, plan, stats, largest=t, scale=1)",
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "every_point_order_listed",
+        "file": "src/weightsys/search.py",
+        "snippet": "_oracle_slices(n, lam_sets, bound, checks, stats, scale > 1)",
+        "replacement": "_oracle_slices(n, lam_sets, bound, checks, stats, False)",
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "head_order_pair_dropped",
+        "file": "src/weightsys/lifts.py",
+        "snippet": "elif len(ws_head) == 1 or ws_head[0] < ws_head[1]:",
+        "replacement": "elif True:",
+        "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
+    },
+    {
+        "name": "middle_order_pair_dropped",
+        "file": "src/weightsys/lifts.py",
+        "snippet": "if not ascending or a < b < c:",
+        "replacement": "if not ascending or b < c:",
         "tests": (SEARCH_TESTS + "test_oracle_largest_weight_walk_matches_the_plain_product",),
     },
 )

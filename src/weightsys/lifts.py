@@ -10,7 +10,8 @@
   |weight|, settled up to localization by class and product lookup
   (_slice_candidates): the lambda-only checks once per lambda tuple,
   and each passing class tuple closed through the larger of its last
-  two classes.
+  two classes; with every point on one pool, only the candidates whose
+  points ascend.
 
 The point generators: free multisets (_signed_multisets, cut by c_1 in
 _free_points), the closures of forced weights (_closures), the pairing
@@ -386,14 +387,18 @@ def _by_largest(n, lams, bound, base):
     return ranked, [bisect_right(ranked, t, key=largest) for t in range(bound + 1)], lam_of
 
 
-def _oracle_slices(n, lam_sets, bound, checks, stats):
+def _oracle_slices(n, lam_sets, bound, checks, stats, ascending):
     """The oracle's product as (t, candidates) streams, one per slice:
     largest |weight| t = 1..W and i, the first point whose largest |weight|
     is t.  The points before i take the multisets below t, point i those
     at t, and the points after it those at most t, so each candidate
     falls in one slice.  One ranked pool (_by_largest) per distinct
     lambda set, shared by the points that use it, and one verdict of the
-    checks per ordered lambda tuple, shared by the slices."""
+    checks per ordered lambda tuple, shared by the slices.  With
+    ascending (every point on one pool, search.naive_oracle) each slice
+    lists only its candidates whose points are strictly ascending: a
+    permutation of the points keeps t, so the slices of t together list
+    one member of each orbit, for the sieve to read at scale k!."""
     base = n * len(lam_sets) + 1
     by_set = {lams: _by_largest(n, lams, bound, base) for lams in set(lam_sets)}
     pools = [by_set[lams] for lams in lam_sets]
@@ -405,10 +410,10 @@ def _oracle_slices(n, lam_sets, bound, checks, stats):
                 ranked[ends[t - 1] if j == i else 0 : ends[t if j >= i else t - 1]]
                 for j, (ranked, ends, _) in enumerate(pools)
             ]
-            yield t, _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t)
+            yield t, _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t, ascending)
 
 
-def _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t):
+def _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t, ascending):
     """The candidates of one oracle slice that pass the filter up to
     localization; every other one is counted in stats, as a node killed
     at the first check it fails, in t's bucket.
@@ -428,7 +433,10 @@ def _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t):
     tuple's middle class is the larger, each (first, last) pair looks up
     the middle points the same way, in a (key, product) table of the
     middle factor built on first use.  Only those are listed, in slot
-    order, and the rest of the class dies at localization.
+    order, and the rest of the class dies at localization.  With
+    ascending, only those whose points are strictly ascending, each
+    below the next, are listed (search.naive_oracle says why that is
+    exact); the walk and every count stay as they are.
     """
     *heads, last = map(_by_key, factors)
     closes, middles = _by_product(factors[-1]), None
@@ -458,15 +466,21 @@ def _slice_candidates(n, factors, lam_maps, checks, verdicts, stats, t):
                 if fits:
                     killed["localization"] -= len(fits)
                     for b in fits:
-                        yield a, b, c
+                        if not ascending or a < b < c:
+                            yield a, b, c
             continue
         for head in product(*members):
             fits = closes.get((key, _last_product([p for p, _ in head])))
             if fits:
                 killed["localization"] -= len(fits)
                 ws_head = tuple(ws for _, ws in head)
-                for ws in fits:
-                    yield ws_head + (ws,)
+                if not ascending:
+                    for ws in fits:
+                        yield ws_head + (ws,)
+                elif len(ws_head) == 1 or ws_head[0] < ws_head[1]:
+                    for ws in fits:
+                        if ws_head[-1] < ws:
+                            yield ws_head + (ws,)
     stats.nodes += killed.total()
     stats.eliminated["odd" if t % 2 else "even"].update(+killed)
 

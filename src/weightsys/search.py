@@ -305,16 +305,31 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     point, in point order) narrows each point's counts from 0..n to its
     own, which is how scopes otherwise past the guard get spot-checked.
     Single-threaded on purpose.
+
+    Without a profile every point draws from one pool, and the sieve
+    reads only the candidates whose points are strictly ascending, each
+    at scale k! (k points).  That is exact for two reasons.  Every
+    FILTER_CHECKS verdict, the first failing check and the largest
+    |weight| are invariant under permuting the points.  And no candidate
+    that reaches the sieve has two equal points: equal points force
+    every lambda to n/2, so every weight product has one sign and
+    sum_p 1/P_p != 0.  So each orbit has k! members, one of them
+    ascending.  A profile keeps scale 1: one with a repeated lambda
+    never reaches the sieve.
     """
     n, bound = config.n, config.weight_bound
     if lambda_profile is None:
         lam_sets = (tuple(range(n + 1)),) * config.point_count
+        scale = math.factorial(config.point_count)
     else:
         if len(lambda_profile) != config.point_count:
             raise ValueError("lambda_profile length must equal point_count")
+        if any(isinstance(lam, bool) or not isinstance(lam, int) for lam in lambda_profile):
+            raise ValueError("lambda_profile entries must be ints")
         if not all(0 <= lam <= n for lam in lambda_profile):
             raise ValueError("lambda_profile entries must lie in 0..n")
         lam_sets = tuple((lam,) for lam in lambda_profile)
+        scale = 1
     # lam negatives from [-W, -1] and n - lam positives from [1, W]
     space = math.prod(
         sum(
@@ -334,8 +349,8 @@ def naive_oracle(config: SearchConfig, lambda_profile=None) -> SearchOutcome:
     survivors = set()
     # the checks that read the lambdas alone, settled once per lambda tuple
     checks = tuple(row for row in plan if row[0] in ("lambda_symmetry", "parity"))
-    for t, candidates in _oracle_slices(n, lam_sets, bound, checks, stats):
-        survivors |= _sieve(candidates, n, plan, stats, largest=t)
+    for t, candidates in _oracle_slices(n, lam_sets, bound, checks, stats, scale > 1):
+        survivors |= _sieve(candidates, n, plan, stats, largest=t, scale=scale)
     return SearchOutcome(_systems(n, survivors), stats)
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb, factorial, prod
 from itertools import chain, combinations_with_replacement, permutations, product
 
 import pytest
@@ -60,6 +60,7 @@ from weightsys.search import (
     _REPLAYS,
     _dbranch_candidates,
     _filter_plan,
+    _first_failing,
     _partial_pool,
     _profiles,
     _sieve,
@@ -94,6 +95,22 @@ def test_oracle_equivalence_spot_checks():
         assert enumerate_systems(config).survivors == oracle.survivors
     # the last scope walks C(13, 4)**2 multiset pairs, none consistent
     assert (oracle.stats.nodes, oracle.survivors) == (511225, ())
+
+
+def test_oracle_two_point_range():
+    # the unrestricted two-point oracle held to the enumerator past the
+    # acceptance sweep: (nodes, survivors) under both effectivities
+    scopes = {
+        (3, 14): (16483600, {True: 49, False: 66}),
+        (5, 5): (4008004, {True: 17, False: 17}),
+        (7, 4): (11778624, {True: 17, False: 17}),
+    }
+    for (n, bound), (nodes, counts) in scopes.items():
+        for effective, count in counts.items():
+            config = SearchConfig(n, 2, bound, effective)
+            oracle = naive_oracle(config)
+            assert oracle.survivors == enumerate_systems(config).survivors, config
+            assert (oracle.stats.nodes, len(oracle.survivors)) == (nodes, count), config
 
 
 def _plain_pools(config, lambda_profile=None):
@@ -212,10 +229,14 @@ def test_oracle_spot_check_three_points_n12():
     }
 
 
-def test_oracle_spot_check_three_points_n14():
-    # the smallest count-symmetric profile at W=3: 120 * 1296 * 120 candidates
+def test_oracle_spot_check_three_points_n14(monkeypatch):
+    # the smallest count-symmetric profile at W=3: 120 * 1296 * 120
+    # candidates, of which the sieve reads the 156 passing localization,
+    # each at scale 1, as a profile draws each point from its own pool
     config = SearchConfig(n=14, point_count=3, weight_bound=3, require_effective=False)
+    received = _sieve_inputs(monkeypatch)
     oracle = naive_oracle(config, lambda_profile=(0, 7, 14))
+    assert _reads(received) == {1: 156}
     assert oracle.survivors == enumerate_systems(config).survivors == ()
     assert oracle.stats.nodes == 18662400
     assert oracle.stats.eliminated == {
@@ -314,9 +335,9 @@ def test_oracle_reference_scopes_reach_the_verdict_cache_and_the_middle_walk(mon
 
         return reader
 
-    def reading(n, lam_sets, bound, checks, stats):
+    def reading(n, lam_sets, bound, checks, stats, ascending):
         checks = [(cid, check, logged(cid, read)) for cid, check, read in checks]
-        return slices(n, lam_sets, bound, checks, stats)
+        return slices(n, lam_sets, bound, checks, stats, ascending)
 
     def building(entries):
         tables.append(len(entries))
@@ -388,38 +409,72 @@ def _passes_up_to_localization(n, candidate):
 
 def test_oracle_sieves_exactly_the_localization_passers(monkeypatch):
     # the oracle counts by class and by product lookup every candidate
-    # that fails pairing, lambda symmetry, parity or localization: the
-    # sieve must see every candidate of the plain product that passes
-    # them once, at scale 1, and no other, with nodes unchanged
+    # that fails pairing, lambda symmetry, parity or localization.  Under
+    # a profile the sieve must see every candidate of the plain product
+    # that passes them once, at scale 1.  Without one it must see the
+    # strictly ascending member of each passer's orbit under permuting
+    # the points once, at scale k!, so that expanding its reads by their
+    # orbits gives the passers.  No other candidate, and nodes unchanged
     received = _sieve_inputs(monkeypatch)
     for config, profile in _oracle_reference_scopes():
         candidates = list(product(*_plain_pools(config, profile)))
         received.clear()
         outcome = naive_oracle(config, profile)
         passers = Counter(c for c in candidates if _passes_up_to_localization(config.n, c))
-        assert Counter(c for _, cs in received for c in cs) == passers, config
-        assert {scale for scale, _ in received} == {1}, config
+        scale = 1 if profile else factorial(config.point_count)
+        reads = [c for _, cs in received for c in cs]
+        if scale > 1:
+            assert all(a < b for c in reads for a, b in zip(c, c[1:])), config
+            reads = [p for c in reads for p in permutations(c)]
+        assert Counter(reads) == passers, config
+        assert {s for s, _ in received} == {scale}, config
         assert outcome.stats.nodes == len(candidates), config
 
 
+def test_oracle_orbit_reads_rest_on_order_free_verdicts_and_distinct_points():
+    # the unrestricted oracle reads one member of each orbit under
+    # permuting the points, at scale k!.  That needs every reader's
+    # verdict and the first failing check to ignore point order, and no
+    # candidate passing the filter up to localization to have two equal
+    # points (so each orbit has k! members).  Checked on every candidate
+    # of the plain product, orbit by orbit, at the unrestricted scopes
+    plan = _filter_plan(True)
+    scopes = {
+        (c.n, c.point_count, c.weight_bound) for c, p in _oracle_reference_scopes() if p is None
+    }
+    passers = 0
+    for n, points, bound in scopes:
+        pool = _plain_pools(SearchConfig(n, points, bound))[0]
+        for candidate in combinations_with_replacement(pool, points):
+            orbit = set(permutations(candidate))
+            verdicts = {tuple(read(n, p) is None for _, _, read in FILTER_CHECKS) for p in orbit}
+            assert len(verdicts) == 1, candidate
+            assert len({_first_failing(n, p, plan) for p in orbit}) == 1, candidate
+            if _passes_up_to_localization(n, candidate):
+                passers += 1
+                assert len(set(candidate)) == points, candidate
+    assert passers == 28
+
+
 def test_oracle_sieve_inputs_at_the_benchmark_scopes(monkeypatch):
-    # the oracle scopes of perfbench's oracle_crosscheck: (nodes, sieved).
-    # Only the candidates passing localization reach the sieve, 616 of the
-    # 3,114 that pass pairing, each read at scale 1, standing for no
-    # reversal
+    # the oracle scopes of perfbench's oracle_crosscheck: (nodes, scales,
+    # sieved).  Only the candidates passing localization reach the sieve,
+    # 616 of the 3,114 that pass pairing.  The two-point scopes have no
+    # profile, so the sieve reads the ascending member of each swapped
+    # pair, at scale 2: 308 reads for the 616
     received = _sieve_inputs(monkeypatch)
     scopes = {
-        (4, 3, 4, (0, 2, 4)): (122500, 0),
-        (3, 2, 6, None): (132496, 364),
-        (5, 2, 3, None): (63504, 252),
+        (4, 3, 4, (0, 2, 4)): (122500, {1}, 0),
+        (3, 2, 6, None): (132496, {2}, 182),
+        (5, 2, 3, None): (63504, {2}, 126),
     }
-    for (n, points, bound, profile), (nodes, sieved) in scopes.items():
+    for (n, points, bound, profile), (nodes, scales, sieved) in scopes.items():
         received.clear()
         outcome = naive_oracle(SearchConfig(n, points, bound), profile)
-        assert {scale for scale, _ in received} == {1}, n
+        assert {scale for scale, _ in received} == scales, n
         sieves = sum(len(candidates) for _, candidates in received)
         assert (outcome.stats.nodes, sieves) == (nodes, sieved), n
-    assert sum(sieved for _, sieved in scopes.values()) == 616
+    assert sum(sieved for _, _, sieved in scopes.values()) == 308
 
 
 def test_enumerator_sieves_only_pairing_complete_candidates(monkeypatch):
@@ -478,6 +533,11 @@ def test_oracle_profile_restriction():
     with pytest.raises(ValueError):
         # an entry outside 0..n would walk nothing and agree vacuously
         naive_oracle(config, lambda_profile=(0, 1, 3))
+    # a float or str would fail later with a TypeError, and a bool would
+    # run as the int it equals
+    for profile in ((0.0, 1.0, 2.0), ("0", "1", "2"), (False, True, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            naive_oracle(config, lambda_profile=profile)
     restricted = naive_oracle(config, lambda_profile=(0, 1, 2))
     assert restricted.survivors == enumerate_systems(config).survivors
 
